@@ -46,8 +46,11 @@ class BudgetExceeded(SpectraForgeError):
 class SearchExhausted(SpectraForgeError):
     """The dense-torus delay sweep ran out of budget for one delay index.
 
-    ``index`` is the 0-based delay column, ``best_distance`` the smallest
-    angular error (radians) seen before giving up.
+    ``index`` is the 0-based delay column, the first one that found no hit
+    within the budget.  ``best_distance`` is that column's smallest angular
+    error (radians) over every grid point of the budget: the exact
+    minimum, not a bound, so it is finite, positive and at least the
+    epsilon that was asked for.
     """
 
     def __init__(self, index: int, best_distance: float):

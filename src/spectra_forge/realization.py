@@ -19,9 +19,12 @@ The constructive path mirrors the existence proof:
     matrix collapses to i times a real invertible matrix, so the base
     amplitudes follow from one linear solve.
 2.  A dense-torus sweep.  Because the flattened frequency vector has no
-    rational relation, the line t -> t*omega fills the angle torus densely;
-    for each delay column we sweep tau until all n angles w_i*tau sit
-    within epsilon of that column's target angles.
+    rational relation, the line t -> t*omega fills the angle torus densely,
+    and each delay column is that line's first visit to within epsilon of
+    the column's quarter-turn corner.  One sweep along the line serves
+    every column: a cheap gate (|cos(w_i*tau)| < sin(epsilon) in every
+    row) discards points far from all corners, and only the survivors are
+    tested exactly against each open column.
 3.  Damped Newton on the full 2n-real system from that starting point,
     with an epsilon schedule retrying when the basin was missed.
 
@@ -465,6 +468,22 @@ def _refine_candidate(omega, angles_col, tau, halfwidth, points=4097):
     return float(grid[k]), float(dist[k])
 
 
+def _near_quarter_turns(taus: np.ndarray, omega: np.ndarray, radius: float) -> np.ndarray:
+    """The ascending taus whose every angle w_i*tau may lie within radius of
+    a quarter turn, i.e. |cos(w_i*tau)| < sin(radius), filtered row by row.
+
+    A strict superset of the taus that _column_distance puts within radius
+    of any quarter-turn column: the gate reads the raw phase x = tau*w, the
+    exact test x mod fl(2*pi), which is off the true angle by at most about
+    4e-17 * x.  The slack bounds that at the largest phase, with room for
+    the rounding of cos, sin and circ_dist.
+    """
+    bound = np.sin(radius) + 1e-12 + 1e-15 * float(taus[-1]) * float(omega.max())
+    for w in omega:
+        taus = taus[np.abs(np.cos(taus * w)) < bound]
+    return taus
+
+
 def delay_candidates(
     target: FrequencyTarget,
     base: BasePoint,
@@ -473,46 +492,58 @@ def delay_candidates(
 ) -> np.ndarray:
     """Smallest tau_k > 0 per column with all angles within epsilon.
 
-    A 1-D sweep with step 2*pi/(64*max(omega)) cannot jump across an
-    epsilon-window for the schedule used here, and each first hit is
-    sharpened by a local scan.  Raises SearchExhausted with the best
-    distance seen when a column uses up its budget.
+    One sweep over the grid tau = (i+1)*step, step = 2*pi/(64*max(omega)),
+    serves every column: a step this fine cannot jump across an
+    epsilon-window for the schedule used here.  Every base angle is a
+    quarter turn, so a grid point can only come within r of a column's
+    angles if |cos(w_i*tau)| < sin(r) in every row.  That gate is applied
+    row by row to each chunk, and only the survivors get the exact
+    per-column distance; each column's first hit is then sharpened by a
+    local scan.  The gate radius r is epsilon, widened while some open
+    column's best distance so far is larger, so that SearchExhausted
+    reports that column's true minimum over the budget.  Raises
+    SearchExhausted for the first column that uses up its budget.
     """
     if not (0.0 < epsilon < 0.5 * np.pi):
         raise ValueError("epsilon must lie in (0, pi/2)")
+    if budget < 1:
+        raise ValueError("budget must be at least one grid point")
+    angles = base.target_angles
+    if not np.all((angles == 0.5 * np.pi) | (angles == 1.5 * np.pi)):
+        raise ValueError("target angles must all be pi/2 or 3*pi/2")
     omega = target.flat
     n = omega.size
-    angles = base.target_angles
+    if n == 1:
+        # one angle: exact smallest positive solution
+        return np.array([float(angles[0, 0]) / float(omega[0])])
     step = _TWO_PI / (64.0 * float(omega.max()))
     taus = np.empty(n)
-    for k in range(n):
-        col = angles[:, k]
-        if n == 1:
-            # one angle: exact smallest positive solution
-            taus[0] = float(col[0]) / float(omega[0])
-            continue
-        taus[k] = _sweep_column(omega, col, epsilon, step, budget, k)
-    return taus
-
-
-def _sweep_column(omega, col, epsilon, step, budget, index):
-    best = np.inf
-    chunk = 1 << 16
+    best = dict.fromkeys(range(n), np.inf)  # open column -> best distance
     done = 0
-    while done < budget:
+    chunk = 1 << 10
+    while best and done < budget:
         count = min(chunk, budget - done)
         grid = (done + 1 + np.arange(count)) * step
-        dist = _column_distance(omega, col, grid)
-        best = min(best, float(dist.min()))
-        hits = np.nonzero(dist < epsilon)[0]
-        if hits.size:
-            tau = float(grid[hits[0]])
-            refined, rd = _refine_candidate(omega, col, tau, step)
-            if rd < epsilon:
-                return refined
-            return tau
+        reach = max(epsilon, max(best.values()))
+        if reach < 0.5 * np.pi:  # a radius of pi/2 or more admits every point
+            grid = _near_quarter_turns(grid, omega, reach)
+        for k in list(best):
+            col = angles[:, k]
+            dist = _column_distance(omega, col, grid)
+            hits = np.nonzero(dist < epsilon)[0]
+            if hits.size:
+                tau = float(grid[hits[0]])
+                refined, rd = _refine_candidate(omega, col, tau, step)
+                taus[k] = refined if rd < epsilon else tau
+                del best[k]
+            else:
+                best[k] = min(best[k], float(dist.min(initial=np.inf)))
         done += count
-    raise SearchExhausted(index, best)
+        chunk = min(2 * chunk, 1 << 16)
+    if best:
+        index = min(best)
+        raise SearchExhausted(index, best[index])
+    return taus
 
 
 def achieved_windows(target: FrequencyTarget, base: BasePoint, taus: np.ndarray) -> np.ndarray:
@@ -629,16 +660,20 @@ def newton_refine(
 # Top-level drivers
 
 
-def result_factors(result: RealizationResult, weights: WeightTable) -> list[ScalarFactor]:
-    """One scalar factor per weight row, built from realized (tau, a)."""
+def _factors(taus, coeffs, weights: WeightTable) -> list[ScalarFactor]:
     out = []
     for j in range(weights.r):
         terms = tuple(
-            (float(result.coeffs[k]), float(weights.b[j, k]), float(result.taus[k]))
+            (float(coeffs[k]), float(weights.b[j, k]), float(taus[k]))
             for k in range(weights.n)
         )
         out.append(ScalarFactor(terms))
     return out
+
+
+def result_factors(result: RealizationResult, weights: WeightTable) -> list[ScalarFactor]:
+    """One scalar factor per weight row, built from realized (tau, a)."""
+    return _factors(result.taus, result.coeffs, weights)
 
 
 def realize(
@@ -707,15 +742,7 @@ def realize(
 
 
 def _verified_residual(taus, coeffs, target, weights) -> float:
-    stub = RealizationResult(
-        taus=np.asarray(taus, dtype=float),
-        coeffs=np.asarray(coeffs, dtype=float),
-        residual=0.0,
-        newton_iterations=0,
-        search_window=np.zeros(len(taus)),
-        base=BasePoint(np.eye(0), np.zeros(0), np.eye(0), np.eye(0)),
-    )
-    factors = result_factors(stub, weights)
+    factors = _factors(taus, coeffs, weights)
     return max(
         residual_on_targets(f, g) for f, g in zip(factors, target.groups)
     )

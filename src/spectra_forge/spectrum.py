@@ -111,11 +111,15 @@ def _count_with_diag(factor: ScalarFactor, region: Region):
         while per_edge <= _MAX_PANELS:
             z = _contour_nodes(region, per_edge)
             vals = evaluate_many(factor, z)
+            if not np.all(np.isfinite(vals)):
+                raise NoConvergence(float("nan"), "factor overflowed on the contour")
             min_abs = float(np.abs(vals).min())
             overall_min = min(overall_min, min_abs)
             if min_abs <= threshold:
                 break
             f = evaluate_derivative_many(factor, z) / vals
+            if not np.all(np.isfinite(f)):
+                raise NoConvergence(float("nan"), "factor overflowed on the contour")
             integral = np.sum(0.5 * (f[:-1] + f[1:]) * np.diff(z))
             winding = integral / (2j * np.pi)
             nearest = round(winding.real)
@@ -140,7 +144,9 @@ def count_roots(factor: ScalarFactor, region: Region) -> int:
 
     Requires a root-free boundary: if |D| dips below 1e-8 * scale on the
     contour the region is dilated once by 1e-6 and retried, then
-    BoundaryRoot is raised.  Factor multiplicity is not applied.
+    BoundaryRoot is raised.  NoConvergence is raised when D or D' overflows
+    on the contour (far left of the axis at large delays) or the winding
+    integral does not snap.  Factor multiplicity is not applied.
     """
     count, _, _, _ = _count_with_diag(factor, region)
     return count

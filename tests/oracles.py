@@ -4,8 +4,8 @@ Everything here deliberately avoids the library's own evaluation paths:
 compensated/high-precision summation for factor values, dense matrix
 assembly plus LAPACK determinants for ring systems, mpmath determinants
 and integer congruences for reduced leading-weight matrices,
-eigendecompositions for factor weights, and finite differences for
-derivatives.
+eigendecompositions for factor weights, finite differences for
+derivatives, and a plain per-column delay sweep that reduces every phase.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import math
 import mpmath as mp
 import numpy as np
 
+from spectra_forge.errors import SearchExhausted
 from spectra_forge.realization import FrequencyTarget, WeightTable, base_point, index_vectors
 
 
@@ -154,3 +155,47 @@ def grid_scan_delay(omega: np.ndarray, angles: np.ndarray, epsilon: float,
     dist = np.abs(np.mod(phase - angles[None, :] + np.pi, 2.0 * np.pi) - np.pi)
     ok = np.nonzero(dist.max(axis=1) < epsilon)[0]
     return float(taus[ok[0]]) if ok.size else None
+
+
+def _column_distance(omega, angles_col, taus):
+    phase = np.mod(np.multiply.outer(taus, omega), 2.0 * np.pi)
+    dist = np.abs(np.mod(phase - angles_col[None, :] + np.pi, 2.0 * np.pi) - np.pi)
+    return dist.max(axis=1)
+
+
+def _refine_candidate(omega, angles_col, tau, halfwidth, points=4097):
+    grid = np.linspace(max(tau - halfwidth, 0.25 * halfwidth), tau + halfwidth, points)
+    dist = _column_distance(omega, angles_col, grid)
+    k = int(np.argmin(dist))
+    return float(grid[k]), float(dist[k])
+
+
+def sweep_column_reference(omega, col, epsilon, step, budget, index):
+    """One delay column swept on its own over the grid (i+1)*step, every
+    phase reduced and compared with the column's angles; the first hit is
+    sharpened by the same local scan as the library's."""
+    best = np.inf
+    chunk = 1 << 16
+    done = 0
+    while done < budget:
+        count = min(chunk, budget - done)
+        grid = (done + 1 + np.arange(count)) * step
+        dist = _column_distance(omega, col, grid)
+        best = min(best, float(dist.min()))
+        hits = np.nonzero(dist < epsilon)[0]
+        if hits.size:
+            tau = float(grid[hits[0]])
+            refined, rd = _refine_candidate(omega, col, tau, step)
+            if rd < epsilon:
+                return refined
+            return tau
+        done += count
+    raise SearchExhausted(index, best)
+
+
+def delay_candidates_reference(omega, angles, epsilon, budget):
+    """Per-column reference for a target with two or more frequencies:
+    columns in order, the first exhausted one raises."""
+    step = 2.0 * np.pi / (64.0 * float(omega.max()))
+    return [sweep_column_reference(omega, angles[:, k], epsilon, step, budget, k)
+            for k in range(omega.size)]

@@ -274,18 +274,9 @@ def test_criterion_07_two_factor_sweep(tmp_path):
 
 def test_criterion_07_squarefree_restriction_holds():
     """Companion check: restricted to squarefree n the sweep is clean."""
-
-    def squarefree(n):
-        d = 2
-        while d * d <= n:
-            if n % (d * d) == 0:
-                return False
-            d += 1
-        return True
-
     min_norm_det = np.inf
     for n in range(5, 102, 2):
-        if not squarefree(n):
+        if not is_squarefree(n):
             continue
         for i1 in range(1, (n - 1) // 2):
             for i2 in range(i1 + 1, (n - 1) // 2 + 1):

@@ -238,6 +238,18 @@ def test_spectrum_subcommand(capsys, tmp_path):
     assert doc["roots"][0]["im"] == pytest.approx(1.0, abs=1e-8)
 
 
+def test_spectrum_overflow_is_numeric_error(capsys, tmp_path):
+    # exp(0.5 * 2000) overflows on the left edge of the region
+    path = write_json(
+        tmp_path / "factor.json",
+        {"terms": [{"a": 1.0, "b": 1.0, "tau": 2000.0}], "multiplicity": 1},
+    )
+    code, doc = run(capsys, ["spectrum", "--input", path, "--re=-0.5,0.5", "--im", "0.5,1.5"])
+    assert code == 2
+    assert doc["error"]["type"] == "NoConvergence"
+    assert "overflowed" in doc["error"]["message"]
+
+
 def test_unknown_mode_is_input_error(capsys, tmp_path):
     path = write_json(tmp_path / "odd.json", {"mode": "mystery", "payload": {}})
     code, doc = run(capsys, ["realize", "--input", path])

@@ -1,14 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectra_forge.errors import (
     SearchExhausted,
     SingularIB,
     SingularJacobian,
+    ZeroAmplitude,
     ZeroWeight,
 )
 from spectra_forge.quasipoly import ScalarFactor, residual_on_targets
@@ -30,7 +32,12 @@ from spectra_forge.realization import (
     result_factors,
     transversality_at_base,
 )
-from oracles import direct_transversality, grid_scan_delay, random_partition
+from oracles import (
+    delay_candidates_reference,
+    direct_transversality,
+    grid_scan_delay,
+    random_partition,
+)
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
@@ -239,6 +246,81 @@ def test_delay_search_budget_exhaustion():
     with pytest.raises(SearchExhausted) as err:
         delay_candidates(target, base, epsilon=0.05, budget=200)
     assert err.value.best_distance > 0.0
+    # the column's true minimum over the budget, as the per-column sweep sees it
+    with pytest.raises(SearchExhausted) as ref:
+        delay_candidates_reference(target.flat, base.target_angles, 0.05, 200)
+    assert err.value.index == ref.value.index
+    assert err.value.best_distance == ref.value.best_distance
+    assert 0.05 <= err.value.best_distance < math.inf
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_delay_search_matches_reference_on_prime_ladder(n):
+    omegas = tuple(math.sqrt(p) for p in (1, 2, 3, 5, 7)[:n])
+    target = FrequencyTarget((omegas,)).scaled(1.0 / omegas[-1])
+    base = base_point(target)
+    expected = delay_candidates_reference(target.flat, base.target_angles, 0.4, 10_000_000)
+    assert delay_candidates(target, base, epsilon=0.4).tolist() == expected
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=5),
+    st.sampled_from([0.1, 0.2, 0.3, 0.4]),
+    st.integers(min_value=200, max_value=20_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_delay_search_matches_per_column_reference(seed, n, eps, budget):
+    rng = np.random.default_rng(seed)
+    omega = rng.uniform(0.2, 5.0, n)
+    r = int(rng.integers(1, min(n, 3) + 1))
+    cuts = [0, *sorted(rng.choice(np.arange(1, n), r - 1, replace=False)), n]
+    target = FrequencyTarget(tuple(tuple(omega[a:b]) for a, b in zip(cuts, cuts[1:])))
+    weights = WeightTable(rng.uniform(0.3, 2.0, (r, n)) * rng.choice([-1.0, 1.0], (r, n)))
+    try:
+        base = base_point(target, weights)
+    except (SingularIB, ZeroAmplitude):
+        assume(False)
+    try:
+        expected = delay_candidates_reference(target.flat, base.target_angles, eps, budget)
+    except SearchExhausted as ref:
+        with pytest.raises(SearchExhausted) as err:
+            delay_candidates(target, base, eps, budget)
+        assert err.value.index == ref.index
+        assert err.value.best_distance == ref.best_distance
+        return
+    assert delay_candidates(target, base, eps, budget).tolist() == expected
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=5),
+    st.floats(min_value=0.0, max_value=6.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_quarter_turn_gate_keeps_every_point_near_a_column(seed, n, log_tau):
+    # the gate may pass extra points but must never drop one that the exact
+    # column test puts within the radius, even one right at the boundary
+    from spectra_forge.realization import _column_distance, _near_quarter_turns
+
+    rng = np.random.default_rng(seed)
+    omega = rng.uniform(0.2, 5.0, n)
+    col = rng.choice([0.5 * PI, 1.5 * PI], n)
+    step = 2.0 * PI / (64.0 * float(omega.max()))
+    grid = 10.0**log_tau + step * np.arange(4096)
+    dist = _column_distance(omega, col, grid)
+    closest = float(np.sort(dist)[int(rng.integers(0, 8))])
+    radius = min(float(np.nextafter(closest, np.inf)), 0.5 * PI - 1e-9)
+    kept = set(_near_quarter_turns(grid, omega, radius).tolist())
+    assert set(grid[dist < radius].tolist()) <= kept
+
+
+def test_delay_search_rejects_non_quarter_turn_angles():
+    target = FrequencyTarget(((1.0, SQRT2),))
+    base = base_point(target)
+    shifted = dataclasses.replace(base, target_angles=base.target_angles + 0.1)
+    with pytest.raises(ValueError, match="pi/2"):
+        delay_candidates(target, shifted, epsilon=0.3)
 
 
 def test_delay_search_epsilon_domain():
@@ -246,6 +328,8 @@ def test_delay_search_epsilon_domain():
     base = base_point(target)
     with pytest.raises(ValueError):
         delay_candidates(target, base, epsilon=2.0)
+    with pytest.raises(ValueError):
+        delay_candidates(target, base, epsilon=0.3, budget=0)
 
 
 def test_circ_dist_wraps():

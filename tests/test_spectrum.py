@@ -6,7 +6,7 @@ import pytest
 
 from spectra_forge.errors import BoundaryRoot, NoConvergence, TooManyRoots
 from spectra_forge.quasipoly import ScalarFactor, evaluate
-from spectra_forge.realization import FrequencyTarget, WeightTable, realize
+from spectra_forge.realization import FrequencyTarget, WeightTable, realize, result_factors
 from spectra_forge.spectrum import (
     Region,
     count_roots,
@@ -53,6 +53,14 @@ def test_count_pure_lambda_factor():
     f = ScalarFactor(((0.0, 1.0, 1.0),))  # D(lam) = lam
     assert count_roots(f, Region(-0.5, 0.5, -0.5, 0.5)) == 1
     assert count_roots(f, Region(0.5, 1.5, 0.5, 1.5)) == 0
+
+
+def test_count_overflow_on_contour_is_no_convergence():
+    # max(tau) is about 2.4e3 here, so exp(-lam tau) overflows at Re lam = -0.5
+    target = FrequencyTarget(((1.0, SQRT2, math.sqrt(3.0), math.sqrt(5.0)),))
+    factor = result_factors(realize(target), WeightTable.ones(4))[0]
+    with pytest.raises(NoConvergence, match="overflowed"):
+        count_roots(factor, Region(-0.5, 0.5, 0.5, 1.5))
 
 
 def test_count_region_validation():
