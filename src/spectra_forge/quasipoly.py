@@ -85,7 +85,12 @@ class ScalarFactor:
                 raise ValueError(f"delay {t.tau} is negative")
 
     def coefficient_bound(self) -> float:
-        """Upper bound for |D(lam) - lam| anywhere in the closed right/left strips."""
+        """sum_k |a_k b_k|, an upper bound for |D(lam) - lam| when Re lam >= 0.
+
+        Left of the imaginary axis |exp(-lam tau_k)| exceeds 1 and the bound
+        fails; the spectrum layer uses the value only as a magnitude scale
+        for its tolerances, not as a bound.
+        """
         return float(sum(abs(t.a * t.b) for t in self.terms))
 
 

@@ -7,6 +7,19 @@ panels that double until the value snaps to an integer.  Root locations
 then follow by quadrisection plus Newton polish, and
 :func:`verify_realization` certifies that every prescribed +-i*omega of a
 realization really is an isolated root of its assigned factor.
+
+Every curve evaluated here is axis-parallel: rectangle edges and the cut
+lines of the quadrisection.  On such a line each term splits into a
+modulus exp(-x tau_k) and a torus angle y tau_k, one of them constant
+along the line.  So the kernel :func:`_line_values` builds one table
+exp(-x tau) over the x nodes, shared by the bottom and top edges, and one
+table exp(-i y tau) over the y nodes, shared by the left and right edges,
+and finishes each edge with its constant factor; D = z - E @ ab and
+D' = 1 + E @ (ab tau) come from the same table E.  A rectangle with N
+panels per edge costs (N+1)*m exponentials of real arguments and (N+1)*m
+sincos pairs for m terms, not 2*(4N+1)*m complex exponentials, and every
+table entry is the same product exp(-x tau) * cis(-y tau) that a complex
+exponential of -z*tau forms.
 """
 from __future__ import annotations
 
@@ -15,13 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryRoot, NoConvergence, TooManyRoots
-from .quasipoly import (
-    ScalarFactor,
-    evaluate,
-    evaluate_derivative,
-    evaluate_derivative_many,
-    evaluate_many,
-)
+from .quasipoly import ScalarFactor, _term_arrays, evaluate, evaluate_derivative
+
+# Not called here; perfbench/spans.py wraps these names in this namespace.
+from .quasipoly import evaluate_derivative_many, evaluate_many  # noqa: F401
 from .realization import FrequencyTarget, RealizationResult, WeightTable, result_factors
 
 __all__ = [
@@ -81,14 +91,57 @@ class Region:
         }
 
 
-def _contour_nodes(region: Region, per_edge: int) -> np.ndarray:
+def _line_values(factor: ScalarFactor, xs, ys, im_levels=(), re_levels=()):
+    """(z, D, D') on the horizontal lines xs + i*y for y in im_levels, then
+    on the vertical lines x + i*ys for x in re_levels, as arrays with one
+    row per line; xs and ys need the same length when both are used.
+
+    The horizontal lines share the table exp(-x tau) and the vertical ones
+    the table exp(-i y tau); only the constant factor differs per line.
+    Both tables are complex exponentials of purely real or purely imaginary
+    arguments, so each entry of E is the same float as the complex
+    exp(-z*tau) of the direct evaluation (numpy's real exp can differ from
+    it in the last bit).  Overflow gives non-finite values, which the
+    callers report.
+    """
+    ab, taus = _term_arrays(factor)
+    size = len(xs) if im_levels else len(ys)
+    lines = len(im_levels) + len(re_levels)
+    z = np.empty((lines, size), dtype=complex)
+    e = np.empty((lines, size, len(taus)), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if im_levels:
+            modulus = np.exp(np.multiply.outer(xs, -taus) + 0j)
+            for row, y in enumerate(im_levels):
+                np.add(xs, 1j * y, out=z[row])
+                np.multiply(modulus, np.exp(-1j * y * taus), out=e[row])
+        if re_levels:
+            angle = np.exp(-1j * np.multiply.outer(ys, taus))
+            for row, x in enumerate(re_levels, start=len(im_levels)):
+                np.add(x, 1j * ys, out=z[row])
+                np.multiply(np.exp(-x * taus + 0j), angle, out=e[row])
+        vals = z - e @ ab
+        ders = 1.0 + e @ (ab * taus)
+    return z, vals, ders
+
+
+def _newton_distance(vals, ders) -> float:
+    """min |D|/|D'| over the nodes: a local estimate of the distance from
+    the nearest node to the nearest root (NaN when D overflowed)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float((np.abs(vals) / np.maximum(np.abs(ders), 1e-300)).min())
+
+
+def _contour_values(factor: ScalarFactor, region: Region, per_edge: int):
+    """(z, D, D') at the 4*per_edge + 1 nodes of the region's boundary,
+    counter-clockwise from the bottom-left corner back to it."""
     xs = np.linspace(region.re_min, region.re_max, per_edge + 1)
     ys = np.linspace(region.im_min, region.im_max, per_edge + 1)
-    bottom = xs + 1j * region.im_min
-    right = region.re_max + 1j * ys
-    top = xs[::-1] + 1j * region.im_max
-    left = region.re_min + 1j * ys[::-1]
-    return np.concatenate([bottom, right[1:], top[1:], left[1:]])
+    lines = _line_values(
+        factor, xs, ys, (region.im_min, region.im_max), (region.re_min, region.re_max)
+    )
+    # rows: bottom, top, left, right
+    return tuple(np.concatenate([a[0], a[3, 1:], a[1, -2::-1], a[2, -2::-1]]) for a in lines)
 
 
 def _scale(factor: ScalarFactor, region: Region) -> float:
@@ -108,16 +161,15 @@ def _count_with_diag(factor: ScalarFactor, region: Region):
         threshold = _BOUNDARY_REL * _scale(factor, region)
         per_edge = _START_PANELS
         overall_min = np.inf
-        while per_edge <= _MAX_PANELS:
-            z = _contour_nodes(region, per_edge)
-            vals = evaluate_many(factor, z)
+        while True:
+            z, vals, ders = _contour_values(factor, region, per_edge)
             if not np.all(np.isfinite(vals)):
                 raise NoConvergence(float("nan"), "factor overflowed on the contour")
             min_abs = float(np.abs(vals).min())
             overall_min = min(overall_min, min_abs)
             if min_abs <= threshold:
                 break
-            f = evaluate_derivative_many(factor, z) / vals
+            f = ders / vals
             if not np.all(np.isfinite(f)):
                 raise NoConvergence(float("nan"), "factor overflowed on the contour")
             integral = np.sum(0.5 * (f[:-1] + f[1:]) * np.diff(z))
@@ -125,18 +177,23 @@ def _count_with_diag(factor: ScalarFactor, region: Region):
             nearest = round(winding.real)
             if nearest >= 0 and abs(winding - nearest) < _SNAP_TOL:
                 return int(nearest), min_abs, per_edge, region
-            per_edge *= 2
-        if min_abs <= threshold:
-            if dilated:
-                raise BoundaryRoot(
-                    f"|D| = {overall_min:.3e} on the contour even after dilation"
+            if per_edge >= _MAX_PANELS:
+                # a root within two node spacings of the contour spoils the
+                # trapezoid sum at every panel count: name it as such
+                side = max(region.re_max - region.re_min, region.im_max - region.im_min)
+                newton = _newton_distance(vals, ders)
+                if newton < 2.0 * side / per_edge:
+                    raise BoundaryRoot(
+                        f"a root lies {newton:.3e} from the contour, within two node spacings"
+                    )
+                raise NoConvergence(
+                    float("nan"), f"winding integral did not snap below {_MAX_PANELS} panels/edge"
                 )
-            region = region.dilated(_DILATE)
-            dilated = True
-            continue
-        raise NoConvergence(
-            float("nan"), f"winding integral did not snap below {_MAX_PANELS} panels/edge"
-        )
+            per_edge *= 2
+        if dilated:
+            raise BoundaryRoot(f"|D| = {overall_min:.3e} on the contour even after dilation")
+        region = region.dilated(_DILATE)
+        dilated = True
 
 
 def count_roots(factor: ScalarFactor, region: Region) -> int:
@@ -146,7 +203,9 @@ def count_roots(factor: ScalarFactor, region: Region) -> int:
     contour the region is dilated once by 1e-6 and retried, then
     BoundaryRoot is raised.  NoConvergence is raised when D or D' overflows
     on the contour (far left of the axis at large delays) or the winding
-    integral does not snap.  Factor multiplicity is not applied.
+    integral does not snap, unless min |D|/|D'| on the finest contour puts a
+    root within two node spacings of it, which is again BoundaryRoot.
+    Factor multiplicity is not applied.
     """
     count, _, _, _ = _count_with_diag(factor, region)
     return count
@@ -206,17 +265,12 @@ def _cut_is_risky(factor: ScalarFactor, region: Region, fx: float, fy: float) ->
     ym = region.im_min + fy * (region.im_max - region.im_min)
     samples = 1024
     ys = np.linspace(region.im_min, region.im_max, samples + 1)
+    _, vals, ders = _line_values(factor, None, ys, re_levels=(xm,))
+    if _newton_distance(vals, ders) < 2.0 * (region.im_max - region.im_min) / samples:
+        return True
     xs = np.linspace(region.re_min, region.re_max, samples + 1)
-    for z, spacing in (
-        (xm + 1j * ys, (region.im_max - region.im_min) / samples),
-        (xs + 1j * ym, (region.re_max - region.re_min) / samples),
-    ):
-        vals = np.abs(evaluate_many(factor, z))
-        ders = np.abs(evaluate_derivative_many(factor, z))
-        dist = vals / np.maximum(ders, 1e-300)
-        if float(dist.min()) < 2.0 * spacing:
-            return True
-    return False
+    _, vals, ders = _line_values(factor, xs, None, im_levels=(ym,))
+    return _newton_distance(vals, ders) < 2.0 * (region.re_max - region.re_min) / samples
 
 
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.41, 0.59, 0.445, 0.565)

@@ -5,7 +5,9 @@ compensated/high-precision summation for factor values, dense matrix
 assembly plus LAPACK determinants for ring systems, mpmath determinants
 and integer congruences for reduced leading-weight matrices,
 eigendecompositions for factor weights, finite differences for
-derivatives, and a plain per-column delay sweep that reduces every phase.
+derivatives, a plain per-column delay sweep that reduces every phase, and
+a contour evaluation that takes one complex exponential per node and term
+instead of the separable tables of the spectrum kernel.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import mpmath as mp
 import numpy as np
 
 from spectra_forge.errors import SearchExhausted
+from spectra_forge.quasipoly import evaluate_derivative_many, evaluate_many
 from spectra_forge.realization import FrequencyTarget, WeightTable, base_point, index_vectors
 
 
@@ -26,6 +29,16 @@ def eval_factor_mp(terms, lam, dps: int = 50) -> complex:
         acc = z
         for a, b, tau in terms:
             acc -= mp.mpf(a) * mp.mpf(b) * mp.e ** (-z * mp.mpf(tau))
+        return complex(acc)
+
+
+def eval_derivative_mp(terms, lam, dps: int = 50) -> complex:
+    """High-precision D'(lam) = 1 + sum a b tau exp(-lam tau) via mpmath."""
+    with mp.workdps(dps):
+        z = mp.mpc(lam.real, lam.imag)
+        acc = mp.mpc(1)
+        for a, b, tau in terms:
+            acc += mp.mpf(a) * mp.mpf(b) * mp.mpf(tau) * mp.e ** (-z * mp.mpf(tau))
         return complex(acc)
 
 
@@ -199,3 +212,29 @@ def delay_candidates_reference(omega, angles, epsilon, budget):
     step = 2.0 * np.pi / (64.0 * float(omega.max()))
     return [sweep_column_reference(omega, angles[:, k], epsilon, step, budget, k)
             for k in range(omega.size)]
+
+
+def contour_nodes(region, per_edge: int) -> np.ndarray:
+    """Boundary nodes of a region, counter-clockwise from the bottom-left
+    corner back to it, per_edge panels per edge."""
+    xs = np.linspace(region.re_min, region.re_max, per_edge + 1)
+    ys = np.linspace(region.im_min, region.im_max, per_edge + 1)
+    bottom = xs + 1j * region.im_min
+    right = region.re_max + 1j * ys
+    top = xs[::-1] + 1j * region.im_max
+    left = region.re_min + 1j * ys[::-1]
+    return np.concatenate([bottom, right[1:], top[1:], left[1:]])
+
+
+def contour_values_reference(factor, region, per_edge: int):
+    """(z, D, D') on the contour, one complex exponential table per call,
+    in place of the spectrum kernel's shared separable tables."""
+    z = contour_nodes(region, per_edge)
+    return z, evaluate_many(factor, z), evaluate_derivative_many(factor, z)
+
+
+def line_values_reference(factor, xs, ys, im_levels=(), re_levels=()):
+    """(z, D, D') with one row per line, horizontal lines first, each
+    evaluated pointwise like :func:`contour_values_reference`."""
+    z = np.array([xs + 1j * y for y in im_levels] + [x + 1j * ys for x in re_levels])
+    return z, evaluate_many(factor, z), evaluate_derivative_many(factor, z)

@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from spectra_forge import spectrum
 from spectra_forge.errors import BoundaryRoot, NoConvergence, TooManyRoots
 from spectra_forge.quasipoly import ScalarFactor, evaluate
 from spectra_forge.realization import FrequencyTarget, WeightTable, realize, result_factors
@@ -61,6 +65,13 @@ def test_count_overflow_on_contour_is_no_convergence():
     factor = result_factors(realize(target), WeightTable.ones(4))[0]
     with pytest.raises(NoConvergence, match="overflowed"):
         count_roots(factor, Region(-0.5, 0.5, 0.5, 1.5))
+
+
+def test_count_root_on_edge_is_boundary_root():
+    # the real root near 0.2745 lies on the bottom edge Im = 0, so the
+    # winding integral never snaps; the failure names the edge root
+    with pytest.raises(BoundaryRoot, match="node spacings"):
+        count_roots(UNIT_ROOT_FACTOR, Region(-0.5, 0.5, 0.0, 2.0))
 
 
 def test_count_region_validation():
@@ -125,6 +136,134 @@ def test_count_conjugate_windows_agree():
         upper = Region(-1.0, 1.0, 0.25, 3.0)
         lower = Region(-1.0, 1.0, -3.0, -0.25)
         assert count_roots(f, upper) == count_roots(f, lower)
+
+
+# ---------------------------------------------------------------------------
+# separable contour kernel
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def kernel_cases(draw):
+    """1-5 terms with delays up to 2e5, a rectangle whose |x tau| stays
+    below 30 and whose phases |y tau| reach up to 1e6, and a panel count."""
+    coef = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+    terms = draw(st.lists(
+        st.tuples(coef, coef, st.floats(min_value=0.0, max_value=2e5)), min_size=1, max_size=5))
+    tau_max = max(1.0, max(t[2] for t in terms))
+    x_lim = 30.0 / tau_max
+    y_lim = min(1e3, 1e6 / tau_max)
+    xa, xb = sorted(draw(st.tuples(*[st.floats(-x_lim, x_lim)] * 2)))
+    ya, yb = sorted(draw(st.tuples(*[st.floats(-y_lim, y_lim)] * 2)))
+    if xb - xa < 1e-3 * x_lim or yb - ya < 1e-3 * y_lim:
+        xa, xb, ya, yb = -x_lim, x_lim, -y_lim, y_lim
+    return ScalarFactor(terms), Region(xa, xb, ya, yb), 2 ** draw(st.integers(0, 5))
+
+
+def _term_sizes(factor, z):
+    """|a_k b_k| exp(-x tau_k) per node and term, and the delays."""
+    ab = np.array([abs(t.a * t.b) for t in factor.terms])
+    taus = np.array([t.tau for t in factor.terms])
+    return np.exp(-np.multiply.outer(z.real, taus)) * ab, taus
+
+
+def _assert_matches_reference(got, ref, factor):
+    z, vals, ders = got
+    zr, vr, dr = ref
+    np.testing.assert_array_equal(z, zr)
+    size, taus = _term_sizes(factor, z)
+    assert np.all(np.abs(vals - vr) <= 4 * EPS * (np.abs(z) + size.sum(-1)))
+    assert np.all(np.abs(ders - dr) <= 4 * EPS * (1.0 + (size * taus).sum(-1)))
+    # with a C library whose complex exp is exp(x) * cis(y), as glibc's is,
+    # the tables hold the reference's very floats: same counts, same roots
+    np.testing.assert_array_equal(vals, vr)
+    np.testing.assert_array_equal(ders, dr)
+
+
+@given(kernel_cases())
+@settings(max_examples=60, deadline=None)
+def test_contour_kernel_matches_reference_and_mp(case):
+    factor, region, per_edge = case
+    z, vals, ders = spectrum._contour_values(factor, region, per_edge)
+    ref = oracles.contour_values_reference(factor, region, per_edge)
+    _assert_matches_reference((z, vals, ders), ref, factor)
+    # against 50 digits the rounding of the phase y*tau itself adds
+    # eps * |z tau| per term, which can reach 1e6 * eps
+    size, taus = _term_sizes(factor, z)
+    spread = size * (len(taus) + np.multiply.outer(np.abs(z), taus))
+    tol_d = 4 * EPS * (np.abs(z) + spread.sum(-1))
+    tol_p = 4 * EPS * (1.0 + (spread * taus).sum(-1))
+    terms = [(t.a, t.b, t.tau) for t in factor.terms]
+    for k in range(z.size):
+        assert abs(vals[k] - oracles.eval_factor_mp(terms, complex(z[k]))) <= tol_d[k]
+        assert abs(ders[k] - oracles.eval_derivative_mp(terms, complex(z[k]))) <= tol_p[k]
+    # a cut line uses one of the two tables
+    xs = np.linspace(region.re_min, region.re_max, 9)
+    ys = np.linspace(region.im_min, region.im_max, 9)
+    for levels in ({"im_levels": (region.center.imag,)}, {"re_levels": (region.center.real,)}):
+        _assert_matches_reference(
+            spectrum._line_values(factor, xs, ys, **levels),
+            oracles.line_values_reference(factor, xs, ys, **levels),
+            factor,
+        )
+
+
+def _census_like_cases(seed, count):
+    """3- to 5-term factors with an exact root at i*omega, in boxes whose
+    boundary keeps clear of every root."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        m = int(rng.integers(3, 6))
+        omega = float(rng.uniform(0.6, 2.5))
+        taus = rng.uniform(0.2, float(rng.choice([5.0, 10.0, 20.0])), m)
+        a = rng.uniform(-1.5, 1.5, m)
+        c = np.exp(-1j * omega * taus)
+        rest = 1j * omega - a[:-2] @ c[:-2]
+        a[-2:] = np.linalg.solve([[c[-2].real, c[-1].real], [c[-2].imag, c[-1].imag]],
+                                 [rest.real, rest.imag])
+        if np.abs(a).max() > 2.0 * omega:
+            continue
+        factor = ScalarFactor(tuple((float(x), 1.0, float(t)) for x, t in zip(a, taus)))
+        y0 = max(omega - 1.2 * rng.uniform(0.3, 0.7), 0.05)
+        region = Region(-0.12, 0.12, y0, y0 + 1.2)
+        if _boundary_is_safe(factor, region):
+            cases.append((factor, region))
+    return cases
+
+
+def _family_cases(seed, js):
+    """lam - w exp(-lam tau) with tau = (3 pi/2 + 2 pi j)/w, whose root is
+    exactly i*w, in the isolation box verify_realization would use."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for j in js:
+        w = float(rng.uniform(0.5, 3.0))
+        tau = (1.5 * PI + 2.0 * PI * j) / w
+        d = min(0.05, 0.5 * PI / tau)
+        cases.append((ScalarFactor(((w, 1.0, tau),)), Region(-d, d, w - d, w + d)))
+    return cases
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (BoundaryRoot, NoConvergence, TooManyRoots) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_count_and_locate_match_reference_kernel(monkeypatch):
+    cases = _census_like_cases(5, 16) + _family_cases(6, (0, 1, 3, 10, 40, 100, 500, 1000, 2000))
+
+    def run():
+        return [(_outcome(count_roots, f, r), _outcome(locate_roots, f, r)) for f, r in cases]
+
+    fast = run()
+    assert all(isinstance(loc, list) and len(loc) == n >= 1 for n, loc in fast)
+    monkeypatch.setattr(spectrum, "_contour_values", oracles.contour_values_reference)
+    monkeypatch.setattr(spectrum, "_line_values", oracles.line_values_reference)
+    assert run() == fast
 
 
 # ---------------------------------------------------------------------------
