@@ -4,7 +4,8 @@ Subcommands: realize, ring, verify, bmat, spectrum.  Every command reads
 JSON, writes one JSON document (stdout by default), and exits with
 
     0   success
-    1   input problem (unreadable file, bad schema, zero weight, bad index)
+    1   input problem (bad usage, unreadable file, bad schema, zero weight,
+        bad index)
     2   numeric failure (no convergence, singular system, failed check)
     3   theory-precondition refusal (even-cell ring degeneracy)
 
@@ -52,6 +53,13 @@ _NUMERIC_ERRORS = (SingularIB, ZeroAmplitude, SearchExhausted, NoConvergence,
                    TooManyRoots, BudgetExceeded)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, the code reserved for numeric
+    # failures; raising instead routes it through the input-error path
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 class _Refusal(Exception):
     def __init__(self, payload: dict):
         self.payload = payload
@@ -87,51 +95,33 @@ def _config_from(problem: dict, args) -> RealizeConfig:
     merged: dict = {}
     payload = problem.get("payload")
     if isinstance(payload, dict):
-        for key in ("tol", "epsilon_schedule", "budget", "seed"):
+        for key in ("tol", "epsilon_schedule", "budget"):
             if key in payload:
                 merged[key] = payload[key]
     merged.update(problem.get("config") or {})
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         merged["tol"] = args.tol
-    if getattr(args, "seed", None) is not None:
-        merged["seed"] = args.seed
     return RealizeConfig.from_dict(merged)
 
 
-def _problem_target_weights(problem: dict):
-    """(target, weights, extras) for a scalar/multifactor/ring problem."""
+def _problem_target_weights(problem: dict) -> tuple[FrequencyTarget, WeightTable]:
+    """(target, weights) for a scalar/multifactor/ring problem."""
     mode = problem.get("mode")
     payload = problem.get("payload")
     if not isinstance(payload, dict):
         raise ValueError("problem file needs a 'payload' object")
     if mode == "scalar":
-        omegas = payload["omegas"]
-        target = FrequencyTarget((tuple(omegas),))
-        return target, WeightTable.ones(target.n), {}
+        target = FrequencyTarget((tuple(payload["omegas"]),))
+        return target, WeightTable.ones(target.n)
+    if mode not in ("multifactor", "ring"):
+        raise ValueError(f"unknown problem mode {mode!r}; expected scalar, multifactor, or ring")
+    target = FrequencyTarget(tuple(tuple(g) for g in payload["groups"]))
     if mode == "multifactor":
-        target = FrequencyTarget(tuple(tuple(g) for g in payload["groups"]))
-        weights = WeightTable(np.array(payload["weights"], dtype=float))
-        if weights.b.shape != (target.r, target.n):
-            raise ValueError(
-                f"weights shape {weights.b.shape} does not match "
-                f"{target.r} groups of {target.n} total frequencies"
-            )
-        return target, weights, {}
-    if mode == "ring":
-        n = int(payload["n"])
-        indices = tuple(int(i) for i in payload["indices"])
-        groups = tuple(tuple(g) for g in payload["groups"])
-        layout = payload.get("layout") or {}
-        target = FrequencyTarget(groups)
-        sizes = target.sizes
-        roles = dn_ring._layout_roles(n, dn_ring._check_indices(n, indices), sizes, layout)
-        rows = [
-            [1.0 if d == 0 else dn_ring._cos_weight(n, d * i) for d in roles]
-            for i in indices
-        ]
-        weights = WeightTable(np.array(rows))
-        return target, weights, {"n": n, "indices": indices, "layout": layout}
-    raise ValueError(f"unknown problem mode {mode!r}; expected scalar, multifactor, or ring")
+        return target, WeightTable(np.array(payload["weights"], dtype=float))
+    weights, _ = dn_ring.ring_weight_table(
+        int(payload["n"]), payload["indices"], target.sizes, payload.get("layout") or {}
+    )
+    return target, weights
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +130,7 @@ def _problem_target_weights(problem: dict):
 
 def _cmd_realize(args) -> tuple[int, dict]:
     problem = _load(args.input)
-    target, weights, _ = _problem_target_weights(problem)
+    target, weights = _problem_target_weights(problem)
     config = _config_from(problem, args)
     result = realization.realize(target, weights, config)
     return EXIT_OK, {
@@ -169,11 +159,10 @@ def _cmd_ring(args) -> tuple[int, dict]:
                 },
             }
         )
-    indices = tuple(int(i) for i in payload["indices"])
-    groups = tuple(tuple(g) for g in payload["groups"])
-    layout = payload.get("layout") or {}
     config = _config_from(problem, args)
-    ring, result = dn_ring.realize_ring(n, indices, groups, layout, config)
+    ring, result = dn_ring.realize_ring(
+        n, payload["indices"], payload["groups"], payload.get("layout") or {}, config
+    )
     return EXIT_OK, {
         "schema": SCHEMA,
         "mode": "ring",
@@ -186,15 +175,10 @@ def _cmd_ring(args) -> tuple[int, dict]:
 def _cmd_verify(args) -> tuple[int, dict]:
     result_doc = _load(args.result)
     problem = _load(args.input)
-    target, weights, _ = _problem_target_weights(problem)
+    target, weights = _problem_target_weights(problem)
     result_dict = result_doc.get("result", result_doc)
     result = RealizationResult.from_dict(result_dict)
-    if len(result.taus) != target.n:
-        raise ValueError(
-            f"result has {len(result.taus)} delays but the problem "
-            f"prescribes {target.n} frequencies"
-        )
-    tol = args.tol if args.tol is not None else RealizeConfig.from_dict(problem.get("config")).tol
+    tol = _config_from(problem, args).tol
     report = spectrum.verify_realization(result, target, weights, tol=tol)
     payload = {"schema": SCHEMA, "tol": tol, "report": report.to_dict()}
     return (EXIT_OK if report.passed else EXIT_NUMERIC), payload
@@ -247,7 +231,7 @@ def _cmd_spectrum(args) -> tuple[int, dict]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="spectra-forge",
         description="Construct and verify delay equations with prescribed imaginary eigenvalues",
     )
@@ -261,12 +245,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="realize scalar or multifactor targets")
     io_flags(p)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("ring", help="realize targets inside an odd symmetric ring")
     io_flags(p)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("verify", help="verify a realization result file")
     p.add_argument("--result", required=True, help="realization result file (JSON)")
@@ -298,10 +280,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    output = getattr(args, "output", "-")
+    output = "-"
     try:
+        args = _build_parser().parse_args(argv)
+        output = args.output
         code, payload = _COMMANDS[args.command](args)
     except _Refusal as refusal:
         _dump(refusal.payload, output)

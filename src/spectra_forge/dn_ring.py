@@ -49,6 +49,7 @@ __all__ = [
     "build_B",
     "det_B_two_factor",
     "detect_even_degeneracy",
+    "ring_weight_table",
     "realize_ring",
     "ring_to_dict",
     "ring_from_dict",
@@ -377,6 +378,24 @@ def _layout_roles(
     return roles
 
 
+def ring_weight_table(
+    n: int, indices: Sequence[int], sizes: Sequence[int], layout: Mapping
+) -> tuple[WeightTable, list[int]]:
+    """Weight table of a ring realization and the role of each delay column.
+
+    ``sizes`` holds the group size of each selected factor.  Row p belongs
+    to factor indices[p]; column k is a delay of role roles[k] (0 for the
+    internal profile, d for the coupling at distance d) and weighs 1 for
+    the internal role and 2*cos(2*pi*d*indices[p]/n) otherwise.
+    """
+    idx = _check_indices(n, indices)
+    if len(sizes) != len(idx):
+        raise ValueError("need exactly one frequency group per selected factor")
+    roles = _layout_roles(n, idx, sizes, layout)
+    rows = [[1.0 if d == 0 else _cos_weight(n, d * i) for d in roles] for i in idx]
+    return WeightTable(np.array(rows)), roles
+
+
 def realize_ring(
     n: int,
     indices: Sequence[int],
@@ -395,20 +414,13 @@ def realize_ring(
     """
     _check_odd(n)
     idx = _check_indices(n, indices)
-    if len(groups) != len(idx):
-        raise ValueError("need exactly one frequency group per selected factor")
     target = FrequencyTarget(tuple(tuple(g) for g in groups))
-    roles = _layout_roles(n, idx, target.sizes, layout)
+    weights, roles = ring_weight_table(n, idx, target.sizes, layout)
 
     reduced = build_B(n, idx, convention=2.0)
     hadamard = float(np.prod(np.linalg.norm(reduced, axis=0)))
     if abs(float(np.linalg.det(reduced))) <= 1e-12 * max(hadamard, 1e-300):
         raise SingularB(f"factor selection {idx} has a singular leading-weight matrix")
-
-    rows = []
-    for i in idx:
-        rows.append([1.0 if d == 0 else _cos_weight(n, d * i) for d in roles])
-    weights = WeightTable(np.array(rows))
 
     result = realize(target, weights, config)
 

@@ -33,7 +33,7 @@ is used for determinants and solves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -192,14 +192,6 @@ class BasePoint:
     sign_matrix: np.ndarray
     target_angles: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "calIB": self.calIB.tolist(),
-            "amplitudes": self.amplitudes.tolist(),
-            "sign_matrix": self.sign_matrix.tolist(),
-            "target_angles": self.target_angles.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class RealizationResult:
@@ -208,7 +200,10 @@ class RealizationResult:
     ``residual`` is max |D_j(i w)| over every assigned target, recomputed by
     direct factor evaluation after the solve.  ``search_window`` records,
     per delay, the angular error (radians) of the sweep candidate the
-    Newton polish started from.
+    Newton polish started from.  The base point is not kept: it is
+    scaffolding of the construction, and :func:`base_point` rebuilds it
+    from the target and the weights.  ``from_dict`` ignores the ``base``
+    key that older result files carry.
     """
 
     taus: np.ndarray
@@ -216,7 +211,6 @@ class RealizationResult:
     residual: float
     newton_iterations: int
     search_window: np.ndarray
-    base: BasePoint
 
     def to_dict(self) -> dict:
         return {
@@ -225,42 +219,30 @@ class RealizationResult:
             "residual": self.residual,
             "newton_iterations": self.newton_iterations,
             "search_window": self.search_window.tolist(),
-            "base": self.base.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RealizationResult":
-        base = data.get("base")
-        bp = (
-            BasePoint(
-                np.array(base["calIB"], dtype=float),
-                np.array(base["amplitudes"], dtype=float),
-                np.array(base["sign_matrix"], dtype=float),
-                np.array(base["target_angles"], dtype=float),
-            )
-            if base
-            else BasePoint(np.eye(0), np.zeros(0), np.eye(0), np.eye(0))
-        )
         return cls(
             np.array(data["taus"], dtype=float),
             np.array(data["coeffs"], dtype=float),
             float(data["residual"]),
             int(data["newton_iterations"]),
             np.array(data.get("search_window", [0.0] * len(data["taus"])), dtype=float),
-            bp,
         )
 
 
 @dataclass(frozen=True)
 class RealizeConfig:
-    """Solver knobs.  ``seed`` is recorded for reproducibility; the current
-    search is fully deterministic and does not consume it."""
+    """Solver knobs: the residual tolerance, the sweep windows tried in
+    turn, the sweep budget in grid points and the Newton iteration cap.
+    ``from_dict`` ignores unknown keys, such as the ``seed`` that older
+    files carry."""
 
     tol: float = 1e-10
     epsilon_schedule: tuple[float, ...] = (0.4, 0.3, 0.2, 0.1)
     budget: int = 10_000_000
     max_iter: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         if self.tol <= 0.0:
@@ -272,7 +254,7 @@ class RealizeConfig:
     def from_dict(cls, data: dict | None) -> "RealizeConfig":
         data = dict(data or {})
         kwargs = {}
-        for key in ("tol", "budget", "max_iter", "seed"):
+        for key in ("tol", "budget", "max_iter"):
             if key in data:
                 kwargs[key] = data[key]
         if "epsilon_schedule" in data:
@@ -285,7 +267,6 @@ class RealizeConfig:
             "epsilon_schedule": list(self.epsilon_schedule),
             "budget": self.budget,
             "max_iter": self.max_iter,
-            "seed": self.seed,
         }
 
 
@@ -335,35 +316,25 @@ def cal_I_B(weights: WeightTable, target: FrequencyTarget) -> np.ndarray:
     return rows * _block_signs(target)
 
 
-def _leading_block(weights: WeightTable, target: FrequencyTarget) -> np.ndarray:
-    """r-by-r matrix of each factor's weight at every group's first column."""
-    mu = target.prefix
-    cols = [mu[j] for j in range(target.r)]
-    return weights.b[:, cols]
-
-
 def det_cal_I_B_lemma(weights: WeightTable, target: FrequencyTarget) -> float:
-    """Closed-form determinant of the stacked matrix, up to overall sign.
+    """Closed-form determinant of the stacked matrix, sign included.
 
-    The formula factors out (-2)^(l_j - 1) and the non-leading in-group
-    weights of each block, leaving the small r-by-r leading-weight
-    determinant.  Its global sign is ambiguous, so it is fixed against one
-    LU evaluation of the assembled matrix; only nonvanishing carries
-    mathematical weight.
+    Inside group j, subtracting row l + 1 from row l (l < l_j - 1) leaves
+    the single entry 2 * b[j][mu_j + l_j - 1 - l] in row l, so these pivots
+    run along the block's anti-diagonal.  Expanding along them gives, per
+    group, (-1)^(l_j (l_j - 1) / 2) * 2^(l_j - 1) times the non-leading
+    in-group weights; each group's last row remains, and on the groups'
+    leading columns it forms the r-by-r leading-weight matrix.
     """
     _check_shapes(weights, target)
     weights.require_nonzero()
     mu = target.prefix
     value = 1.0
     for j, lj in enumerate(target.sizes):
-        value *= (-2.0) ** (lj - 1)
+        value *= (-1.0) ** (lj * (lj - 1) // 2) * 2.0 ** (lj - 1)
         for s in range(2, lj + 1):
             value *= weights.b[j, mu[j] + s - 1]
-    value *= float(np.linalg.det(_leading_block(weights, target)))
-    lu = float(np.linalg.det(cal_I_B(weights, target)))
-    if value * lu < 0.0:
-        value = -value
-    return value
+    return value * float(np.linalg.det(weights.b[:, list(mu[:-1])]))
 
 
 def _check_shapes(weights: WeightTable, target: FrequencyTarget) -> None:
@@ -584,7 +555,6 @@ def newton_refine(
     weights: WeightTable | None = None,
     tol: float = 1e-10,
     max_iter: int = 50,
-    base: BasePoint | None = None,
     search_window: np.ndarray | None = None,
 ) -> RealizationResult:
     """Damped Newton on the 2n-real realization system.
@@ -593,7 +563,9 @@ def newton_refine(
     (Armijo on the norm, also rejecting tau <= 0) up to 30 times; a step
     that can only leave the tau > 0 region raises LeftDomain, an unusable
     Jacobian raises SingularJacobian, and hitting max_iter raises
-    NoConvergence with the final residual.
+    NoConvergence with the final residual.  Without ``search_window`` the
+    result records the final delays' angular errors against the base
+    angles.
     """
     weights = _default_weights(weights, target)
     _check_shapes(weights, target)
@@ -642,17 +614,14 @@ def newton_refine(
         iterations += 1
     if norm >= tol:
         raise NoConvergence(norm)
-    if base is None:
-        base = base_point(target, weights)
     if search_window is None:
-        search_window = achieved_windows(target, base, taus)
+        search_window = achieved_windows(target, base_point(target, weights), taus)
     return RealizationResult(
         taus=taus,
         coeffs=coeffs,
         residual=norm,
         newton_iterations=iterations,
         search_window=np.asarray(search_window, dtype=float),
-        base=base,
     )
 
 
@@ -715,7 +684,6 @@ def realize(
                 weights,
                 tol=tol_scaled,
                 max_iter=config.max_iter,
-                base=base_s,
                 search_window=windows,
             )
         except (NoConvergence, LeftDomain, SingularJacobian) as exc:
@@ -730,14 +698,7 @@ def realize(
         if not (residual < config.tol):
             last_err = NoConvergence(residual, "independent recheck above tolerance")
             continue
-        return RealizationResult(
-            taus=taus,
-            coeffs=coeffs,
-            residual=residual,
-            newton_iterations=partial.newton_iterations,
-            search_window=partial.search_window,
-            base=base_point(target, weights),
-        )
+        return replace(partial, taus=taus, coeffs=coeffs, residual=residual)
     raise last_err if last_err is not None else NoConvergence(float("nan"))
 
 
@@ -774,14 +735,7 @@ def continue_realization(
         search_window=result.search_window,
     )
     residual = _verified_residual(refined.taus, refined.coeffs, new_target, weights)
-    return RealizationResult(
-        taus=refined.taus,
-        coeffs=refined.coeffs,
-        residual=residual,
-        newton_iterations=refined.newton_iterations,
-        search_window=refined.search_window,
-        base=refined.base,
-    )
+    return replace(refined, residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -318,3 +318,72 @@ def test_deterministic_ring_output(tmp_path):
     assert main(["ring", "--input", problem, "--output", str(a)]) == 0
     assert main(["ring", "--input", problem, "--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_usage_errors_are_input_errors(capsys, scalar_problem):
+    for argv in (
+        ["bmat", "--n", "x", "--indices", "1"],
+        ["realize", "--input", scalar_problem, "--seed", "3"],
+    ):
+        code, doc = run(capsys, argv)
+        assert code == 1
+        assert doc["error"]["type"] == "ValueError"
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["realize", "--help"])
+    assert exc.value.code == 0
+
+
+def test_verify_reads_payload_tol(capsys, tmp_path):
+    problem = write_json(
+        tmp_path / "flat.json", {"mode": "scalar", "payload": {"omegas": [1.0, SQRT2], "tol": 1e-6}}
+    )
+    out_path = tmp_path / "result.json"
+    assert main(["realize", "--input", problem, "--output", str(out_path)]) == 0
+    code, doc = run(capsys, ["verify", "--result", str(out_path), "--input", problem])
+    assert code == 0
+    assert doc["tol"] == 1e-6
+
+
+# a result document as written before results dropped the base point and
+# the config its unused seed
+OLD_RESULT = {
+    "config": {"budget": 10000000, "epsilon_schedule": [0.4, 0.3, 0.2, 0.1],
+               "max_iter": 50, "seed": 0, "tol": 1e-10},
+    "mode": "scalar",
+    "result": {
+        "base": {
+            "amplitudes": [1.2071067811865475, -0.20710678118654757],
+            "calIB": [[1.0, 1.0], [1.0, -1.0]],
+            "sign_matrix": [[1.0, 1.0], [1.0, -1.0]],
+            "target_angles": [[4.71238898038469, 4.71238898038469],
+                              [4.71238898038469, 1.5707963267948966]],
+        },
+        "coeffs": [1.320916261509702, -0.516271897884748],
+        "newton_iterations": 5,
+        "residual": 4.7594945115928714e-15,
+        "search_window": [0.36199605386836176, 0.30622952250074853],
+        "taus": [16.925044779984987, 22.47276071357987],
+    },
+    "schema": "spectra-forge/1",
+}
+
+
+def test_verify_accepts_result_with_base_and_seed(capsys, tmp_path):
+    problem = write_json(
+        tmp_path / "p.json",
+        {"mode": "scalar", "payload": {"omegas": [1.0, SQRT2]}, "config": OLD_RESULT["config"]},
+    )
+    old = write_json(tmp_path / "old.json", OLD_RESULT)
+    code, doc = run(capsys, ["verify", "--result", old, "--input", problem, "--tol", "1e-8"])
+    assert code == 0
+    assert doc["report"]["passed"] is True
+
+
+def test_realize_output_has_no_base_or_seed(capsys, scalar_problem):
+    code, doc = run(capsys, ["realize", "--input", scalar_problem])
+    assert code == 0
+    assert "base" not in doc["result"]
+    assert "seed" not in doc["config"]

@@ -18,6 +18,7 @@ from spectra_forge.dn_ring import (
     realize_ring,
     ring_from_dict,
     ring_to_dict,
+    ring_weight_table,
     validate_equivariance,
 )
 from spectra_forge.errors import BadIndex, BadParity, SingularB
@@ -355,6 +356,17 @@ def test_realize_ring_five_cells_coupling_only():
     assert residual_on_targets(product.factors[2], [SQRT2]) < 1e-9
     for w in (1.0, SQRT2):
         assert abs(dense_ring_det(ring, 1j * w)) < 1e-8
+
+
+def test_ring_weight_table_matches_factor_weights():
+    n, idx, layout = 7, (0, 2), {"internal": 1, "couplings": {"2": 1, "3": 1}}
+    weights, roles = ring_weight_table(n, idx, (2, 1), layout)
+    assert roles == [0, 1, 2]
+    for p, i in enumerate(idx):
+        expected = [1.0 if d == 0 else factor_weights(n, i)[d - 1] for d in roles]
+        assert weights.b[p].tolist() == expected
+    with pytest.raises(ValueError):
+        ring_weight_table(n, idx, (3,), layout)
 
 
 def test_realize_ring_singular_selection_refused_before_solving():

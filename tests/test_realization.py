@@ -114,7 +114,7 @@ def test_det_lemma_matches_lu_on_random_instances():
         lemma = det_cal_I_B_lemma(weights, target)
         lu = float(np.linalg.det(cal_I_B(weights, target)))
         assert abs(abs(lemma) - abs(lu)) <= 1e-10 * max(abs(lu), 1e-30)
-        assert lemma == pytest.approx(lu, rel=1e-9)  # sign fixed numerically
+        assert lemma == pytest.approx(lu, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,7 @@ def test_config_and_target_round_trips(omegas):
 
     target = FrequencyTarget((tuple(omegas),))
     assert FrequencyTarget(tuple(tuple(g) for g in target.to_dict()["groups"])) == target
-    cfg = RealizeConfig(tol=1e-9, epsilon_schedule=(0.3, 0.1), budget=1000, seed=7)
+    cfg = RealizeConfig(tol=1e-9, epsilon_schedule=(0.3, 0.1), budget=1000)
     assert RealizeConfig.from_dict(cfg.to_dict()) == cfg
 
 
