@@ -95,7 +95,7 @@ def _config_from(problem: dict, args) -> RealizeConfig:
     merged: dict = {}
     payload = problem.get("payload")
     if isinstance(payload, dict):
-        for key in ("tol", "epsilon_schedule", "budget"):
+        for key in ("tol", "epsilon_schedule", "budget", "max_iter"):
             if key in payload:
                 merged[key] = payload[key]
     merged.update(problem.get("config") or {})

@@ -2,36 +2,45 @@
 
 The count comes from the argument principle: the winding number of D along
 the boundary of a rectangle equals the number of enclosed zeros with
-multiplicity.  The winding integral of D'/D is computed by trapezoid
-panels that double until the value snaps to an integer.  Root locations
-then follow by quadrisection plus Newton polish, and
-:func:`verify_realization` certifies that every prescribed +-i*omega of a
-realization really is an isolated root of its assigned factor.
+multiplicity.  It is certified segment by segment (Ying and Katz 1988;
+Johnson and Tucker 2009).  Every term of D' and D'' is largest at the
+smaller real part of a segment [a, b] of length h, so |D'| <= M = 1 +
+sum_k |a_k b_k| tau_k exp(-x_min tau_k) and |D''| <= C = sum_k |a_k b_k|
+tau_k^2 exp(-x_min tau_k), and D stays within h min(M, P + C h / 2) of
+its value at either end, P being the larger |D'| at the ends.  When that
+radius is below |D| - f at one end, with f the rounding floor of the
+computed D (and P carrying the floor of D'), D stays in a disc that
+excludes 0, so the principal arg(D_b / D_a) is the true change of argument
+along the segment.  Each path (an edge or a cut line) starts with 16
+segments; the uncertified ones of all paths are bisected together, one
+batch per level.  The count, the sum of the increments over 2 pi, must
+lie within 1e-6 of an integer.
 
-Every curve evaluated here is axis-parallel: rectangle edges and the cut
-lines of the quadrisection.  On such a line each term splits into a
-modulus exp(-x tau_k) and a torus angle y tau_k, one of them constant
-along the line.  So the kernel :func:`_line_values` builds one table
-exp(-x tau) over the x nodes, shared by the bottom and top edges, and one
-table exp(-i y tau) over the y nodes, shared by the left and right edges,
-and finishes each edge with its constant factor; D = z - E @ ab and
-D' = 1 + E @ (ab tau) come from the same table E.  A rectangle with N
-panels per edge costs (N+1)*m exponentials of real arguments and (N+1)*m
-sincos pairs for m terms, not 2*(4N+1)*m complex exponentials, and every
-table entry is the same product exp(-x tau) * cis(-y tau) that a complex
-exponential of -z*tau forms.
+Root locations follow by quadrisection.  A cell keeps its four certified
+edges, so a split certifies only its two cut lines and each child's count
+is a sum of edge increments (a piece of a certified segment stays
+certified).  A one-root cell is polished by Newton from its centre, and
+the root is kept only when it lands inside the cell; otherwise the cell is
+split again.  :func:`verify_realization` certifies that every prescribed
++-i*omega of a realization really is an isolated root of its factor.
+
+Every path is axis-parallel, so the kernel :func:`_line_values` builds one
+table exp(-x tau) over the x nodes, shared by the horizontal lines, and one
+table exp(-i y tau) over the y nodes, shared by the vertical lines; every
+entry is the same product exp(-x tau) * cis(-y tau) that a complex
+exponential of -z*tau forms.  Bisection midpoints go through
+:func:`quasipoly.evaluate_many` and :func:`quasipoly.evaluate_derivative_many`.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundaryRoot, NoConvergence, TooManyRoots
 from .quasipoly import ScalarFactor, _term_arrays, evaluate, evaluate_derivative
-
-# Not called here; perfbench/spans.py wraps these names in this namespace.
-from .quasipoly import evaluate_derivative_many, evaluate_many  # noqa: F401
+from .quasipoly import evaluate_derivative_many, evaluate_many
 from .realization import FrequencyTarget, RealizationResult, WeightTable, result_factors
 
 __all__ = [
@@ -44,11 +53,12 @@ __all__ = [
     "verify_realization",
 ]
 
-_START_PANELS = 256
-_MAX_PANELS = 1 << 20
-_SNAP_TOL = 1e-3
+_SEGMENTS = 16
+_INTEGER_TOL = 1e-6
 _BOUNDARY_REL = 1e-8
 _DILATE = 1e-6
+_EPS = float(np.finfo(float).eps)
+_HALF = np.linspace(0.0, 1.0, _SEGMENTS // 2 + 1)
 
 
 @dataclass(frozen=True)
@@ -97,7 +107,8 @@ def _line_values(factor: ScalarFactor, xs, ys, im_levels=(), re_levels=()):
     row per line; xs and ys need the same length when both are used.
 
     The horizontal lines share the table exp(-x tau) and the vertical ones
-    the table exp(-i y tau); only the constant factor differs per line.
+    the table exp(-i y tau); only the constant factor differs per line,
+    and D = z - E @ ab and D' = 1 + E @ (ab tau) come from the one table E.
     Both tables are complex exponentials of purely real or purely imaginary
     arguments, so each entry of E is the same float as the complex
     exp(-z*tau) of the direct evaluation (numpy's real exp can differ from
@@ -105,43 +116,121 @@ def _line_values(factor: ScalarFactor, xs, ys, im_levels=(), re_levels=()):
     callers report.
     """
     ab, taus = _term_arrays(factor)
-    size = len(xs) if im_levels else len(ys)
-    lines = len(im_levels) + len(re_levels)
-    z = np.empty((lines, size), dtype=complex)
-    e = np.empty((lines, size, len(taus)), dtype=complex)
+    z, e = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         if im_levels:
+            levels = np.asarray(im_levels, dtype=float)[:, None]
             modulus = np.exp(np.multiply.outer(xs, -taus) + 0j)
-            for row, y in enumerate(im_levels):
-                np.add(xs, 1j * y, out=z[row])
-                np.multiply(modulus, np.exp(-1j * y * taus), out=e[row])
+            z.append(xs + 1j * levels)
+            e.append(modulus * np.exp(-1j * (levels * taus))[:, None, :])
         if re_levels:
+            levels = np.asarray(re_levels, dtype=float)[:, None]
             angle = np.exp(-1j * np.multiply.outer(ys, taus))
-            for row, x in enumerate(re_levels, start=len(im_levels)):
-                np.add(x, 1j * ys, out=z[row])
-                np.multiply(np.exp(-x * taus + 0j), angle, out=e[row])
+            z.append(levels + 1j * ys)
+            e.append(np.exp(-levels * taus + 0j)[:, None, :] * angle)
+        z, e = np.concatenate(z), np.concatenate(e)
         vals = z - e @ ab
         ders = 1.0 + e @ (ab * taus)
     return z, vals, ders
 
 
-def _newton_distance(vals, ders) -> float:
-    """min |D|/|D'| over the nodes: a local estimate of the distance from
-    the nearest node to the nearest root (NaN when D overflowed)."""
+class _Touch(BoundaryRoot):
+    """A node of a path has |D| at or below the boundary threshold."""
+
+
+def _bounds(taus, weights, z, vals, ders, threshold: float):
+    """Per node z, where D is vals and D' is ders, the rows |D| less its
+    rounding floor f, |D'| plus its rounding floor, and the slope and
+    curvature sums sum_k |a_k b_k| tau_k^(1, 2) exp(-x tau_k); weights are
+    |a_k b_k| tau_k^(0, 1, 2).  Raises NoConvergence when D overflowed and
+    _Touch when |D| <= threshold somewhere."""
+    size = np.abs(vals)
+    if not np.isfinite(size.max()):
+        raise NoConvergence(float("nan"), "factor overflowed on the contour")
+    low = size.min()
+    if low <= threshold:
+        raise _Touch(f"|D| = {low:.3e} on the contour")
     with np.errstate(over="ignore", invalid="ignore"):
-        return float((np.abs(vals) / np.maximum(np.abs(ders), 1e-300)).min())
+        decay = np.exp(-np.multiply.outer(z.real, taus))
+        total, slope, curve = (decay @ w for w in weights)
+        radius = np.abs(z)
+        floor = 4.0 * _EPS * (radius * (1.0 + slope) + len(taus) * total)
+        slope_floor = 4.0 * _EPS * (1.0 + len(taus) * slope + radius * curve)
+    return np.array((size - floor, np.abs(ders) + slope_floor, slope, curve))
 
 
-def _contour_values(factor: ScalarFactor, region: Region, per_edge: int):
-    """(z, D, D') at the 4*per_edge + 1 nodes of the region's boundary,
-    counter-clockwise from the bottom-left corner back to it."""
-    xs = np.linspace(region.re_min, region.re_max, per_edge + 1)
-    ys = np.linspace(region.im_min, region.im_max, per_edge + 1)
-    lines = _line_values(
-        factor, xs, ys, (region.im_min, region.im_max), (region.re_min, region.re_max)
-    )
-    # rows: bottom, top, left, right
-    return tuple(np.concatenate([a[0], a[3, 1:], a[1, -2::-1], a[2, -2::-1]]) for a in lines)
+def _certified(za, zb, bounds_a, bounds_b):
+    """Whether D stays in a disc that excludes 0 along each segment [a, b]:
+    each row of :func:`_bounds` is taken at the end where it is larger, and
+    the disc of radius h * min(1 + slope, |D'| + curvature * h / 2) is
+    centred on D at the end of larger margin |D| - f."""
+    h = np.abs(zb - za)
+    margin, ders, slope, curve = np.maximum(bounds_a, bounds_b)
+    return h * np.minimum(1.0 + slope, ders + 0.5 * h * curve) < margin
+
+
+def _certify(factor: ScalarFactor, xs, ys, im_levels, re_levels, threshold, resolution):
+    """Certified paths along the lines of :func:`_line_values`, one per row.
+
+    Each path comes back as (t, D, turn): its nodes t along the line (x on
+    a horizontal line, y on a vertical one) in increasing order, the values
+    D there, and the certified change of arg D over each segment.  Besides
+    the errors of :func:`_bounds`, raises BoundaryRoot when a segment
+    shorter than resolution stays uncertified.
+    """
+    z, vals, ders = _line_values(factor, xs, ys, im_levels, re_levels)
+    ab, taus = _term_arrays(factor)
+    size = np.abs(ab)
+    weights = (size, size * taus, size * taus**2)
+    bounds = _bounds(taus, weights, z, vals, ders, threshold)
+    horizontal = np.arange(len(z)) < len(im_levels)
+    place = np.where(horizontal[:, None], z.real, z.imag)
+    bad = ~_certified(z[:, :-1], z[:, 1:], bounds[..., :-1], bounds[..., 1:])
+    if not bad.any():
+        return list(zip(place, vals, np.angle(vals[:, 1:] / vals[:, :-1])))
+    # every node made, as (line, position along it, D); the certified
+    # segments of a line join its nodes in order
+    rows = [np.repeat(np.arange(len(z)), z.shape[1])]
+    place, found = [place.ravel()], [vals.ravel()]
+    open_rows = np.nonzero(bad)[0]
+    za, zb = z[:, :-1][bad], z[:, 1:][bad]
+    bounds_a, bounds_b = bounds[..., :-1][:, bad], bounds[..., 1:][:, bad]
+    while open_rows.size:
+        h = np.abs(zb - za)
+        k = int(np.argmin(h))
+        if h[k] < resolution:
+            raise BoundaryRoot(
+                f"no certificate for a segment of {h[k]:.3e} at {complex(za[k]):.6g}: "
+                "a root lies within a few node spacings of the contour"
+            )
+        zm = 0.5 * (za + zb)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dm, pm = evaluate_many(factor, zm), evaluate_derivative_many(factor, zm)
+        bounds_m = _bounds(taus, weights, zm, dm, pm, threshold)
+        rows.append(open_rows)
+        place.append(np.where(horizontal[open_rows], zm.real, zm.imag))
+        found.append(dm)
+        za, zb = np.concatenate((za, zm)), np.concatenate((zm, zb))
+        bounds_a = np.concatenate((bounds_a, bounds_m), axis=1)
+        bounds_b = np.concatenate((bounds_m, bounds_b), axis=1)
+        bad = ~_certified(za, zb, bounds_a, bounds_b)
+        open_rows = np.tile(open_rows, 2)[bad]
+        za, zb, bounds_a, bounds_b = za[bad], zb[bad], bounds_a[:, bad], bounds_b[:, bad]
+    rows = np.concatenate(rows)
+    order = np.lexsort((np.concatenate(place), rows))
+    place, found = np.concatenate(place)[order], np.concatenate(found)[order]
+    turn = np.angle(found[1:] / found[:-1])
+    ends = np.cumsum(np.bincount(rows, minlength=len(z))).tolist()
+    return [(place[i:j], found[i:j], turn[i : j - 1]) for i, j in zip([0] + ends, ends)]
+
+
+def _nodes(lo: float, mid: float, hi: float) -> np.ndarray:
+    """The 17 starting nodes of a path from lo to hi, with mid the ninth."""
+    nodes = np.empty(_SEGMENTS + 1)
+    nodes[: len(_HALF)] = lo + (mid - lo) * _HALF
+    nodes[-len(_HALF) :] = mid + (hi - mid) * _HALF
+    nodes[-1] = hi
+    return nodes
 
 
 def _scale(factor: ScalarFactor, region: Region) -> float:
@@ -154,123 +243,129 @@ def _scale(factor: ScalarFactor, region: Region) -> float:
     return 1.0 + corner + factor.coefficient_bound()
 
 
-def _count_with_diag(factor: ScalarFactor, region: Region):
-    """(count, min |D| on contour, panels per edge); one dilation retry."""
-    dilated = False
-    while True:
-        threshold = _BOUNDARY_REL * _scale(factor, region)
-        per_edge = _START_PANELS
-        overall_min = np.inf
-        while True:
-            z, vals, ders = _contour_values(factor, region, per_edge)
-            if not np.all(np.isfinite(vals)):
-                raise NoConvergence(float("nan"), "factor overflowed on the contour")
-            min_abs = float(np.abs(vals).min())
-            overall_min = min(overall_min, min_abs)
-            if min_abs <= threshold:
-                break
-            f = ders / vals
-            if not np.all(np.isfinite(f)):
-                raise NoConvergence(float("nan"), "factor overflowed on the contour")
-            integral = np.sum(0.5 * (f[:-1] + f[1:]) * np.diff(z))
-            winding = integral / (2j * np.pi)
-            nearest = round(winding.real)
-            if nearest >= 0 and abs(winding - nearest) < _SNAP_TOL:
-                return int(nearest), min_abs, per_edge, region
-            if per_edge >= _MAX_PANELS:
-                # a root within two node spacings of the contour spoils the
-                # trapezoid sum at every panel count: name it as such
-                side = max(region.re_max - region.re_min, region.im_max - region.im_min)
-                newton = _newton_distance(vals, ders)
-                if newton < 2.0 * side / per_edge:
-                    raise BoundaryRoot(
-                        f"a root lies {newton:.3e} from the contour, within two node spacings"
-                    )
-                raise NoConvergence(
-                    float("nan"), f"winding integral did not snap below {_MAX_PANELS} panels/edge"
-                )
-            per_edge *= 2
-        if dilated:
-            raise BoundaryRoot(f"|D| = {overall_min:.3e} on the contour even after dilation")
-        region = region.dilated(_DILATE)
-        dilated = True
+def _winding(bottom, top, left, right) -> int:
+    """Winding number of D around a cell from its four certified edges."""
+    turn = bottom[2].sum() + right[2].sum() - top[2].sum() - left[2].sum()
+    winding = turn / (2.0 * np.pi)
+    count = round(winding)
+    if count < 0 or abs(winding - count) > _INTEGER_TOL:
+        raise NoConvergence(float("nan"), f"certified winding sum {winding:.9g} is not a count")
+    return int(count)
+
+
+def _certified_count(factor: ScalarFactor, region: Region):
+    """(count, region, edges): the winding number with the certified edges
+    (bottom, top, left, right) it came from; one dilation retry."""
+    for dilated in (False, True):
+        xs = _nodes(region.re_min, region.center.real, region.re_max)
+        ys = _nodes(region.im_min, region.center.imag, region.im_max)
+        side = max(region.re_max - region.re_min, region.im_max - region.im_min)
+        try:
+            edges = _certify(
+                factor, xs, ys, (region.im_min, region.im_max), (region.re_min, region.re_max),
+                _BOUNDARY_REL * _scale(factor, region), _DILATE * side,
+            )
+        except _Touch as exc:
+            if dilated:
+                raise BoundaryRoot(f"{exc} even after dilation") from None
+            region = region.dilated(_DILATE)
+            continue
+        return _winding(*edges), region, edges
 
 
 def count_roots(factor: ScalarFactor, region: Region) -> int:
     """Number of zeros of the factor inside the region, with multiplicity.
 
-    Requires a root-free boundary: if |D| dips below 1e-8 * scale on the
-    contour the region is dilated once by 1e-6 and retried, then
-    BoundaryRoot is raised.  NoConvergence is raised when D or D' overflows
-    on the contour (far left of the axis at large delays) or the winding
-    integral does not snap, unless min |D|/|D'| on the finest contour puts a
-    root within two node spacings of it, which is again BoundaryRoot.
-    Factor multiplicity is not applied.
+    The count is certified by the argument principle with a derivative
+    bound per boundary segment (see the module docstring).  It requires a
+    root-free boundary: if |D| dips below 1e-8 * scale at a node the region
+    is dilated once by 1e-6 and retried, then BoundaryRoot is raised; a
+    boundary segment shorter than 1e-6 times the longer side that still has
+    no certificate is BoundaryRoot at once.  NoConvergence is raised when D
+    overflows on the contour (far left of the axis at large delays) or the
+    certified sum is not within 1e-6 of an integer.  Factor multiplicity is
+    not applied.
     """
-    count, _, _, _ = _count_with_diag(factor, region)
-    return count
+    return _certified_count(factor, region)[0]
 
 
 def polish_root(factor: ScalarFactor, lambda0: complex, tol: float = 1e-12) -> complex:
     """Newton polish from a nearby starting point, at most 30 iterations.
 
-    Steps are halved while they fail to shrink |D|; a vanishing derivative
-    or a stalled search raises NoConvergence.
+    Steps are halved while they fail to shrink |D|; a vanishing derivative,
+    a stalled search or an iterate whose exponentials overflow raises
+    NoConvergence.
     """
     z = complex(lambda0)
-    val = evaluate(factor, z)
-    if abs(val) < tol:
-        return z
-    for _ in range(30):
-        der = evaluate_derivative(factor, z)
-        if abs(der) == 0.0:
-            raise NoConvergence(abs(val), "derivative vanished during polish")
-        step = -val / der
-        improved = False
-        for _ in range(25):
-            cand = z + step
-            cval = evaluate(factor, cand)
-            if abs(cval) < abs(val):
-                z, val = cand, cval
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            raise NoConvergence(abs(val), "polish stalled")
+    try:
+        val = evaluate(factor, z)
         if abs(val) < tol:
             return z
+        for _ in range(30):
+            der = evaluate_derivative(factor, z)
+            if abs(der) == 0.0:
+                raise NoConvergence(abs(val), "derivative vanished during polish")
+            step = -val / der
+            improved = False
+            for _ in range(25):
+                cand = z + step
+                cval = evaluate(factor, cand)
+                if abs(cval) < abs(val):
+                    z, val = cand, cval
+                    improved = True
+                    break
+                step *= 0.5
+            if not improved:
+                raise NoConvergence(abs(val), "polish stalled")
+            if abs(val) < tol:
+                return z
+    except OverflowError:
+        raise NoConvergence(float("nan"), "polish left the representable range") from None
     raise NoConvergence(abs(val), "polish did not reach tolerance in 30 iterations")
 
 
-def _quadrisect(region: Region, fx: float, fy: float) -> list[Region]:
-    xm = region.re_min + fx * (region.re_max - region.re_min)
-    ym = region.im_min + fy * (region.im_max - region.im_min)
-    return [
-        Region(region.re_min, xm, region.im_min, ym),
-        Region(xm, region.re_max, region.im_min, ym),
-        Region(region.re_min, xm, ym, region.im_max),
-        Region(xm, region.re_max, ym, region.im_max),
-    ]
+def _split_path(path, at: float, value):
+    """The pieces of a certified path below and above the point at, where D
+    is value (used only when at falls inside a segment)."""
+    t, d, turn = path
+    i = int(np.searchsorted(t, at))
+    if t[i] == at:
+        return (t[: i + 1], d[: i + 1], turn[:i]), (t[i:], d[i:], turn[i:])
+    lower = (
+        np.concatenate((t[:i], [at])), np.concatenate((d[:i], [value])),
+        np.concatenate((turn[: i - 1], [cmath.phase(value / d[i - 1])])),
+    )
+    upper = (
+        np.concatenate(([at], t[i:])), np.concatenate(([value], d[i:])),
+        np.concatenate(([cmath.phase(d[i] / value)], turn[i:])),
+    )
+    return lower, upper
 
 
-def _cut_is_risky(factor: ScalarFactor, region: Region, fx: float, fy: float) -> bool:
-    """Newton-distance screen along the two proposed cut lines.
-
-    min |D|/|D'| at a sample estimates the distance to the nearest root, so
-    a value below twice the sample spacing flags a root hugging the cut.
-    Realized roots sit exactly on the imaginary axis, which makes midline
-    cuts through them the common case rather than a rarity.
-    """
-    xm = region.re_min + fx * (region.re_max - region.re_min)
-    ym = region.im_min + fy * (region.im_max - region.im_min)
-    samples = 1024
-    ys = np.linspace(region.im_min, region.im_max, samples + 1)
-    _, vals, ders = _line_values(factor, None, ys, re_levels=(xm,))
-    if _newton_distance(vals, ders) < 2.0 * (region.im_max - region.im_min) / samples:
-        return True
-    xs = np.linspace(region.re_min, region.re_max, samples + 1)
-    _, vals, ders = _line_values(factor, xs, None, im_levels=(ym,))
-    return _newton_distance(vals, ders) < 2.0 * (region.re_max - region.re_min) / samples
+def _split(factor: ScalarFactor, region: Region, edges, frac: float, threshold: float):
+    """The four children (region, edges, count) of a cell cut at frac of
+    its width and height; only the two cut lines are evaluated."""
+    x0, x1, y0, y1 = region.re_min, region.re_max, region.im_min, region.im_max
+    xm = x0 + frac * (x1 - x0)
+    ym = y0 + frac * (y1 - y0)
+    across, up = _certify(
+        factor, _nodes(x0, xm, x1), _nodes(y0, ym, y1), (ym,), (xm,),
+        threshold, _DILATE * max(x1 - x0, y1 - y0),
+    )
+    bottom, top, left, right = edges
+    b0, b1 = _split_path(bottom, xm, up[1][0])
+    t0, t1 = _split_path(top, xm, up[1][-1])
+    l0, l1 = _split_path(left, ym, across[1][0])
+    r0, r1 = _split_path(right, ym, across[1][-1])
+    a0, a1 = _split_path(across, xm, None)
+    u0, u1 = _split_path(up, ym, None)
+    quads = (
+        (Region(x0, xm, y0, ym), (b0, a0, l0, u0)),
+        (Region(xm, x1, y0, ym), (b1, a1, u0, r0)),
+        (Region(x0, xm, ym, y1), (a0, t0, l1, u1)),
+        (Region(xm, x1, ym, y1), (a1, t1, u1, r1)),
+    )
+    return [(quad, sides, _winding(*sides)) for quad, sides in quads]
 
 
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.41, 0.59, 0.445, 0.565)
@@ -281,52 +376,51 @@ def locate_roots(
 ) -> list[complex]:
     """All roots inside the region, by quadrisection down to single roots.
 
-    Cut lines that graze a root are retried at shifted fractions before
-    BoundaryRoot propagates.  Every returned root satisfies
+    Cells keep their certified edges, so each split certifies only its two
+    cut lines.  A cut that grazes a root, or whose children's counts do not
+    add up, is retried at shifted fractions before BoundaryRoot propagates.
+    A one-root cell is polished from its centre and split again unless the
+    polish converges inside it.  Every returned root satisfies
     |D| < 1e-10 * scale and lies in the (marginally padded) region; the
     total matches the argument-principle count of the whole region.
     """
-    total = count_roots(factor, region)
+    total, cell, edges = _certified_count(factor, region)
     if total == 0:
         return []
     if total > max_roots:
         raise TooManyRoots(f"region holds {total} roots, caller allowed {max_roots}")
-    accept_tol = 1e-10 * _scale(factor, region)
-    fine = min(0.05, 0.25 * region.diameter)
+    scale = _scale(factor, region)
+    accept_tol = 1e-10 * scale
+    margin = 1e-9 * scale
     roots: list[complex] = []
-    stack = [(region, total)]
-    guard = 0
+    stack = [(cell, edges, total)]
     while stack:
-        guard += 1
-        if guard > 100_000:
-            raise NoConvergence(float("nan"), "subdivision failed to isolate roots")
-        cell, count = stack.pop()
-        if count == 1 and cell.diameter <= fine:
-            z = polish_root(factor, cell.center, accept_tol)
-            roots.append(z)
-            continue
-        children = None
-        for fx in _SPLIT_FRACTIONS:
-            if _cut_is_risky(factor, cell, fx, fx):
-                continue
+        cell, edges, count = stack.pop()
+        if count == 1:
             try:
-                quads = _quadrisect(cell, fx, fx)
-                counted = [(q, count_roots(factor, q)) for q in quads]
+                z = polish_root(factor, cell.center, accept_tol)
+            except NoConvergence:
+                z = None
+            if z is not None and cell.contains(z):
+                roots.append(z)
+                continue
+        if cell.diameter < margin:
+            raise NoConvergence(float("nan"), "subdivision failed to isolate roots")
+        for frac in _SPLIT_FRACTIONS:
+            try:
+                children = _split(factor, cell, edges, frac, _BOUNDARY_REL * scale)
             except (BoundaryRoot, NoConvergence):
                 continue
-            if sum(c for _, c in counted) == count:
-                children = counted
+            if sum(c for _, _, c in children) == count:
                 break
-        if children is None:
+        else:
             raise BoundaryRoot(f"could not split cell {cell.to_dict()} cleanly")
-        for q, c in children:
-            if c > 0:
-                stack.append((q, c))
+        stack.extend(child for child in children if child[2] > 0)
     roots.sort(key=lambda z: (round(z.imag, 9), round(z.real, 9)))
-    margin = 1e-9 * _scale(factor, region)
     kept = [z for z in roots if region.contains(z, margin)]
     if len(kept) != total:
-        raise NoConvergence(float("nan"), "polished roots escaped their cells")
+        # only a dilated count can hold a root outside the region
+        raise BoundaryRoot("a root lies between the region's boundary and its dilation")
     for a, b in zip(kept, kept[1:]):
         if abs(a - b) < margin:
             raise NoConvergence(float("nan"), "polish collapsed two cells onto one root")
@@ -368,6 +462,10 @@ class TargetCheck:
 
 @dataclass(frozen=True)
 class SpectrumReport:
+    """Per-target checks; contour_min_abs is the smallest |D| at any node of
+    the isolation boxes, contour_panels the most certified segments on any
+    one of their edges."""
+
     targets: tuple[TargetCheck, ...]
     passed: bool
     roots_counted: int
@@ -447,9 +545,10 @@ def verify_realization(
                     d = delta
                     for _ in range(12):
                         box = Region(-d, d, w - d, w + d)
-                        count, mn, pe, _ = _count_with_diag(factor, box)
-                        min_abs = min(min_abs, mn)
-                        panels = max(panels, pe)
+                        count, _, edges = _certified_count(factor, box)
+                        values = np.concatenate([vals for _, vals, _ in edges])
+                        min_abs = min(min_abs, float(np.abs(values).min()))
+                        panels = max(panels, *(len(turn) for _, _, turn in edges))
                         if count <= 1:
                             break
                         d *= 0.5

@@ -5,9 +5,10 @@ compensated/high-precision summation for factor values, dense matrix
 assembly plus LAPACK determinants for ring systems, mpmath determinants
 and integer congruences for reduced leading-weight matrices,
 eigendecompositions for factor weights, finite differences for
-derivatives, a plain per-column delay sweep that reduces every phase, and
-a contour evaluation that takes one complex exponential per node and term
-instead of the separable tables of the spectrum kernel.
+derivatives, a plain per-column delay sweep that reduces every phase, a
+contour evaluation that takes one complex exponential per node and term
+instead of the separable tables of the spectrum kernel, and a
+trapezoid-rule winding integral in place of the certified count.
 """
 from __future__ import annotations
 
@@ -238,3 +239,34 @@ def line_values_reference(factor, xs, ys, im_levels=(), re_levels=()):
     evaluated pointwise like :func:`contour_values_reference`."""
     z = np.array([xs + 1j * y for y in im_levels] + [x + 1j * ys for x in re_levels])
     return z, evaluate_many(factor, z), evaluate_derivative_many(factor, z)
+
+
+def count_roots_trapezoid(factor, region, per_edge: int = 256, max_per_edge: int = 1 << 20) -> int:
+    """Winding number of D around the region by the trapezoid rule on D'/D.
+
+    The panels per edge double until the integral lies within 1e-3 of a
+    nonnegative integer.  A node with |D| <= 1e-8 * scale dilates the region
+    once by 1e-6; a second such node, or no snap by max_per_edge, raises
+    ValueError.  The snap is a heuristic, not a certificate; it serves as a
+    reference on boxes whose boundary keeps clear of every root.
+    """
+    for dilated in (False, True):
+        corner = max(abs(complex(x, y)) for x in (region.re_min, region.re_max)
+                     for y in (region.im_min, region.im_max))
+        threshold = 1e-8 * (1.0 + corner + factor.coefficient_bound())
+        panels = per_edge
+        while panels <= max_per_edge:
+            z, vals, ders = contour_values_reference(factor, region, panels)
+            if np.abs(vals).min() <= threshold:
+                break
+            f = ders / vals
+            winding = np.sum(0.5 * (f[:-1] + f[1:]) * np.diff(z)) / (2j * np.pi)
+            nearest = round(winding.real)
+            if nearest >= 0 and abs(winding - nearest) < 1e-3:
+                return int(nearest)
+            panels *= 2
+        else:
+            raise ValueError(f"winding integral did not snap below {max_per_edge} panels/edge")
+        if dilated:
+            raise ValueError("|D| vanishes on the contour even after dilation")
+        region = region.dilated(1e-6)

@@ -282,7 +282,7 @@ def test_payload_level_solver_keys(capsys, tmp_path):
         {
             "mode": "scalar",
             "payload": {"omegas": [1.0], "tol": 1e-9, "budget": 12345,
-                        "epsilon_schedule": [0.4, 0.2]},
+                        "epsilon_schedule": [0.4, 0.2], "max_iter": 7},
         },
     )
     code, doc = run(capsys, ["realize", "--input", path])
@@ -290,6 +290,7 @@ def test_payload_level_solver_keys(capsys, tmp_path):
     assert doc["config"]["tol"] == 1e-9
     assert doc["config"]["budget"] == 12345
     assert doc["config"]["epsilon_schedule"] == [0.4, 0.2]
+    assert doc["config"]["max_iter"] == 7
 
 
 def test_output_is_deterministic(tmp_path, scalar_problem):

@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from spectra_forge import spectrum
 from spectra_forge.errors import BoundaryRoot, NoConvergence, TooManyRoots
-from spectra_forge.quasipoly import ScalarFactor, evaluate
+from spectra_forge.quasipoly import ScalarFactor, evaluate, evaluate_derivative_many
 from spectra_forge.realization import FrequencyTarget, WeightTable, realize, result_factors
 from spectra_forge.spectrum import (
     Region,
@@ -181,26 +181,33 @@ def _assert_matches_reference(got, ref, factor):
     np.testing.assert_array_equal(ders, dr)
 
 
+def _rounding_floors(factor, z):
+    """Bounds on the errors of a computed D(z) and D'(z), phase rounding
+    included: 4 eps (|z| + sum_k |a_k b_k| e^{-x tau_k} (m + |z| tau_k)),
+    and the same with tau_k in the sum and 1 in place of |z|."""
+    size, taus = _term_sizes(factor, z)
+    spread = size * (len(taus) + np.multiply.outer(np.abs(z), taus))
+    return 4 * EPS * (np.abs(z) + spread.sum(-1)), 4 * EPS * (1.0 + (spread * taus).sum(-1))
+
+
 @given(kernel_cases())
 @settings(max_examples=60, deadline=None)
 def test_contour_kernel_matches_reference_and_mp(case):
     factor, region, per_edge = case
-    z, vals, ders = spectrum._contour_values(factor, region, per_edge)
-    ref = oracles.contour_values_reference(factor, region, per_edge)
+    xs = np.linspace(region.re_min, region.re_max, per_edge + 1)
+    ys = np.linspace(region.im_min, region.im_max, per_edge + 1)
+    edges = ((region.im_min, region.im_max), (region.re_min, region.re_max))
+    z, vals, ders = spectrum._line_values(factor, xs, ys, *edges)
+    ref = oracles.line_values_reference(factor, xs, ys, *edges)
     _assert_matches_reference((z, vals, ders), ref, factor)
     # against 50 digits the rounding of the phase y*tau itself adds
     # eps * |z tau| per term, which can reach 1e6 * eps
-    size, taus = _term_sizes(factor, z)
-    spread = size * (len(taus) + np.multiply.outer(np.abs(z), taus))
-    tol_d = 4 * EPS * (np.abs(z) + spread.sum(-1))
-    tol_p = 4 * EPS * (1.0 + (spread * taus).sum(-1))
+    tol_d, tol_p = _rounding_floors(factor, z)
     terms = [(t.a, t.b, t.tau) for t in factor.terms]
-    for k in range(z.size):
+    for k in np.ndindex(z.shape):
         assert abs(vals[k] - oracles.eval_factor_mp(terms, complex(z[k]))) <= tol_d[k]
         assert abs(ders[k] - oracles.eval_derivative_mp(terms, complex(z[k]))) <= tol_p[k]
     # a cut line uses one of the two tables
-    xs = np.linspace(region.re_min, region.re_max, 9)
-    ys = np.linspace(region.im_min, region.im_max, 9)
     for levels in ({"im_levels": (region.center.imag,)}, {"re_levels": (region.center.real,)}):
         _assert_matches_reference(
             spectrum._line_values(factor, xs, ys, **levels),
@@ -261,9 +268,87 @@ def test_count_and_locate_match_reference_kernel(monkeypatch):
 
     fast = run()
     assert all(isinstance(loc, list) and len(loc) == n >= 1 for n, loc in fast)
-    monkeypatch.setattr(spectrum, "_contour_values", oracles.contour_values_reference)
     monkeypatch.setattr(spectrum, "_line_values", oracles.line_values_reference)
     assert run() == fast
+
+
+# ---------------------------------------------------------------------------
+# certified count
+
+
+def _near_root_box(w, j, clear, half):
+    """lam - w exp(-lam tau), tau = (3 pi/2 + 2 pi j)/w, and a box of half
+    width half * c whose bottom edge passes c = clear * 1e-8 * (1 + 2w) /
+    (w tau) above the root i*w: so close that the rounding floor decides
+    which segments are certified."""
+    tau = (1.5 * PI + 2.0 * PI * j) / w
+    c = clear * 1e-8 * (1.0 + 2.0 * w) / (w * tau)
+    return ScalarFactor(((w, 1.0, tau),)), Region(-half * c, half * c, w + c, w + c + 2 * half * c)
+
+
+@st.composite
+def certify_cases(draw):
+    """Either 1-4 terms with delays up to 40 in a box of moderate size, or
+    a box just above a root at a delay up to 1.3e8."""
+    if draw(st.booleans()):
+        coef = st.floats(min_value=-2.0, max_value=2.0)
+        terms = draw(st.lists(st.tuples(coef, coef, st.floats(0.0, 40.0)), min_size=1, max_size=4))
+        x0, y0 = draw(st.floats(-0.5, 0.4)), draw(st.floats(-3.0, 3.0))
+        width, height = draw(st.floats(0.05, 1.0)), draw(st.floats(0.05, 2.0))
+        return ScalarFactor(terms), Region(x0, x0 + width, y0, y0 + height)
+    log_uniform = [st.floats(lo, hi).map(lambda e: 10.0 ** e) for lo, hi in ((0.0, 2.0), (1.0, 4.0))]
+    return _near_root_box(draw(st.floats(0.5, 3.0)), draw(st.integers(10**4, 10**7)),
+                          *(draw(s) for s in log_uniform))
+
+
+@given(certify_cases())
+@example(_near_root_box(1.09, 497089, 7.4, 8367.0))
+@example((ScalarFactor(((-1.215, 1.985, 9.729), (-0.973, -1.707, 10.312), (1.053, 0.792, 5.147))),
+          Region(-0.161, 0.521, -0.474, 0.465)))
+@settings(max_examples=40, deadline=None)
+def test_certified_segments_are_honest(case):
+    """On every certified edge segment [a, b] the certificate holds at one
+    end e: R + f_e < |D_e| for the computed D_e and its rounding floor f_e,
+    where R = h min(M, P + C h / 2), M = 1 + sum_k |a_k b_k| tau_k
+    exp(-x_min tau_k) bounds |D'|, P is the larger |D'| plus its rounding
+    floor at the two ends, and C = sum_k |a_k b_k| tau_k^2 exp(-x_min
+    tau_k) bounds |D''|.  And dense 50-digit samples show that the disc
+    |D - D_e| <= R + f_e really holds D on the segment, so the segment's
+    image stays away from 0."""
+    factor, region = case
+    try:
+        _, region, edges = spectrum._certified_count(factor, region)
+    except (BoundaryRoot, NoConvergence):
+        return
+    terms = [(t.a, t.b, t.tau) for t in factor.terms]
+    fixed = (region.im_min, region.im_max, region.re_min, region.re_max)
+    for row, (t, vals, turn) in enumerate(edges):
+        z = t + 1j * fixed[row] if row < 2 else fixed[row] + 1j * t
+        size, taus = _term_sizes(factor, z)
+        slope, curve = size @ taus, size @ taus**2
+        floor, slope_floor = _rounding_floors(factor, z)
+        ders = np.abs(evaluate_derivative_many(factor, z)) + slope_floor
+        assert len(turn) == len(z) - 1
+        for k in range(len(turn)):
+            h = abs(z[k + 1] - z[k])
+            # the sums at the end with the smaller real part
+            bound, bend = 1.0 + max(slope[k], slope[k + 1]), max(curve[k], curve[k + 1])
+            reach = h * min(bound, max(ders[k], ders[k + 1]) + 0.5 * h * bend)
+            e = k if abs(vals[k]) - floor[k] >= abs(vals[k + 1]) - floor[k + 1] else k + 1
+            assert reach + floor[e] < abs(vals[e])
+            for frac in np.linspace(0.0, 1.0, 9):
+                zs = z[k] + frac * (z[k + 1] - z[k])
+                exact = oracles.eval_factor_mp(terms, complex(zs))
+                assert abs(exact - vals[e]) <= reach * (1 + 1e-12) + floor[e]
+
+
+def test_certified_count_matches_trapezoid_oracle():
+    cases = _census_like_cases(7, 16) + _family_cases(8, (0, 1, 3, 10, 40, 100, 500, 1000, 2000))
+    for factor, region in cases:
+        count, _, (bottom, top, left, right) = spectrum._certified_count(factor, region)
+        winding = (bottom[2].sum() + right[2].sum() - top[2].sum() - left[2].sum()) / (2 * PI)
+        assert abs(winding - count) < 1e-9
+        assert count == count_roots(factor, region) == oracles.count_roots_trapezoid(factor, region)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +383,12 @@ def test_polish_unreachable_tolerance_raises():
         polish_root(UNIT_ROOT_FACTOR, 1j + 0.5, 1e-300)
 
 
+def test_polish_overflow_is_no_convergence():
+    # the first Newton step from far left of the axis overflows exp(-lam tau)
+    with pytest.raises(NoConvergence, match="representable range"):
+        polish_root(ScalarFactor(((1.0, 1.0, 100.0),)), -8 + 1j)
+
+
 # ---------------------------------------------------------------------------
 # locating
 
@@ -315,6 +406,42 @@ def test_locate_conjugate_symmetric_band():
     for z in roots:
         assert abs(evaluate(UNIT_ROOT_FACTOR, z)) < 1e-9
         assert any(abs(z.conjugate() - w) < 1e-9 for w in roots)
+
+
+def _assert_located(factor, region, roots):
+    """Distinct roots inside the region, each a root at 50 digits, as many
+    as the trapezoid oracle counts."""
+    scale = 1.0 + max(abs(complex(x, y)) for x in (region.re_min, region.re_max)
+                      for y in (region.im_min, region.im_max)) + factor.coefficient_bound()
+    terms = [(t.a, t.b, t.tau) for t in factor.terms]
+    assert len(roots) == oracles.count_roots_trapezoid(factor, region)
+    for z in roots:
+        assert region.contains(z)
+        assert abs(oracles.eval_factor_mp(terms, z)) < 1e-9 * scale
+    gaps = np.abs(np.subtract.outer(roots, roots)) + np.eye(len(roots))
+    assert gaps.min() > 1e-6
+
+
+def test_locate_dense_band_of_realized_factor(realized_three):
+    # 62 roots at delays up to 98: polishing from cell centres without
+    # keeping the result in its cell once reported one root twice here
+    target, result = realized_three
+    factor = result_factors(result, WeightTable.ones(3))[0]
+    region = Region(-0.25, 0.5, 0.05, 4.05)
+    roots = locate_roots(factor, region, max_roots=100)
+    assert len(roots) == 62
+    _assert_located(factor, region, roots)
+
+
+def test_locate_roots_spaced_below_the_old_cell_size():
+    # Newton from the centre of a one-root cell once left that cell for a
+    # neighbouring root, so two cells reported the same one
+    factor = ScalarFactor(((1.01896158, 1.0, 8.34616162), (-2.13615926, 1.0, 13.98134051),
+                           (-1.12436832, 1.0, 38.3930903)))
+    region = Region(-0.12, 0.12, 0.87735443, 2.07735443)
+    roots = locate_roots(factor, region)
+    assert len(roots) == 7
+    _assert_located(factor, region, roots)
 
 
 def test_locate_empty_region():
