@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Realize growing prefixes of (1, sqrt2, sqrt3, sqrt5, sqrt7) and verify.
+"""Realize growing prefixes of (1, sqrt2, sqrt3, sqrt5, sqrt7, sqrt11) and verify.
 
 Prints one row per instance with the realized delays, coefficients,
 residual, Newton iterations, the transversality diagnostic at the base
@@ -7,6 +7,8 @@ point, and the verification verdict.
 
 Usage:
     python scripts/scalar_sweep.py [--max-n 5] [--tol 1e-10] [--json out.json]
+
+--max-n runs from 1 to 6; n = 6 is the realized frontier of this sequence.
 """
 import argparse
 import json
@@ -25,12 +27,12 @@ from spectra_forge.realization import (
 )
 from spectra_forge.spectrum import verify_realization
 
-OMEGAS = (1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0), math.sqrt(7.0))
+OMEGAS = (1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0), math.sqrt(7.0), math.sqrt(11.0))
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-n", type=int, default=5, choices=range(1, 6))
+    parser.add_argument("--max-n", type=int, default=5, choices=range(1, len(OMEGAS) + 1))
     parser.add_argument("--tol", type=float, default=1e-10)
     parser.add_argument("--json", default=None, help="optional JSON report path")
     args = parser.parse_args(argv)

@@ -22,9 +22,11 @@ The constructive path mirrors the existence proof:
     rational relation, the line t -> t*omega fills the angle torus densely,
     and each delay column is that line's first visit to within epsilon of
     the column's quarter-turn corner.  One sweep along the line serves
-    every column: a cheap gate (|cos(w_i*tau)| < sin(epsilon) in every
-    row) discards points far from all corners, and only the survivors are
-    tested exactly against each open column.
+    every column: a cheap gate (every angle w_i*tau within epsilon of a
+    quarter turn, read off the grid index for the largest frequency and
+    off a multiply and a floor for the others) discards points far from
+    all corners, and only the survivors are tested exactly against each
+    open column.
 3.  Damped Newton on the full 2n-real system from that starting point,
     with an epsilon schedule retrying when the basin was missed.
 
@@ -33,6 +35,7 @@ is used for determinants and solves.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -245,10 +248,14 @@ class RealizeConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:  # also refuses NaN
             raise ValueError("tol must be positive")
         if not self.epsilon_schedule:
             raise ValueError("epsilon schedule must be nonempty")
+        if not all(0.0 < eps < 0.5 * np.pi for eps in self.epsilon_schedule):
+            raise ValueError("every epsilon must lie in (0, pi/2)")
+        object.__setattr__(self, "budget", _count(self.budget, "budget"))
+        object.__setattr__(self, "max_iter", _count(self.max_iter, "max_iter"))
 
     @classmethod
     def from_dict(cls, data: dict | None) -> "RealizeConfig":
@@ -268,6 +275,16 @@ class RealizeConfig:
             "budget": self.budget,
             "max_iter": self.max_iter,
         }
+
+
+def _count(value, name: str) -> int:
+    """value as an int, if it is an integral number >= 1 (so a JSON 1e7
+    reads as 10_000_000)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if not (float(value).is_integer() and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -432,26 +449,83 @@ def _column_distance(omega: np.ndarray, angles_col: np.ndarray, taus: np.ndarray
     return circ_dist(phase, angles_col[None, :]).max(axis=1)
 
 
+def _quarter_turn_offset(omega, taus: np.ndarray) -> np.ndarray:
+    """Distance of each angle w*tau to the nearest quarter turn, shape
+    np.shape(omega) + taus.shape.
+
+    With u = tau * (2w/pi), the quarter turns pi/2 + m*pi are the odd u,
+    and u - 2 floor(u/2) - 1 is the signed distance to the nearest one in
+    quarter-turn units; multiply and floor cost a fraction of a cosine or
+    a float mod.  Every quarter-turn column's exact distance in that row
+    is at least this offset less :func:`_offset_slack`.
+    """
+    u = np.multiply.outer(omega * (2.0 / np.pi), taus)
+    return (0.5 * np.pi) * np.abs(u - 2.0 * np.floor(0.5 * u) - 1.0)
+
+
+def _offset_slack(tau_max: float, w_max: float) -> float:
+    """Rounding allowance between :func:`_quarter_turn_offset` and
+    :func:`_column_distance` for phases up to x = tau_max * w_max.
+
+    The offset rounds tau*w in fl(2/pi)*w and in the product, a relative
+    error of about 3.3e-16 in x; u - 2 floor(u/2) is exact, and the final
+    -1 and *pi/2 add under 4e-16.  The exact test rounds tau*w (1.1e-16 x),
+    reduces it by fl(2*pi) rather than 2*pi (4e-17 x), and rounds a few
+    numbers below 2*pi in circ_dist (under 4e-15).  So the offset can
+    exceed a true column distance by at most about 5e-16 x + 5e-15,
+    which 1e-15 x + 1e-12 covers.
+    """
+    return 1e-12 + 1e-15 * tau_max * w_max
+
+
 def _refine_candidate(omega, angles_col, tau, halfwidth, points=4097):
+    """First argmin of the column distance over an even scan of
+    [tau - halfwidth, tau + halfwidth], clipped below at halfwidth/4.
+
+    Only the points whose quarter-turn offset allows them to beat the
+    exact distance U at the smallest offset are measured exactly: every
+    scan point at distance <= U is among them, so the first argmin in
+    index order is the full scan's first argmin.
+    """
     grid = np.linspace(max(tau - halfwidth, 0.25 * halfwidth), tau + halfwidth, points)
+    offset = _quarter_turn_offset(omega, grid).max(axis=0)
+    first = int(np.argmin(offset))
+    bound = float(_column_distance(omega, angles_col, grid[first:first + 1])[0])
+    slack = _offset_slack(float(grid[-1]), float(omega.max()))
+    grid = grid[offset - slack <= bound]
     dist = _column_distance(omega, angles_col, grid)
     k = int(np.argmin(dist))
     return float(grid[k]), float(dist[k])
 
 
-def _near_quarter_turns(taus: np.ndarray, omega: np.ndarray, radius: float) -> np.ndarray:
-    """The ascending taus whose every angle w_i*tau may lie within radius of
-    a quarter turn, i.e. |cos(w_i*tau)| < sin(radius), filtered row by row.
+def _quarter_turn_survivors(first: int, last: int, step: float, omega: np.ndarray,
+                            reach: float) -> np.ndarray:
+    """The ascending grid taus i*step, first <= i <= last, with step =
+    2*pi/(64*max(omega)), at which every angle w*tau may lie within reach
+    of a quarter turn: a superset of the taus that :func:`_column_distance`
+    puts within reach of any quarter-turn column.
 
-    A strict superset of the taus that _column_distance puts within radius
-    of any quarter-turn column: the gate reads the raw phase x = tau*w, the
-    exact test x mod fl(2*pi), which is off the true angle by at most about
-    4e-17 * x.  The slack bounds that at the largest phase, with room for
-    the rounding of cos, sin and circ_dist.
+    The w_max row is decided by the residue m of i mod 64: its angle is
+    i*pi/32 up to rounding, min(|m - 16|, |m - 48|) * pi/32 from the
+    nearest quarter turn.  Only the indices whose residue is within reach,
+    padded by one residue on each side, are enumerated, and only their
+    taus are built.  The padding covers a rounding of up to pi/32; the
+    rounding is about 4e-16 * i * pi/32, so it holds for every index
+    below 2**50, far beyond any budget the sweep can work through.  Every
+    other row is decided by its quarter-turn offset against reach plus
+    the slack at the largest tau.
     """
-    bound = np.sin(radius) + 1e-12 + 1e-15 * float(taus[-1]) * float(omega.max())
-    for w in omega:
-        taus = taus[np.abs(np.cos(taus * w)) < bound]
+    m = np.arange(64)
+    quarter = np.minimum(np.abs(m - 16), np.abs(m - 48))
+    residues = m[(quarter - 1) * (np.pi / 32.0) < reach]
+    blocks = np.arange(first // 64, last // 64 + 1, dtype=np.int64)
+    ids = (64 * blocks[:, None] + residues).ravel()
+    taus = ids[np.searchsorted(ids, first):np.searchsorted(ids, last, "right")] * step
+    top = int(np.argmax(omega))
+    if taus.size:
+        bound = reach + _offset_slack(float(taus[-1]), float(omega[top]))
+        for w in np.delete(omega, top):
+            taus = taus[_quarter_turn_offset(w, taus) < bound]
     return taus
 
 
@@ -463,22 +537,36 @@ def delay_candidates(
 ) -> np.ndarray:
     """Smallest tau_k > 0 per column with all angles within epsilon.
 
-    One sweep over the grid tau = (i+1)*step, step = 2*pi/(64*max(omega)),
-    serves every column: a step this fine cannot jump across an
-    epsilon-window for the schedule used here.  Every base angle is a
-    quarter turn, so a grid point can only come within r of a column's
-    angles if |cos(w_i*tau)| < sin(r) in every row.  That gate is applied
-    row by row to each chunk, and only the survivors get the exact
-    per-column distance; each column's first hit is then sharpened by a
-    local scan.  The gate radius r is epsilon, widened while some open
-    column's best distance so far is larger, so that SearchExhausted
-    reports that column's true minimum over the budget.  Raises
-    SearchExhausted for the first column that uses up its budget.
+    One sweep over the grid tau = i*step, i = 1..budget, step =
+    2*pi/(64*max(omega)), serves every column: a step this fine cannot
+    jump across an epsilon-window for the schedule used here.  Every base
+    angle is a quarter turn, so a grid point can only come within r of a
+    column's angles if every row's angle lies within r of a quarter turn.
+    The gate applies that test to each chunk of the grid, row by row:
+
+    * the w_max row by residue: its angle at index i is i*pi/32 up to
+      rounding, so only the indices with a residue mod 64 near 16 or 48
+      are enumerated, and only their taus are built;
+    * every other row by :func:`_quarter_turn_offset`, a multiply and a
+      floor, keeping the points whose offset is below r plus
+      :func:`_offset_slack` (evaluated at the chunk's largest tau); see
+      :func:`_quarter_turn_survivors`.
+
+    The offset less that slack is a lower bound on every exact column
+    distance, so the gate passes a proven superset of the points within r
+    of an open column, and the exact test decides.  For the survivors one
+    phase table mod 2*pi and its distances to pi/2 and 3*pi/2 are built
+    once per chunk; each open column picks its entries from them, which
+    is the elementwise arithmetic of the per-column distance, bit for bit.
+    Each column's first hit is then sharpened by a local scan
+    (:func:`_refine_candidate`).  The gate radius r is epsilon, widened
+    while some open column's best distance so far is larger, so that
+    SearchExhausted reports that column's true minimum over the budget.
+    Raises SearchExhausted for the first column that uses up its budget.
     """
     if not (0.0 < epsilon < 0.5 * np.pi):
         raise ValueError("epsilon must lie in (0, pi/2)")
-    if budget < 1:
-        raise ValueError("budget must be at least one grid point")
+    budget = _count(budget, "budget")
     angles = base.target_angles
     if not np.all((angles == 0.5 * np.pi) | (angles == 1.5 * np.pi)):
         raise ValueError("target angles must all be pi/2 or 3*pi/2")
@@ -487,6 +575,7 @@ def delay_candidates(
     if n == 1:
         # one angle: exact smallest positive solution
         return np.array([float(angles[0, 0]) / float(omega[0])])
+    half = angles == 0.5 * np.pi
     step = _TWO_PI / (64.0 * float(omega.max()))
     taus = np.empty(n)
     best = dict.fromkeys(range(n), np.inf)  # open column -> best distance
@@ -494,17 +583,19 @@ def delay_candidates(
     chunk = 1 << 10
     while best and done < budget:
         count = min(chunk, budget - done)
-        grid = (done + 1 + np.arange(count)) * step
         reach = max(epsilon, max(best.values()))
-        if reach < 0.5 * np.pi:  # a radius of pi/2 or more admits every point
-            grid = _near_quarter_turns(grid, omega, reach)
+        grid = _quarter_turn_survivors(done + 1, done + count, step, omega, reach)
+        # one row per frequency, so that a column's worst row is an
+        # elementwise maximum over n rows
+        phase = np.mod(np.multiply.outer(omega, grid), _TWO_PI)
+        d_half = circ_dist(phase, 0.5 * np.pi)
+        d_3half = circ_dist(phase, 1.5 * np.pi)
         for k in list(best):
-            col = angles[:, k]
-            dist = _column_distance(omega, col, grid)
+            dist = np.where(half[:, k, None], d_half, d_3half).max(axis=0)
             hits = np.nonzero(dist < epsilon)[0]
             if hits.size:
                 tau = float(grid[hits[0]])
-                refined, rd = _refine_candidate(omega, col, tau, step)
+                refined, rd = _refine_candidate(omega, angles[:, k], tau, step)
                 taus[k] = refined if rd < epsilon else tau
                 del best[k]
             else:

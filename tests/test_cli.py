@@ -293,6 +293,20 @@ def test_payload_level_solver_keys(capsys, tmp_path):
     assert doc["config"]["max_iter"] == 7
 
 
+@pytest.mark.parametrize("key, value, word", [
+    ("epsilon_schedule", [0.4, 2.0], "epsilon"), ("budget", 2.5, "budget"),
+    ("max_iter", 0, "max_iter")])
+def test_bad_solver_setting_is_input_error(capsys, tmp_path, key, value, word):
+    path = write_json(
+        tmp_path / "bad.json",
+        {"mode": "scalar", "payload": {"omegas": [1.0, SQRT2]}, "config": {key: value}},
+    )
+    code, doc = run(capsys, ["realize", "--input", path])
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+    assert word in doc["error"]["message"]
+
+
 def test_output_is_deterministic(tmp_path, scalar_problem):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -16,6 +16,7 @@ from spectra_forge.errors import (
 from spectra_forge.quasipoly import ScalarFactor, residual_on_targets
 from spectra_forge.realization import (
     FrequencyTarget,
+    RealizeConfig,
     WeightTable,
     achieved_windows,
     base_point,
@@ -254,9 +255,9 @@ def test_delay_search_budget_exhaustion():
     assert 0.05 <= err.value.best_distance < math.inf
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_delay_search_matches_reference_on_prime_ladder(n):
-    omegas = tuple(math.sqrt(p) for p in (1, 2, 3, 5, 7)[:n])
+    omegas = tuple(math.sqrt(p) for p in (1, 2, 3, 5, 7, 11)[:n])
     target = FrequencyTarget((omegas,)).scaled(1.0 / omegas[-1])
     base = base_point(target)
     expected = delay_candidates_reference(target.flat, base.target_angles, 0.4, 10_000_000)
@@ -295,24 +296,48 @@ def test_delay_search_matches_per_column_reference(seed, n, eps, budget):
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=2, max_value=5),
-    st.floats(min_value=0.0, max_value=6.0),
+    st.floats(min_value=0.0, max_value=7.5),
 )
 @settings(max_examples=200, deadline=None)
-def test_quarter_turn_gate_keeps_every_point_near_a_column(seed, n, log_tau):
-    # the gate may pass extra points but must never drop one that the exact
-    # column test puts within the radius, even one right at the boundary
-    from spectra_forge.realization import _column_distance, _near_quarter_turns
+def test_quarter_turn_gate_keeps_every_point_near_a_column(seed, n, log_index):
+    # the gate (residues of the w_max row, offsets of the others) may pass
+    # extra points but must never drop one that the exact column test puts
+    # within the radius, even one right at the boundary; grid indices run
+    # past the 1e7 of the default budget, so tau*w_max passes 1e6
+    from spectra_forge.realization import _column_distance, _quarter_turn_survivors
 
     rng = np.random.default_rng(seed)
     omega = rng.uniform(0.2, 5.0, n)
     col = rng.choice([0.5 * PI, 1.5 * PI], n)
     step = 2.0 * PI / (64.0 * float(omega.max()))
-    grid = 10.0**log_tau + step * np.arange(4096)
+    first = int(10.0**log_index)
+    grid = (first + np.arange(4096)) * step
     dist = _column_distance(omega, col, grid)
     closest = float(np.sort(dist)[int(rng.integers(0, 8))])
     radius = min(float(np.nextafter(closest, np.inf)), 0.5 * PI - 1e-9)
-    kept = set(_near_quarter_turns(grid, omega, radius).tolist())
-    assert set(grid[dist < radius].tolist()) <= kept
+    kept = _quarter_turn_survivors(first, first + 4095, step, omega, radius)
+    assert np.all(np.diff(kept) > 0)
+    assert set(grid[dist < radius].tolist()) <= set(kept.tolist())
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=6),
+    st.floats(min_value=-1.0, max_value=7.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_pruned_refine_matches_full_scan(seed, n, log_steps):
+    # the pruned scan returns the full scan's first argmin bit for bit,
+    # also for windows clipped at 0.25 * halfwidth (tau below 1.25 steps)
+    from spectra_forge.realization import _refine_candidate
+    from oracles import _refine_candidate as full_scan
+
+    rng = np.random.default_rng(seed)
+    omega = rng.uniform(0.2, 5.0, n)
+    col = rng.choice([0.5 * PI, 1.5 * PI], n)
+    step = 2.0 * PI / (64.0 * float(omega.max()))
+    tau = step * 10.0**log_steps
+    assert _refine_candidate(omega, col, tau, step) == full_scan(omega, col, tau, step)
 
 
 def test_delay_search_rejects_non_quarter_turn_angles():
@@ -330,6 +355,8 @@ def test_delay_search_epsilon_domain():
         delay_candidates(target, base, epsilon=2.0)
     with pytest.raises(ValueError):
         delay_candidates(target, base, epsilon=0.3, budget=0)
+    with pytest.raises(ValueError, match="budget"):
+        delay_candidates(target, base, epsilon=0.3, budget=2.5)
 
 
 def test_circ_dist_wraps():
@@ -360,6 +387,36 @@ def test_config_and_target_round_trips(omegas):
     assert FrequencyTarget(tuple(tuple(g) for g in target.to_dict()["groups"])) == target
     cfg = RealizeConfig(tol=1e-9, epsilon_schedule=(0.3, 0.1), budget=1000)
     assert RealizeConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_config_rejects_epsilon_outside_quarter_turn():
+    # a bad epsilon late in the schedule is refused even though an earlier
+    # one would succeed before it is tried
+    for schedule in ((0.4, 2.0), (0.0,), (-0.1, 0.3), (0.5 * PI,), (float("nan"),)):
+        with pytest.raises(ValueError, match="epsilon"):
+            RealizeConfig(epsilon_schedule=schedule)
+
+
+def test_config_budget_is_a_whole_number_of_grid_points():
+    for budget in (2.5, 0, -3, 0.5, float("inf"), True, "100"):
+        with pytest.raises(ValueError, match="budget"):
+            RealizeConfig(budget=budget)
+    cfg = RealizeConfig.from_dict({"budget": 1e7})
+    assert cfg.budget == 10_000_000 and type(cfg.budget) is int
+    assert RealizeConfig(budget=np.int64(200)).budget == 200
+
+
+def test_config_tol_is_positive():
+    for tol in (0.0, -1e-10, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            RealizeConfig(tol=tol)
+
+
+def test_config_max_iter_is_a_positive_integer():
+    for max_iter in (0, -1, 2.5, None):
+        with pytest.raises(ValueError, match="max_iter"):
+            RealizeConfig(max_iter=max_iter)
+    assert RealizeConfig.from_dict({"max_iter": 7}).max_iter == 7
 
 
 # ---------------------------------------------------------------------------
