@@ -216,12 +216,12 @@ def _cmd_spectrum(args) -> tuple[int, dict]:
     re_lo, re_hi = _parse_interval(args.re, "--re")
     im_lo, im_hi = _parse_interval(args.im, "--im")
     region = spectrum.Region(re_lo, re_hi, im_lo, im_hi)
-    count = spectrum.count_roots(factor, region)
+    # locate_roots certifies the region's count and returns exactly that many
     roots = spectrum.locate_roots(factor, region, max_roots=args.max_roots)
     return EXIT_OK, {
         "schema": SCHEMA,
         "region": region.to_dict(),
-        "count": count,
+        "count": len(roots),
         "roots": [{"re": z.real, "im": z.imag} for z in roots],
     }
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -202,15 +203,22 @@ def validate_equivariance(conns: ConnectionList) -> EquivarianceReport:
 _EXACT_DOUBLE_COS = {0: 2.0, 2: 1.0, 3: 0.0, 4: -1.0, 6: -2.0, 8: -1.0, 9: 0.0, 10: 1.0}
 
 
+@lru_cache(maxsize=256)
+def _cos_table(n: int) -> tuple[float, ...]:
+    """cos(2*pi*m/n) for m = 0 .. n-1, the angle reduced in integers first,
+    so equal angles give bitwise equal cosines."""
+    return tuple(np.cos(2.0 * np.pi * np.arange(n) / n).tolist())
+
+
 def _cos_weight(n: int, m: int) -> float:
-    # integer reduction keeps equal angles bitwise equal; angles that are
-    # multiples of pi/6 with rational cosine come out exact (0, +-1, +-2)
+    # angles that are multiples of pi/6 with rational cosine come out
+    # exact (0, +-1, +-2)
     m = m % n
     if (12 * m) % n == 0:
         t = (12 * m // n) % 12
         if t in _EXACT_DOUBLE_COS:
             return _EXACT_DOUBLE_COS[t]
-    return 2.0 * float(np.cos(2.0 * np.pi * m / n))
+    return 2.0 * _cos_table(n)[m]
 
 
 def factor_weights(n: int, j: int) -> np.ndarray:
@@ -285,14 +293,12 @@ def build_B(n: int, indices: Sequence[int], convention: float = 4.0) -> np.ndarr
     _check_odd(n)
     idx = _check_indices(n, indices)
     c = float(convention)
+    cos = _cos_table(n)
     s = len(idx)
     mat = np.empty((s, s))
     for p in range(s):
         for q in range(s):
-            if idx[q] == 0:
-                mat[p, q] = 1.0
-            else:
-                mat[p, q] = c * np.cos(2.0 * np.pi * ((idx[p] * idx[q]) % n) / n)
+            mat[p, q] = 1.0 if idx[q] == 0 else c * cos[(idx[p] * idx[q]) % n]
     return mat
 
 
@@ -309,11 +315,9 @@ def det_B_two_factor(n: int, i1: int, i2: int) -> float:
     _check_odd(n)
     if not (1 <= i1 < i2 <= (n - 1) // 2):
         raise BadIndex(f"need 1 <= i1 < i2 <= {(n - 1) // 2}, got ({i1}, {i2})")
-
-    def c(m: int) -> float:
-        return float(np.cos(2.0 * np.pi * (m % n) / n))
-
-    return 8.0 * (c(i1 * i1 + i2 * i2) + c(i1 * i1 - i2 * i2) - c(2 * i1 * i2) - 1.0)
+    cos = _cos_table(n)
+    return 8.0 * (cos[(i1 * i1 + i2 * i2) % n] + cos[(i1 * i1 - i2 * i2) % n]
+                  - cos[(2 * i1 * i2) % n] - 1.0)
 
 
 def detect_even_degeneracy(n: int) -> list[tuple[int, int]]:

@@ -19,17 +19,23 @@ lie within 1e-6 of an integer.
 Root locations follow by quadrisection.  A cell keeps its four certified
 edges, so a split certifies only its two cut lines and each child's count
 is a sum of edge increments (a piece of a certified segment stays
-certified).  A one-root cell is polished by Newton from its centre, and
-the root is kept only when it lands inside the cell; otherwise the cell is
-split again.  :func:`verify_realization` certifies that every prescribed
-+-i*omega of a realization really is an isolated root of its factor.
+certified).  The first cut falls at 0.53 of the width and height, not at
+the middle: the boxes of this package are symmetric about Re = 0, where
+the prescribed roots lie, so a cut through the middle would run through
+them.  A one-root cell is polished by Newton from its centre, and the root
+is kept only when it lands inside the cell; otherwise the cell is split
+again.  :func:`verify_realization` certifies that every prescribed
++-i*omega of a realization really is an isolated root of its factor.  It
+counts the first isolation boxes of all targets of a factor in one batch
+of paths, and counts them one by one only when the batch fails.
 
 Every path is axis-parallel, so the kernel :func:`_line_values` builds one
-table exp(-x tau) over the x nodes, shared by the horizontal lines, and one
-table exp(-i y tau) over the y nodes, shared by the vertical lines; every
-entry is the same product exp(-x tau) * cis(-y tau) that a complex
-exponential of -z*tau forms.  Bisection midpoints go through
-:func:`quasipoly.evaluate_many` and :func:`quasipoly.evaluate_derivative_many`.
+table exp(-x tau) over the x nodes of each horizontal line and one table
+exp(-i y tau) over the y nodes of each vertical line, times one factor per
+line for its level; every entry is the same product exp(-x tau) *
+cis(-y tau) that a complex exponential of -z*tau forms.  Bisection
+midpoints go through :func:`quasipoly.evaluate_many` and
+:func:`quasipoly.evaluate_derivative_many`.
 """
 from __future__ import annotations
 
@@ -101,15 +107,16 @@ class Region:
         }
 
 
-def _line_values(factor: ScalarFactor, xs, ys, im_levels=(), re_levels=()):
-    """(z, D, D') on the horizontal lines xs + i*y for y in im_levels, then
-    on the vertical lines x + i*ys for x in re_levels, as arrays with one
-    row per line; xs and ys need the same length when both are used.
+def _line_values(factor: ScalarFactor, h_levels=(), h_nodes=(), v_levels=(), v_nodes=()):
+    """(z, D, D') on the horizontal lines h_nodes[i] + i*h_levels[i], then
+    on the vertical lines v_levels[i] + i*v_nodes[i], as arrays with one
+    row per line; every line has the same number of nodes.
 
-    The horizontal lines share the table exp(-x tau) and the vertical ones
-    the table exp(-i y tau); only the constant factor differs per line,
-    and D = z - E @ ab and D' = 1 + E @ (ab tau) come from the one table E.
-    Both tables are complex exponentials of purely real or purely imaginary
+    A horizontal line takes the table exp(-x tau) over its nodes times the
+    one factor cis(-y tau) of its level, a vertical line the table
+    cis(-y tau) over its nodes times exp(-x tau) of its level, and D = z -
+    E @ ab and D' = 1 + E @ (ab tau) come from the one table E.  Both
+    tables are complex exponentials of purely real or purely imaginary
     arguments, so each entry of E is the same float as the complex
     exp(-z*tau) of the direct evaluation (numpy's real exp can differ from
     it in the last bit).  Overflow gives non-finite values, which the
@@ -118,15 +125,17 @@ def _line_values(factor: ScalarFactor, xs, ys, im_levels=(), re_levels=()):
     ab, taus = _term_arrays(factor)
     z, e = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        if im_levels:
-            levels = np.asarray(im_levels, dtype=float)[:, None]
-            modulus = np.exp(np.multiply.outer(xs, -taus) + 0j)
-            z.append(xs + 1j * levels)
+        if len(h_levels):
+            levels = np.asarray(h_levels, dtype=float)[:, None]
+            nodes = np.asarray(h_nodes, dtype=float)
+            z.append(nodes + 1j * levels)
+            modulus = np.exp(nodes[..., None] * -taus + 0j)
             e.append(modulus * np.exp(-1j * (levels * taus))[:, None, :])
-        if re_levels:
-            levels = np.asarray(re_levels, dtype=float)[:, None]
-            angle = np.exp(-1j * np.multiply.outer(ys, taus))
-            z.append(levels + 1j * ys)
+        if len(v_levels):
+            levels = np.asarray(v_levels, dtype=float)[:, None]
+            nodes = np.asarray(v_nodes, dtype=float)
+            z.append(levels + 1j * nodes)
+            angle = np.exp(-1j * (nodes[..., None] * taus))
             e.append(np.exp(-levels * taus + 0j)[:, None, :] * angle)
         z, e = np.concatenate(z), np.concatenate(e)
         vals = z - e @ ab
@@ -138,18 +147,18 @@ class _Touch(BoundaryRoot):
     """A node of a path has |D| at or below the boundary threshold."""
 
 
-def _bounds(taus, weights, z, vals, ders, threshold: float):
+def _bounds(taus, weights, z, vals, ders, threshold):
     """Per node z, where D is vals and D' is ders, the rows |D| less its
     rounding floor f, |D'| plus its rounding floor, and the slope and
     curvature sums sum_k |a_k b_k| tau_k^(1, 2) exp(-x tau_k); weights are
     |a_k b_k| tau_k^(0, 1, 2).  Raises NoConvergence when D overflowed and
-    _Touch when |D| <= threshold somewhere."""
+    _Touch when |D| <= threshold (broadcast against the nodes) somewhere."""
     size = np.abs(vals)
     if not np.isfinite(size.max()):
         raise NoConvergence(float("nan"), "factor overflowed on the contour")
-    low = size.min()
-    if low <= threshold:
-        raise _Touch(f"|D| = {low:.3e} on the contour")
+    touch = size <= threshold
+    if touch.any():
+        raise _Touch(f"|D| = {size[touch].min():.3e} on the contour")
     with np.errstate(over="ignore", invalid="ignore"):
         decay = np.exp(-np.multiply.outer(z.real, taus))
         total, slope, curve = (decay @ w for w in weights)
@@ -169,21 +178,24 @@ def _certified(za, zb, bounds_a, bounds_b):
     return h * np.minimum(1.0 + slope, ders + 0.5 * h * curve) < margin
 
 
-def _certify(factor: ScalarFactor, xs, ys, im_levels, re_levels, threshold, resolution):
+def _certify(factor: ScalarFactor, h_levels, h_nodes, v_levels, v_nodes, threshold, resolution):
     """Certified paths along the lines of :func:`_line_values`, one per row.
 
     Each path comes back as (t, D, turn): its nodes t along the line (x on
     a horizontal line, y on a vertical one) in increasing order, the values
-    D there, and the certified change of arg D over each segment.  Besides
-    the errors of :func:`_bounds`, raises BoundaryRoot when a segment
-    shorter than resolution stays uncertified.
+    D there, and the certified change of arg D over each segment.  The
+    threshold of :func:`_bounds` and the resolution are given per line.
+    Besides the errors of :func:`_bounds`, raises BoundaryRoot when a
+    segment shorter than its line's resolution stays uncertified.
     """
-    z, vals, ders = _line_values(factor, xs, ys, im_levels, re_levels)
+    z, vals, ders = _line_values(factor, h_levels, h_nodes, v_levels, v_nodes)
     ab, taus = _term_arrays(factor)
     size = np.abs(ab)
     weights = (size, size * taus, size * taus**2)
-    bounds = _bounds(taus, weights, z, vals, ders, threshold)
-    horizontal = np.arange(len(z)) < len(im_levels)
+    threshold = np.asarray(threshold, dtype=float)
+    resolution = np.asarray(resolution, dtype=float)
+    bounds = _bounds(taus, weights, z, vals, ders, threshold[:, None])
+    horizontal = np.arange(len(z)) < len(h_levels)
     place = np.where(horizontal[:, None], z.real, z.imag)
     bad = ~_certified(z[:, :-1], z[:, 1:], bounds[..., :-1], bounds[..., 1:])
     if not bad.any():
@@ -197,8 +209,9 @@ def _certify(factor: ScalarFactor, xs, ys, im_levels, re_levels, threshold, reso
     bounds_a, bounds_b = bounds[..., :-1][:, bad], bounds[..., 1:][:, bad]
     while open_rows.size:
         h = np.abs(zb - za)
-        k = int(np.argmin(h))
-        if h[k] < resolution:
+        short = h < resolution[open_rows]
+        if short.any():
+            k = int(np.argmin(np.where(short, h, np.inf)))
             raise BoundaryRoot(
                 f"no certificate for a segment of {h[k]:.3e} at {complex(za[k]):.6g}: "
                 "a root lies within a few node spacings of the contour"
@@ -206,7 +219,7 @@ def _certify(factor: ScalarFactor, xs, ys, im_levels, re_levels, threshold, reso
         zm = 0.5 * (za + zb)
         with np.errstate(over="ignore", invalid="ignore"):
             dm, pm = evaluate_many(factor, zm), evaluate_derivative_many(factor, zm)
-        bounds_m = _bounds(taus, weights, zm, dm, pm, threshold)
+        bounds_m = _bounds(taus, weights, zm, dm, pm, threshold[open_rows])
         rows.append(open_rows)
         place.append(np.where(horizontal[open_rows], zm.real, zm.imag))
         found.append(dm)
@@ -224,12 +237,14 @@ def _certify(factor: ScalarFactor, xs, ys, im_levels, re_levels, threshold, reso
     return [(place[i:j], found[i:j], turn[i : j - 1]) for i, j in zip([0] + ends, ends)]
 
 
-def _nodes(lo: float, mid: float, hi: float) -> np.ndarray:
-    """The 17 starting nodes of a path from lo to hi, with mid the ninth."""
-    nodes = np.empty(_SEGMENTS + 1)
-    nodes[: len(_HALF)] = lo + (mid - lo) * _HALF
-    nodes[-len(_HALF) :] = mid + (hi - mid) * _HALF
-    nodes[-1] = hi
+def _nodes(lo, mid, hi) -> np.ndarray:
+    """The 17 starting nodes of a path from lo to hi, with mid the ninth;
+    one row of them per entry when lo, mid and hi are arrays."""
+    lo, mid, hi = (np.asarray(v, dtype=float)[..., None] for v in (lo, mid, hi))
+    nodes = np.empty(lo.shape[:-1] + (_SEGMENTS + 1,))
+    nodes[..., : len(_HALF)] = lo + (mid - lo) * _HALF
+    nodes[..., -len(_HALF) :] = mid + (hi - mid) * _HALF
+    nodes[..., -1:] = hi
     return nodes
 
 
@@ -253,24 +268,35 @@ def _winding(bottom, top, left, right) -> int:
     return int(count)
 
 
-def _certified_count(factor: ScalarFactor, region: Region):
-    """(count, region, edges): the winding number with the certified edges
-    (bottom, top, left, right) it came from; one dilation retry."""
+def _certified_counts(factor: ScalarFactor, regions):
+    """(count, region, edges) per region: the winding number with the
+    certified edges (bottom, top, left, right) it came from.  All regions
+    are certified in one batch of paths.  A lone region whose contour
+    touches a root is dilated once and retried; a batch raises instead."""
     for dilated in (False, True):
-        xs = _nodes(region.re_min, region.center.real, region.re_max)
-        ys = _nodes(region.im_min, region.center.imag, region.im_max)
-        side = max(region.re_max - region.re_min, region.im_max - region.im_min)
+        x0, x1, y0, y1 = np.array(
+            [(r.re_min, r.re_max, r.im_min, r.im_max) for r in regions]
+        ).T
+        xs = np.repeat(_nodes(x0, 0.5 * (x0 + x1), x1), 2, axis=0)
+        ys = np.repeat(_nodes(y0, 0.5 * (y0 + y1), y1), 2, axis=0)
+        threshold = np.repeat([_BOUNDARY_REL * _scale(factor, r) for r in regions], 2)
+        resolution = np.repeat(_DILATE * np.maximum(x1 - x0, y1 - y0), 2)
         try:
-            edges = _certify(
-                factor, xs, ys, (region.im_min, region.im_max), (region.re_min, region.re_max),
-                _BOUNDARY_REL * _scale(factor, region), _DILATE * side,
+            paths = _certify(
+                factor, np.column_stack((y0, y1)).ravel(), xs,
+                np.column_stack((x0, x1)).ravel(), ys,
+                np.tile(threshold, 2), np.tile(resolution, 2),
             )
         except _Touch as exc:
+            if len(regions) > 1:
+                raise
             if dilated:
                 raise BoundaryRoot(f"{exc} even after dilation") from None
-            region = region.dilated(_DILATE)
+            regions = [regions[0].dilated(_DILATE)]
             continue
-        return _winding(*edges), region, edges
+        v = 2 * len(regions)
+        sides = zip(paths[0:v:2], paths[1:v:2], paths[v::2], paths[v + 1 :: 2])
+        return [(_winding(*edges), region, edges) for region, edges in zip(regions, sides)]
 
 
 def count_roots(factor: ScalarFactor, region: Region) -> int:
@@ -286,7 +312,7 @@ def count_roots(factor: ScalarFactor, region: Region) -> int:
     certified sum is not within 1e-6 of an integer.  Factor multiplicity is
     not applied.
     """
-    return _certified_count(factor, region)[0]
+    return _certified_counts(factor, [region])[0][0]
 
 
 def polish_root(factor: ScalarFactor, lambda0: complex, tol: float = 1e-12) -> complex:
@@ -348,9 +374,10 @@ def _split(factor: ScalarFactor, region: Region, edges, frac: float, threshold: 
     x0, x1, y0, y1 = region.re_min, region.re_max, region.im_min, region.im_max
     xm = x0 + frac * (x1 - x0)
     ym = y0 + frac * (y1 - y0)
+    resolution = _DILATE * max(x1 - x0, y1 - y0)
     across, up = _certify(
-        factor, _nodes(x0, xm, x1), _nodes(y0, ym, y1), (ym,), (xm,),
-        threshold, _DILATE * max(x1 - x0, y1 - y0),
+        factor, (ym,), _nodes(x0, xm, x1)[None], (xm,), _nodes(y0, ym, y1)[None],
+        (threshold, threshold), (resolution, resolution),
     )
     bottom, top, left, right = edges
     b0, b1 = _split_path(bottom, xm, up[1][0])
@@ -368,7 +395,7 @@ def _split(factor: ScalarFactor, region: Region, edges, frac: float, threshold: 
     return [(quad, sides, _winding(*sides)) for quad, sides in quads]
 
 
-_SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.41, 0.59, 0.445, 0.565)
+_SPLIT_FRACTIONS = (0.53, 0.5, 0.47, 0.41, 0.59, 0.445, 0.565)
 
 
 def locate_roots(
@@ -377,14 +404,15 @@ def locate_roots(
     """All roots inside the region, by quadrisection down to single roots.
 
     Cells keep their certified edges, so each split certifies only its two
-    cut lines.  A cut that grazes a root, or whose children's counts do not
-    add up, is retried at shifted fractions before BoundaryRoot propagates.
+    cut lines, first at 0.53 of the cell's width and height.  A cut that
+    grazes a root, or whose children's counts do not add up, is retried at
+    other fractions (0.5 next) before BoundaryRoot propagates.
     A one-root cell is polished from its centre and split again unless the
     polish converges inside it.  Every returned root satisfies
     |D| < 1e-10 * scale and lies in the (marginally padded) region; the
     total matches the argument-principle count of the whole region.
     """
-    total, cell, edges = _certified_count(factor, region)
+    total, cell, edges = _certified_counts(factor, [region])[0]
     if total == 0:
         return []
     if total > max_roots:
@@ -516,7 +544,11 @@ def verify_realization(
     Per target: the factor residual must stay below tol, Newton from
     i*omega must land within 1e-8 of it, and the argument-principle count
     in the isolation box around +-i*omega must be exactly one.  Numeric
-    failures mark the target failed instead of raising.
+    failures mark the target failed instead of raising.  The first boxes of
+    a factor's targets are counted in one batch; when it fails (a box
+    touches a root, overflows or names an edge root), and for a box that
+    holds more than one root, each box is counted on its own, so the
+    report is the same as from counts one box at a time.
     """
     if weights is None:
         weights = WeightTable.ones(target.n, target.r)
@@ -530,58 +562,69 @@ def verify_realization(
     panels = 0
     for j, group in enumerate(target.groups):
         factor = factors[j]
-        for omega in group:
-            for sign in (+1, -1):
-                w = sign * omega
-                residual = abs(evaluate(factor, 1j * w))
-                note = ""
-                polished = None
-                offset = None
-                count = 0
-                ok = residual < tol
-                try:
-                    # unlucky clustering: a neighbouring root may sit inside
-                    # the nominal box, so shrink until exactly one remains
-                    d = delta
-                    for _ in range(12):
-                        box = Region(-d, d, w - d, w + d)
-                        count, _, edges = _certified_count(factor, box)
-                        values = np.concatenate([vals for _, vals, _ in edges])
-                        min_abs = min(min_abs, float(np.abs(values).min()))
-                        panels = max(panels, *(len(turn) for _, _, turn in edges))
-                        if count <= 1:
-                            break
-                        d *= 0.5
-                    roots_counted += count
-                    if count != 1:
-                        ok = False
-                        note = f"isolation box holds {count} roots"
-                except (BoundaryRoot, NoConvergence) as exc:
+        signed = [(omega, sign) for omega in group for sign in (+1, -1)]
+        try:
+            # the first isolation box of every target in one batch; when
+            # any of them fails, each is counted again on its own below
+            first = _certified_counts(
+                factor, [Region(-delta, delta, s * o - delta, s * o + delta) for o, s in signed]
+            )
+        except (BoundaryRoot, NoConvergence):
+            first = None
+        for i, (omega, sign) in enumerate(signed):
+            w = sign * omega
+            residual = abs(evaluate(factor, 1j * w))
+            note = ""
+            polished = None
+            offset = None
+            count = 0
+            ok = residual < tol
+            try:
+                # unlucky clustering: a neighbouring root may sit inside
+                # the nominal box, so shrink until exactly one remains
+                d = delta
+                for level in range(12):
+                    box = Region(-d, d, w - d, w + d)
+                    if level == 0 and first is not None:
+                        count, _, edges = first[i]
+                    else:
+                        count, _, edges = _certified_counts(factor, [box])[0]
+                    values = np.concatenate([vals for _, vals, _ in edges])
+                    min_abs = min(min_abs, float(np.abs(values).min()))
+                    panels = max(panels, *(len(turn) for _, _, turn in edges))
+                    if count <= 1:
+                        break
+                    d *= 0.5
+                roots_counted += count
+                if count != 1:
                     ok = False
-                    note = f"count failed: {exc}"
-                if ok:
-                    try:
-                        polished = polish_root(factor, 1j * w, 1e-12 * _scale(factor, box))
-                        offset = abs(polished - 1j * w)
-                        if offset > 1e-8:
-                            ok = False
-                            note = f"polished root drifted {offset:.3e} from target"
-                    except NoConvergence as exc:
+                    note = f"isolation box holds {count} roots"
+            except (BoundaryRoot, NoConvergence) as exc:
+                ok = False
+                note = f"count failed: {exc}"
+            if ok:
+                try:
+                    polished = polish_root(factor, 1j * w, 1e-12 * _scale(factor, box))
+                    offset = abs(polished - 1j * w)
+                    if offset > 1e-8:
                         ok = False
-                        note = f"polish failed: {exc}"
-                checks.append(
-                    TargetCheck(
-                        factor=j,
-                        omega=omega,
-                        sign=sign,
-                        residual=residual,
-                        local_count=count,
-                        polished=polished,
-                        polish_offset=offset,
-                        passed=ok,
-                        note=note,
-                    )
+                        note = f"polished root drifted {offset:.3e} from target"
+                except NoConvergence as exc:
+                    ok = False
+                    note = f"polish failed: {exc}"
+            checks.append(
+                TargetCheck(
+                    factor=j,
+                    omega=omega,
+                    sign=sign,
+                    residual=residual,
+                    local_count=count,
+                    polished=polished,
+                    polish_offset=offset,
+                    passed=ok,
+                    note=note,
                 )
+            )
     overall = all(c.passed for c in checks)
     return SpectrumReport(
         targets=tuple(checks),

@@ -234,10 +234,12 @@ def contour_values_reference(factor, region, per_edge: int):
     return z, evaluate_many(factor, z), evaluate_derivative_many(factor, z)
 
 
-def line_values_reference(factor, xs, ys, im_levels=(), re_levels=()):
-    """(z, D, D') with one row per line, horizontal lines first, each
-    evaluated pointwise like :func:`contour_values_reference`."""
-    z = np.array([xs + 1j * y for y in im_levels] + [x + 1j * ys for x in re_levels])
+def line_values_reference(factor, h_levels=(), h_nodes=(), v_levels=(), v_nodes=()):
+    """(z, D, D') with one row per line, the horizontal lines h_nodes[i] +
+    i*h_levels[i] first, then the vertical lines v_levels[i] + i*v_nodes[i],
+    each evaluated pointwise like :func:`contour_values_reference`."""
+    z = np.array([xs + 1j * y for y, xs in zip(h_levels, h_nodes)]
+                 + [x + 1j * ys for x, ys in zip(v_levels, v_nodes)])
     return z, evaluate_many(factor, z), evaluate_derivative_many(factor, z)
 
 

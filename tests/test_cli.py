@@ -4,6 +4,9 @@ import math
 import pytest
 
 from spectra_forge.cli import main
+from spectra_forge.errors import SpectraForgeError
+from spectra_forge.quasipoly import ScalarFactor
+from spectra_forge.spectrum import Region, count_roots, locate_roots
 
 SQRT2 = math.sqrt(2.0)
 
@@ -236,6 +239,38 @@ def test_spectrum_subcommand(capsys, tmp_path):
     assert code == 0
     assert doc["count"] == 1
     assert doc["roots"][0]["im"] == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "re, im, max_roots",
+    [
+        ("-0.5,0.5", "0.7,1.9", 64),  # the root i on the box's axis of symmetry
+        ("-1,1", "-8,8", 64),  # a conjugate-symmetric band of roots
+        ("-0.5,0.5", "0,2", 64),  # a real root on the bottom edge: BoundaryRoot
+        ("-1,1", "-8,8", 2),  # TooManyRoots
+    ],
+)
+def test_spectrum_count_is_the_certified_count(capsys, tmp_path, re, im, max_roots):
+    # the output is what count_roots and locate_roots give on their own:
+    # the count, the roots, or the error the count raises first
+    factor = ScalarFactor(((1.0, 1.0, 3 * math.pi / 2),))
+    path = write_json(
+        tmp_path / "factor.json",
+        {"terms": [{"a": 1.0, "b": 1.0, "tau": 3 * math.pi / 2}], "multiplicity": 1},
+    )
+    argv = ["spectrum", "--input", path, f"--re={re}", f"--im={im}", "--max-roots", str(max_roots)]
+    code, doc = run(capsys, argv)
+    region = Region(*(float(v) for v in re.split(",") + im.split(",")))
+    try:
+        count = count_roots(factor, region)
+        roots = locate_roots(factor, region, max_roots=max_roots)
+    except SpectraForgeError as exc:
+        assert code == 2
+        assert doc["error"] == {"type": type(exc).__name__, "message": str(exc)}
+        return
+    assert code == 0
+    assert doc["count"] == count == len(roots)
+    assert doc["roots"] == [{"re": z.real, "im": z.imag} for z in roots]
 
 
 def test_spectrum_overflow_is_numeric_error(capsys, tmp_path):

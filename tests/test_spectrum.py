@@ -10,7 +10,13 @@ import oracles
 from spectra_forge import spectrum
 from spectra_forge.errors import BoundaryRoot, NoConvergence, TooManyRoots
 from spectra_forge.quasipoly import ScalarFactor, evaluate, evaluate_derivative_many
-from spectra_forge.realization import FrequencyTarget, WeightTable, realize, result_factors
+from spectra_forge.realization import (
+    FrequencyTarget,
+    RealizationResult,
+    WeightTable,
+    realize,
+    result_factors,
+)
 from spectra_forge.spectrum import (
     Region,
     count_roots,
@@ -196,9 +202,9 @@ def test_contour_kernel_matches_reference_and_mp(case):
     factor, region, per_edge = case
     xs = np.linspace(region.re_min, region.re_max, per_edge + 1)
     ys = np.linspace(region.im_min, region.im_max, per_edge + 1)
-    edges = ((region.im_min, region.im_max), (region.re_min, region.re_max))
-    z, vals, ders = spectrum._line_values(factor, xs, ys, *edges)
-    ref = oracles.line_values_reference(factor, xs, ys, *edges)
+    edges = ((region.im_min, region.im_max), (xs, xs), (region.re_min, region.re_max), (ys, ys))
+    z, vals, ders = spectrum._line_values(factor, *edges)
+    ref = oracles.line_values_reference(factor, *edges)
     _assert_matches_reference((z, vals, ders), ref, factor)
     # against 50 digits the rounding of the phase y*tau itself adds
     # eps * |z tau| per term, which can reach 1e6 * eps
@@ -208,12 +214,26 @@ def test_contour_kernel_matches_reference_and_mp(case):
         assert abs(vals[k] - oracles.eval_factor_mp(terms, complex(z[k]))) <= tol_d[k]
         assert abs(ders[k] - oracles.eval_derivative_mp(terms, complex(z[k]))) <= tol_p[k]
     # a cut line uses one of the two tables
-    for levels in ({"im_levels": (region.center.imag,)}, {"re_levels": (region.center.real,)}):
+    centre = region.center
+    for line in ({"h_levels": (centre.imag,), "h_nodes": (xs,)},
+                 {"v_levels": (centre.real,), "v_nodes": (ys,)}):
         _assert_matches_reference(
-            spectrum._line_values(factor, xs, ys, **levels),
-            oracles.line_values_reference(factor, xs, ys, **levels),
+            spectrum._line_values(factor, **line),
+            oracles.line_values_reference(factor, **line),
             factor,
         )
+    # a batch gives each line its own nodes, as verify_realization's
+    # isolation boxes do, and each row equals the line evaluated alone
+    lower = (centre.imag + region.im_min) / 2
+    batch = ((region.im_min, lower), (xs, (xs + centre.real) / 2), (region.re_max, centre.real),
+             (ys, (ys + lower) / 2))
+    got = spectrum._line_values(factor, *batch)
+    _assert_matches_reference(got, oracles.line_values_reference(factor, *batch), factor)
+    for row, line in enumerate(({"h_levels": (lower,), "h_nodes": ((xs + centre.real) / 2,)},
+                                {"v_levels": (centre.real,), "v_nodes": ((ys + lower) / 2,)})):
+        alone = spectrum._line_values(factor, **line)
+        for part, single in zip(got, alone):
+            np.testing.assert_array_equal(part[2 * row + 1], single[0])
 
 
 def _census_like_cases(seed, count):
@@ -317,7 +337,7 @@ def test_certified_segments_are_honest(case):
     image stays away from 0."""
     factor, region = case
     try:
-        _, region, edges = spectrum._certified_count(factor, region)
+        _, region, edges = spectrum._certified_counts(factor, [region])[0]
     except (BoundaryRoot, NoConvergence):
         return
     terms = [(t.a, t.b, t.tau) for t in factor.terms]
@@ -345,7 +365,7 @@ def test_certified_segments_are_honest(case):
 def test_certified_count_matches_trapezoid_oracle():
     cases = _census_like_cases(7, 16) + _family_cases(8, (0, 1, 3, 10, 40, 100, 500, 1000, 2000))
     for factor, region in cases:
-        count, _, (bottom, top, left, right) = spectrum._certified_count(factor, region)
+        count, _, (bottom, top, left, right) = spectrum._certified_counts(factor, [region])[0]
         winding = (bottom[2].sum() + right[2].sum() - top[2].sum() - left[2].sum()) / (2 * PI)
         assert abs(winding - count) < 1e-9
         assert count == count_roots(factor, region) == oracles.count_roots_trapezoid(factor, region)
@@ -444,6 +464,27 @@ def test_locate_roots_spaced_below_the_old_cell_size():
     _assert_located(factor, region, roots)
 
 
+@pytest.mark.parametrize("box", [(-0.5, 0.5, 0.7, 1.9), (-1.0, 1.0, 0.5, 6.0)])
+def test_locate_cuts_miss_the_axis_root(monkeypatch, box):
+    # both boxes are symmetric about Re = 0, where the root i lies; the
+    # taller one holds 4 roots, and a first cut at half its width ran
+    # through i, so every split has to succeed at its first fraction
+    made = []
+    split = spectrum._split
+
+    def recorded(factor, cell, edges, frac, threshold):
+        made.append(False)
+        children = split(factor, cell, edges, frac, threshold)
+        made[-1] = sum(c for _, _, c in children) == spectrum._winding(*edges)
+        return children
+
+    monkeypatch.setattr(spectrum, "_split", recorded)
+    roots = locate_roots(UNIT_ROOT_FACTOR, Region(*box))
+    assert all(made)
+    assert len(roots) == oracles.count_roots_trapezoid(UNIT_ROOT_FACTOR, Region(*box))
+    assert min(abs(z - 1j) for z in roots) < 1e-10
+
+
 def test_locate_empty_region():
     assert locate_roots(UNIT_ROOT_FACTOR, Region(-0.1, 0.1, 1.9, 2.1)) == []
 
@@ -511,6 +552,47 @@ def test_verify_two_factor_split():
     for t in report.targets:
         by_factor.setdefault(t.factor, []).append(t)
     assert set(by_factor) == {0, 1}
+
+
+def _plain_result(taus, coeffs):
+    return RealizationResult.from_dict(
+        {"taus": taus, "coeffs": coeffs, "residual": 0.0, "newton_iterations": 0})
+
+
+def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
+    # lam - 1.05 exp(-lam tau) has its roots +-1.05i on the top edge of the
+    # box around i and the bottom edge of the box around -i, so the batch
+    # of the factor's four boxes touches a root and each box is counted on
+    # its own, those two after a dilation
+    tau = 1.5 * PI / 1.05
+    touching = (_plain_result([tau, 1.0], [1.05, 0.0]), FrequencyTarget(((1.0, 3.0),)), None)
+    factor = result_factors(touching[0], WeightTable.ones(2))[0]
+    boxes = [Region(-0.05, 0.05, w - 0.05, w + 0.05) for w in (1.0, -1.0, 3.0, -3.0)]
+    with pytest.raises(BoundaryRoot):
+        spectrum._certified_counts(factor, boxes)
+    assert count_roots(factor, boxes[0]) == 1
+    # roots at i and near 0.01 + 1.012i: the box around i holds both and is
+    # halved three times
+    pair = (
+        _plain_result([8.341277222419043, 1.68389917788926],
+                      [0.30876964473194174, -1.2810143986814622]),
+        FrequencyTarget(((1.0, 2.0),)), None,
+    )
+    factor = result_factors(pair[0], WeightTable.ones(2))[0]
+    halved = [Region(-d, d, 1.0 - d, 1.0 + d) for d in (0.05, 0.0125, 0.00625)]
+    assert [count_roots(factor, box) for box in halved] == [2, 2, 1]
+    target = FrequencyTarget(((1.0,), (SQRT2,)))
+    weights = WeightTable(np.array([[1.0, 2.0], [1.0, -1.0]]))
+    split = (realize(target, weights), target, weights)
+    cases = [(realized_three[1], realized_three[0], None), touching, pair, split]
+
+    batched = [verify_realization(*case) for case in cases]
+    counted = spectrum._certified_counts
+    monkeypatch.setattr(spectrum, "_certified_counts",
+                        lambda factor, regions: [counted(factor, [r])[0] for r in regions])
+    assert [verify_realization(*case) for case in cases] == batched
+    assert batched[0].passed and batched[2].targets[0].passed and batched[3].passed
+    assert [t.local_count for t in batched[1].targets] == [1, 1, 0, 0]
 
 
 def test_report_json_shape(realized_three):
