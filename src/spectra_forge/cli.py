@@ -15,6 +15,7 @@ come from the problem file's "config" block unless overridden by flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -230,7 +231,9 @@ def _cmd_spectrum(args) -> tuple[int, dict]:
 # Entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
     parser = _ArgumentParser(
         prog="spectra-forge",
         description="Construct and verify delay equations with prescribed imaginary eigenvalues",

@@ -21,6 +21,7 @@ nonsingularity tests below depend on.
 """
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -271,10 +272,10 @@ def _check_odd(n: int) -> None:
 
 
 def _check_indices(n: int, indices: Sequence[int]) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in indices)
+    idx = tuple(map(int, indices))
     if not idx:
         raise BadIndex("need at least one factor index")
-    if any(idx[p] >= idx[p + 1] for p in range(len(idx) - 1)):
+    if not all(map(operator.lt, idx, idx[1:])):
         raise BadIndex(f"indices {idx} must be strictly increasing")
     if idx[0] < 0 or idx[-1] > (n - 1) // 2:
         raise BadIndex(f"indices {idx} outside 0..{(n - 1) // 2}")
@@ -294,12 +295,8 @@ def build_B(n: int, indices: Sequence[int], convention: float = 4.0) -> np.ndarr
     idx = _check_indices(n, indices)
     c = float(convention)
     cos = _cos_table(n)
-    s = len(idx)
-    mat = np.empty((s, s))
-    for p in range(s):
-        for q in range(s):
-            mat[p, q] = 1.0 if idx[q] == 0 else c * cos[(idx[p] * idx[q]) % n]
-    return mat
+    flat = [1.0 if q == 0 else c * cos[p * q % n] for p in idx for q in idx]
+    return np.array(flat).reshape(len(idx), len(idx))
 
 
 def det_B_two_factor(n: int, i1: int, i2: int) -> float:

@@ -11,23 +11,32 @@ its value at either end, P being the larger |D'| at the ends.  When that
 radius is below |D| - f at one end, with f the rounding floor of the
 computed D (and P carrying the floor of D'), D stays in a disc that
 excludes 0, so the principal arg(D_b / D_a) is the true change of argument
-along the segment.  Each path (an edge or a cut line) starts with 16
-segments; the uncertified ones of all paths are bisected together, one
-batch per level.  The count, the sum of the increments over 2 pi, must
+along the segment.  Each edge of a counted region starts with 16
+segments, and each grid line with 8 per cell it crosses; the uncertified
+ones of all paths are bisected together, one batch per level.  The count, the sum of the increments over 2 pi, must
 lie within 1e-6 of an integer.
 
-Root locations follow by quadrisection.  A cell keeps its four certified
-edges, so a split certifies only its two cut lines and each child's count
-is a sum of edge increments (a piece of a certified segment stays
-certified).  The first cut falls at 0.53 of the width and height, not at
-the middle: the boxes of this package are symmetric about Re = 0, where
-the prescribed roots lie, so a cut through the middle would run through
-them.  A one-root cell is polished by Newton from its centre, and the root
-is kept only when it lands inside the cell; otherwise the cell is split
-again.  :func:`verify_realization` certifies that every prescribed
+Root locations start from one certified grid.  :func:`locate_roots` cuts
+the region into kx x ky cells, about two per root expected from the root
+spacing 2 pi / max tau (height * max tau / 2 pi of them), and certifies
+all grid lines, the boundary included, in one batch, each line with 8
+segments per cell it crosses.  The region's count and every cell's are
+sums of certified edge increments (a piece of a certified segment stays
+certified).  The interior cuts fall at (i + 0.06)/k of the width and
+height, not at the even fractions: the boxes of this package are
+symmetric about Re = 0, where the prescribed roots lie, so a cut through
+the middle would run through them.  When the grid batch fails (a line
+grazes a root, overflows, or keeps an uncertified segment), the region
+is counted alone, as :func:`count_roots` does, dilated once if its
+boundary touches a root.  A one-root cell is polished by Newton from its
+centre, and the root is kept only when it lands inside the cell; any
+other cell with roots is cut in four, reusing its certified edges, so a
+split certifies only its two cut lines, first at 0.53 of the width and
+height.  :func:`verify_realization` certifies that every prescribed
 +-i*omega of a realization really is an isolated root of its factor.  It
-counts the first isolation boxes of all targets of a factor in one batch
-of paths, and counts them one by one only when the batch fails.
+counts the isolation boxes of all targets of a factor in one batch of
+paths, and the boxes it has to halve in one batch per halving level; it
+counts boxes one by one only when a batch fails.
 
 Every path is axis-parallel, so the kernel :func:`_line_values` builds one
 table exp(-x tau) over the x nodes of each horizontal line and one table
@@ -40,7 +49,9 @@ midpoints go through :func:`quasipoly.evaluate_many` and
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,7 +75,7 @@ _INTEGER_TOL = 1e-6
 _BOUNDARY_REL = 1e-8
 _DILATE = 1e-6
 _EPS = float(np.finfo(float).eps)
-_HALF = np.linspace(0.0, 1.0, _SEGMENTS // 2 + 1)
+_HALF = _SEGMENTS // 2
 
 
 @dataclass(frozen=True)
@@ -110,7 +121,8 @@ class Region:
 def _line_values(factor: ScalarFactor, h_levels=(), h_nodes=(), v_levels=(), v_nodes=()):
     """(z, D, D') on the horizontal lines h_nodes[i] + i*h_levels[i], then
     on the vertical lines v_levels[i] + i*v_nodes[i], as arrays with one
-    row per line; every line has the same number of nodes.
+    row per line; every line has the same number of nodes, and h_nodes or
+    v_nodes may be a single row that all lines of its kind share.
 
     A horizontal line takes the table exp(-x tau) over its nodes times the
     one factor cis(-y tau) of its level, a vertical line the table
@@ -178,74 +190,109 @@ def _certified(za, zb, bounds_a, bounds_b):
     return h * np.minimum(1.0 + slope, ders + 0.5 * h * curve) < margin
 
 
-def _certify(factor: ScalarFactor, h_levels, h_nodes, v_levels, v_nodes, threshold, resolution):
-    """Certified paths along the lines of :func:`_line_values`, one per row.
+def _certify(
+    factor: ScalarFactor, h_levels, h_nodes, v_levels, v_nodes, threshold, resolution, groups=None
+):
+    """Certified paths along the lines of :func:`_line_values`, one per
+    line; the horizontal and the vertical lines may differ in their number
+    of nodes.
 
     Each path comes back as (t, D, turn): its nodes t along the line (x on
     a horizontal line, y on a vertical one) in increasing order, the values
     D there, and the certified change of arg D over each segment.  The
     threshold of :func:`_bounds` and the resolution are given per line.
     Besides the errors of :func:`_bounds`, raises BoundaryRoot when a
-    segment shorter than its line's resolution stays uncertified.
+    segment shorter than its line's resolution stays uncertified.  When
+    groups gives each line a group, the midpoints of each group are
+    evaluated on their own, so a group's paths are bit for bit those of a
+    batch that holds its lines alone (numpy's matrix product rounds a lone
+    row differently from the same row among others).
     """
-    z, vals, ders = _line_values(factor, h_levels, h_nodes, v_levels, v_nodes)
+    if np.shape(h_nodes)[-1] == np.shape(v_nodes)[-1] or not (len(h_levels) and len(v_levels)):
+        blocks = [_line_values(factor, h_levels, h_nodes, v_levels, v_nodes)]
+    else:
+        blocks = [
+            _line_values(factor, h_levels, h_nodes), _line_values(factor, (), (), v_levels, v_nodes)
+        ]
+    # the nodes of all lines in one flat array, line by line
+    z, vals, ders = (np.concatenate([block[k].ravel() for block in blocks]) for k in range(3))
+    lengths = [block[0].shape[1] for block in blocks for _ in range(len(block[0]))]
+    line = np.repeat(np.arange(len(lengths)), lengths)
     ab, taus = _term_arrays(factor)
     size = np.abs(ab)
     weights = (size, size * taus, size * taus**2)
     threshold = np.asarray(threshold, dtype=float)
     resolution = np.asarray(resolution, dtype=float)
-    bounds = _bounds(taus, weights, z, vals, ders, threshold[:, None])
-    horizontal = np.arange(len(z)) < len(h_levels)
-    place = np.where(horizontal[:, None], z.real, z.imag)
-    bad = ~_certified(z[:, :-1], z[:, 1:], bounds[..., :-1], bounds[..., 1:])
-    if not bad.any():
-        return list(zip(place, vals, np.angle(vals[:, 1:] / vals[:, :-1])))
-    # every node made, as (line, position along it, D); the certified
-    # segments of a line join its nodes in order
-    rows = [np.repeat(np.arange(len(z)), z.shape[1])]
-    place, found = [place.ravel()], [vals.ravel()]
-    open_rows = np.nonzero(bad)[0]
-    za, zb = z[:, :-1][bad], z[:, 1:][bad]
-    bounds_a, bounds_b = bounds[..., :-1][:, bad], bounds[..., 1:][:, bad]
-    while open_rows.size:
-        h = np.abs(zb - za)
-        short = h < resolution[open_rows]
-        if short.any():
-            k = int(np.argmin(np.where(short, h, np.inf)))
-            raise BoundaryRoot(
-                f"no certificate for a segment of {h[k]:.3e} at {complex(za[k]):.6g}: "
-                "a root lies within a few node spacings of the contour"
-            )
-        zm = 0.5 * (za + zb)
-        with np.errstate(over="ignore", invalid="ignore"):
-            dm, pm = evaluate_many(factor, zm), evaluate_derivative_many(factor, zm)
-        bounds_m = _bounds(taus, weights, zm, dm, pm, threshold[open_rows])
-        rows.append(open_rows)
-        place.append(np.where(horizontal[open_rows], zm.real, zm.imag))
-        found.append(dm)
-        za, zb = np.concatenate((za, zm)), np.concatenate((zm, zb))
-        bounds_a = np.concatenate((bounds_a, bounds_m), axis=1)
-        bounds_b = np.concatenate((bounds_m, bounds_b), axis=1)
-        bad = ~_certified(za, zb, bounds_a, bounds_b)
-        open_rows = np.tile(open_rows, 2)[bad]
-        za, zb, bounds_a, bounds_b = za[bad], zb[bad], bounds_a[:, bad], bounds_b[:, bad]
-    rows = np.concatenate(rows)
-    order = np.lexsort((np.concatenate(place), rows))
-    place, found = np.concatenate(place)[order], np.concatenate(found)[order]
-    turn = np.angle(found[1:] / found[:-1])
-    ends = np.cumsum(np.bincount(rows, minlength=len(z))).tolist()
-    return [(place[i:j], found[i:j], turn[i : j - 1]) for i, j in zip([0] + ends, ends)]
+    bounds = _bounds(taus, weights, z, vals, ders, threshold[line])
+    place = np.where(line < len(h_levels), z.real, z.imag)
+    bad = ~_certified(z[:-1], z[1:], bounds[:, :-1], bounds[:, 1:]) & (line[:-1] == line[1:])
+    if bad.any():
+        # every node made, as (line, position along it, D); the certified
+        # segments of a line join its nodes in order
+        rows, place, found = [line], [place], [vals]
+        open_rows = line[:-1][bad]
+        za, zb = z[:-1][bad], z[1:][bad]
+        bounds_a, bounds_b = bounds[:, :-1][:, bad], bounds[:, 1:][:, bad]
+        while open_rows.size:
+            h = np.abs(zb - za)
+            short = h < resolution[open_rows]
+            if short.any():
+                k = int(np.argmin(np.where(short, h, np.inf)))
+                raise BoundaryRoot(
+                    f"no certificate for a segment of {h[k]:.3e} at {complex(za[k]):.6g}: "
+                    "a root lies within a few node spacings of the contour"
+                )
+            zm = 0.5 * (za + zb)
+            dm = np.empty_like(zm)
+            bounds_m = np.empty((4, zm.size))
+            if groups is None:
+                parts = [slice(None)]
+            else:
+                owner = groups[open_rows]
+                parts = [owner == g for g in np.unique(owner)]
+            for part in parts:
+                zp = zm[part]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    d, p = evaluate_many(factor, zp), evaluate_derivative_many(factor, zp)
+                dm[part] = d
+                bounds_m[:, part] = _bounds(taus, weights, zp, d, p, threshold[open_rows][part])
+            rows.append(open_rows)
+            place.append(np.where(open_rows < len(h_levels), zm.real, zm.imag))
+            found.append(dm)
+            za, zb = np.concatenate((za, zm)), np.concatenate((zm, zb))
+            bounds_a = np.concatenate((bounds_a, bounds_m), axis=1)
+            bounds_b = np.concatenate((bounds_m, bounds_b), axis=1)
+            bad = ~_certified(za, zb, bounds_a, bounds_b)
+            open_rows = np.concatenate((open_rows, open_rows))[bad]
+            za, zb, bounds_a, bounds_b = za[bad], zb[bad], bounds_a[:, bad], bounds_b[:, bad]
+        line = np.concatenate(rows)
+        order = np.lexsort((np.concatenate(place), line))
+        place, vals = np.concatenate(place)[order], np.concatenate(found)[order]
+    turn = np.angle(vals[1:] / vals[:-1])
+    ends = np.cumsum(np.bincount(line)).tolist()
+    return [(place[i:j], vals[i:j], turn[i : j - 1]) for i, j in zip([0] + ends, ends)]
 
 
-def _nodes(lo, mid, hi) -> np.ndarray:
-    """The 17 starting nodes of a path from lo to hi, with mid the ninth;
-    one row of them per entry when lo, mid and hi are arrays."""
-    lo, mid, hi = (np.asarray(v, dtype=float)[..., None] for v in (lo, mid, hi))
-    nodes = np.empty(lo.shape[:-1] + (_SEGMENTS + 1,))
-    nodes[..., : len(_HALF)] = lo + (mid - lo) * _HALF
-    nodes[..., -len(_HALF) :] = mid + (hi - mid) * _HALF
-    nodes[..., -1:] = hi
-    return nodes
+@lru_cache(maxsize=256)
+def _node_steps(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each node but the last: the cut before it, the cut after it, and
+    its fraction of the way between them."""
+    cell = np.repeat(np.arange(len(counts)), counts)
+    step = np.arange(cell.size) - (np.cumsum(counts) - counts)[cell]
+    steps = cell, cell + 1, step / np.asarray(counts)[cell]
+    for a in steps:
+        a.setflags(write=False)  # shared by every caller
+    return steps
+
+
+def _nodes(cuts, counts: tuple[int, ...]) -> np.ndarray:
+    """Starting nodes of a path through the cuts (increasing, ends
+    included), with counts[i] equal segments between cuts i and i + 1, so
+    every cut is a node; one row of nodes per leading index of cuts."""
+    cuts = np.asarray(cuts, dtype=float)
+    before, after, frac = _node_steps(counts)
+    lo = cuts[..., before]
+    return np.concatenate((lo + (cuts[..., after] - lo) * frac, cuts[..., -1:]), axis=-1)
 
 
 def _scale(factor: ScalarFactor, region: Region) -> float:
@@ -258,9 +305,8 @@ def _scale(factor: ScalarFactor, region: Region) -> float:
     return 1.0 + corner + factor.coefficient_bound()
 
 
-def _winding(bottom, top, left, right) -> int:
-    """Winding number of D around a cell from its four certified edges."""
-    turn = bottom[2].sum() + right[2].sum() - top[2].sum() - left[2].sum()
+def _count(turn: float) -> int:
+    """Root count from the certified change of arg D around a cell."""
     winding = turn / (2.0 * np.pi)
     count = round(winding)
     if count < 0 or abs(winding - count) > _INTEGER_TOL:
@@ -268,24 +314,32 @@ def _winding(bottom, top, left, right) -> int:
     return int(count)
 
 
+def _winding(bottom, top, left, right) -> int:
+    """Winding number of D around a cell from its four certified edges."""
+    return _count(bottom[2].sum() + right[2].sum() - top[2].sum() - left[2].sum())
+
+
 def _certified_counts(factor: ScalarFactor, regions):
     """(count, region, edges) per region: the winding number with the
     certified edges (bottom, top, left, right) it came from.  All regions
-    are certified in one batch of paths.  A lone region whose contour
-    touches a root is dilated once and retried; a batch raises instead."""
+    are certified in one batch of paths, each region's midpoints evaluated
+    on their own, so every region comes out bit for bit as if counted
+    alone.  A lone region whose contour touches a root is dilated once and
+    retried; a batch raises instead."""
     for dilated in (False, True):
-        x0, x1, y0, y1 = np.array(
-            [(r.re_min, r.re_max, r.im_min, r.im_max) for r in regions]
-        ).T
-        xs = np.repeat(_nodes(x0, 0.5 * (x0 + x1), x1), 2, axis=0)
-        ys = np.repeat(_nodes(y0, 0.5 * (y0 + y1), y1), 2, axis=0)
-        threshold = np.repeat([_BOUNDARY_REL * _scale(factor, r) for r in regions], 2)
-        resolution = np.repeat(_DILATE * np.maximum(x1 - x0, y1 - y0), 2)
+        corners = np.array([(r.re_min, r.im_min, r.re_max, r.im_max) for r in regions])
+        lo, hi = corners[:, :2], corners[:, 2:]
+        # per region, the x and the y nodes of its edges and their levels
+        nodes = _nodes(np.stack((lo, 0.5 * (lo + hi), hi), axis=-1), (_HALF, _HALF))
+        levels = np.stack((lo, hi), axis=-1)
+        threshold = np.array([_BOUNDARY_REL * _scale(factor, r) for r in regions])
+        resolution = _DILATE * (hi - lo).max(axis=1)
+        owner = np.arange(4 * len(regions)) // 2 % len(regions)
+        h, v = owner[: 2 * len(regions)], owner[2 * len(regions) :]
         try:
             paths = _certify(
-                factor, np.column_stack((y0, y1)).ravel(), xs,
-                np.column_stack((x0, x1)).ravel(), ys,
-                np.tile(threshold, 2), np.tile(resolution, 2),
+                factor, levels[:, 1].ravel(), nodes[h, 0], levels[:, 0].ravel(), nodes[v, 1],
+                threshold[owner], resolution[owner], owner if len(regions) > 1 else None,
             )
         except _Touch as exc:
             if len(regions) > 1:
@@ -350,49 +404,86 @@ def polish_root(factor: ScalarFactor, lambda0: complex, tol: float = 1e-12) -> c
     raise NoConvergence(abs(val), "polish did not reach tolerance in 30 iterations")
 
 
-def _split_path(path, at: float, value):
-    """The pieces of a certified path below and above the point at, where D
-    is value (used only when at falls inside a segment)."""
+def _through(path, cuts, values):
+    """The certified path with a node at each cut, where D is the given
+    value; the two pieces of a certified segment stay certified."""
     t, d, turn = path
-    i = int(np.searchsorted(t, at))
-    if t[i] == at:
-        return (t[: i + 1], d[: i + 1], turn[:i]), (t[i:], d[i:], turn[i:])
-    lower = (
-        np.concatenate((t[:i], [at])), np.concatenate((d[:i], [value])),
-        np.concatenate((turn[: i - 1], [cmath.phase(value / d[i - 1])])),
-    )
-    upper = (
-        np.concatenate(([at], t[i:])), np.concatenate(([value], d[i:])),
-        np.concatenate(([cmath.phase(d[i] / value)], turn[i:])),
-    )
-    return lower, upper
+    for at, value in zip(cuts, values):
+        i = int(np.searchsorted(t, at))
+        if t[i] != at:
+            parts = [cmath.phase(value / d[i - 1]), cmath.phase(d[i] / value)]
+            turn = np.concatenate((turn[: i - 1], parts, turn[i:]))
+            t = np.concatenate((t[:i], [at], t[i:]))
+            d = np.concatenate((d[:i], [value], d[i:]))
+    return t, d, turn
 
 
-def _split(factor: ScalarFactor, region: Region, edges, frac: float, threshold: float):
-    """The four children (region, edges, count) of a cell cut at frac of
-    its width and height; only the two cut lines are evaluated."""
-    x0, x1, y0, y1 = region.re_min, region.re_max, region.im_min, region.im_max
-    xm = x0 + frac * (x1 - x0)
-    ym = y0 + frac * (y1 - y0)
-    resolution = _DILATE * max(x1 - x0, y1 - y0)
-    across, up = _certify(
-        factor, (ym,), _nodes(x0, xm, x1)[None], (xm,), _nodes(y0, ym, y1)[None],
-        (threshold, threshold), (resolution, resolution),
+def _grid(factor: ScalarFactor, xs, ys, threshold: float, resolution: float, edges=None):
+    """The cells (region, edges, count) that hold roots, of the grid cut at
+    xs and ys (increasing, ends included).
+
+    One batch certifies every line of the grid, each with 8 segments per
+    cell it crosses and so a node at every crossing.  When edges, the
+    certified (bottom, top, left, right) of the whole, are given, only the
+    interior lines are certified and the edges take a node at each
+    crossing, with D there from the interior line.  Each cell's edges are
+    pieces of the lines, and its count the sum of their turns.
+    """
+    inner = slice(None) if edges is None else slice(1, -1)
+    h_levels, v_levels = ys[inner], xs[inner]
+    lines = len(h_levels) + len(v_levels)
+    paths = _certify(
+        factor,
+        h_levels, _nodes(xs, (_HALF,) * (len(xs) - 1)),
+        v_levels, _nodes(ys, (_HALF,) * (len(ys) - 1)),
+        np.full(lines, threshold), np.full(lines, resolution),
     )
-    bottom, top, left, right = edges
-    b0, b1 = _split_path(bottom, xm, up[1][0])
-    t0, t1 = _split_path(top, xm, up[1][-1])
-    l0, l1 = _split_path(left, ym, across[1][0])
-    r0, r1 = _split_path(right, ym, across[1][-1])
-    a0, a1 = _split_path(across, xm, None)
-    u0, u1 = _split_path(up, ym, None)
-    quads = (
-        (Region(x0, xm, y0, ym), (b0, a0, l0, u0)),
-        (Region(xm, x1, y0, ym), (b1, a1, u0, r0)),
-        (Region(x0, xm, ym, y1), (a0, t0, l1, u1)),
-        (Region(xm, x1, ym, y1), (a1, t1, u1, r1)),
-    )
-    return [(quad, sides, _winding(*sides)) for quad, sides in quads]
+    rows, cols = paths[: len(h_levels)], paths[len(h_levels) :]
+    if edges is not None:
+        bottom, top, left, right = edges
+        rows, cols = (
+            [_through(bottom, xs[1:-1], [d[0] for _, d, _ in cols]), *rows,
+             _through(top, xs[1:-1], [d[-1] for _, d, _ in cols])],
+            [_through(left, ys[1:-1], [d[0] for _, d, _ in rows]), *cols,
+             _through(right, ys[1:-1], [d[-1] for _, d, _ in rows])],
+        )
+    h_at = [np.searchsorted(t, xs) for t, _, _ in rows]
+    v_at = [np.searchsorted(t, ys) for t, _, _ in cols]
+    h_turn = np.array([np.add.reduceat(turn, at[:-1]) for (_, _, turn), at in zip(rows, h_at)])
+    v_turn = np.array([np.add.reduceat(turn, at[:-1]) for (_, _, turn), at in zip(cols, v_at)])
+    turns = h_turn[:-1] - h_turn[1:] + (v_turn[1:] - v_turn[:-1]).T
+
+    def piece(path, at, k):
+        t, d, turn = path
+        return t[at[k] : at[k + 1] + 1], d[at[k] : at[k + 1] + 1], turn[at[k] : at[k + 1]]
+
+    cells = []
+    for j, row in enumerate(turns.tolist()):
+        for i, turn in enumerate(row):
+            count = _count(turn)
+            if count:
+                edges = (piece(rows[j], h_at[j], i), piece(rows[j + 1], h_at[j + 1], i),
+                         piece(cols[i], v_at[i], j), piece(cols[i + 1], v_at[i + 1], j))
+                cells.append((Region(xs[i], xs[i + 1], ys[j], ys[j + 1]), edges, count))
+    return cells
+
+
+def _cuts(lo: float, hi: float, k: int) -> list[float]:
+    """lo, the k - 1 interior cuts at (i + 0.06)/k of the way, and hi."""
+    return [lo] + [lo + (i + 0.06) / k * (hi - lo) for i in range(1, k)] + [hi]
+
+
+def _grid_shape(factor: ScalarFactor, region: Region, max_roots: int) -> tuple[int, int]:
+    """Cells across and up for the first grid of :func:`locate_roots`:
+    about two per root expected from the root spacing 2 pi / max tau
+    along the height, at least 2 and at most 2 * max_roots, roughly
+    square."""
+    width = region.re_max - region.re_min
+    height = region.im_max - region.im_min
+    delay = max((t.tau for t in factor.terms), default=0.0)
+    cells = max(min(2.0 * height * delay / (2.0 * np.pi), 2.0 * max_roots), 2.0)
+    kx = min(max(round(math.sqrt(cells * width / height)), 1), round(cells))
+    return kx, max(round(cells / kx), 1)
 
 
 _SPLIT_FRACTIONS = (0.53, 0.5, 0.47, 0.41, 0.59, 0.445, 0.565)
@@ -401,27 +492,43 @@ _SPLIT_FRACTIONS = (0.53, 0.5, 0.47, 0.41, 0.59, 0.445, 0.565)
 def locate_roots(
     factor: ScalarFactor, region: Region, max_roots: int = 64
 ) -> list[complex]:
-    """All roots inside the region, by quadrisection down to single roots.
+    """All roots inside the region, from one certified grid down to single
+    roots.
 
-    Cells keep their certified edges, so each split certifies only its two
-    cut lines, first at 0.53 of the cell's width and height.  A cut that
-    grazes a root, or whose children's counts do not add up, is retried at
-    other fractions (0.5 next) before BoundaryRoot propagates.
-    A one-root cell is polished from its centre and split again unless the
-    polish converges inside it.  Every returned root satisfies
-    |D| < 1e-10 * scale and lies in the (marginally padded) region; the
-    total matches the argument-principle count of the whole region.
+    The first batch certifies a grid of kx x ky cells, about two per root
+    expected (height * max tau / 2 pi of them), cut at (i + 0.06)/k of the
+    width and height so that no cut runs along Re = 0; the region's count
+    and every cell's come out of it.  When that batch fails (a line grazes
+    a root, overflows, or keeps an uncertified segment), the region alone
+    is counted, dilated once if its boundary touches a root, as
+    :func:`count_roots` does.  A one-root cell is polished from its centre
+    and kept when the polish converges inside it; any other cell with
+    roots is cut in four, reusing its certified edges, first at 0.53 of
+    its width and height.  A cut that grazes a root, or whose children's
+    counts do not add up, is retried at other fractions (0.5 next) before
+    BoundaryRoot propagates.  Every returned root satisfies |D| < 1e-10 *
+    scale and lies in the (marginally padded) region; the total matches
+    the argument-principle count of the whole region.
     """
-    total, cell, edges = _certified_counts(factor, [region])[0]
+    scale = _scale(factor, region)
+    threshold = _BOUNDARY_REL * scale
+    kx, ky = _grid_shape(factor, region, max_roots)
+    x0, x1, y0, y1 = region.re_min, region.re_max, region.im_min, region.im_max
+    try:
+        stack = _grid(
+            factor, _cuts(x0, x1, kx), _cuts(y0, y1, ky), threshold, _DILATE * max(x1 - x0, y1 - y0)
+        )
+    except (BoundaryRoot, NoConvergence):
+        total, cell, edges = _certified_counts(factor, [region])[0]
+        stack = [(cell, edges, total)] if total else []
+    total = sum(count for _, _, count in stack)
     if total == 0:
         return []
     if total > max_roots:
         raise TooManyRoots(f"region holds {total} roots, caller allowed {max_roots}")
-    scale = _scale(factor, region)
     accept_tol = 1e-10 * scale
     margin = 1e-9 * scale
     roots: list[complex] = []
-    stack = [(cell, edges, total)]
     while stack:
         cell, edges, count = stack.pop()
         if count == 1:
@@ -434,16 +541,20 @@ def locate_roots(
                 continue
         if cell.diameter < margin:
             raise NoConvergence(float("nan"), "subdivision failed to isolate roots")
+        x0, x1, y0, y1 = cell.re_min, cell.re_max, cell.im_min, cell.im_max
+        resolution = _DILATE * max(x1 - x0, y1 - y0)
         for frac in _SPLIT_FRACTIONS:
+            xs = [x0, x0 + frac * (x1 - x0), x1]
+            ys = [y0, y0 + frac * (y1 - y0), y1]
             try:
-                children = _split(factor, cell, edges, frac, _BOUNDARY_REL * scale)
+                children = _grid(factor, xs, ys, threshold, resolution, edges)
             except (BoundaryRoot, NoConvergence):
                 continue
             if sum(c for _, _, c in children) == count:
                 break
         else:
             raise BoundaryRoot(f"could not split cell {cell.to_dict()} cleanly")
-        stack.extend(child for child in children if child[2] > 0)
+        stack.extend(children)
     roots.sort(key=lambda z: (round(z.imag, 9), round(z.real, 9)))
     kept = [z for z in roots if region.contains(z, margin)]
     if len(kept) != total:
@@ -533,6 +644,24 @@ def _isolation_halfwidth(target: FrequencyTarget, max_delay: float) -> float:
     return float(delta)
 
 
+def _isolation_counts(factor: ScalarFactor, boxes) -> list:
+    """What :func:`_certified_counts` gives for each box on its own, or the
+    BoundaryRoot or NoConvergence it raises: all boxes in one batch, and
+    one by one when the batch fails."""
+    try:
+        return _certified_counts(factor, boxes)
+    except (BoundaryRoot, NoConvergence) as exc:
+        if len(boxes) == 1:
+            return [exc]
+    found = []
+    for box in boxes:
+        try:
+            found.append(_certified_counts(factor, [box])[0])
+        except (BoundaryRoot, NoConvergence) as exc:
+            found.append(exc)
+    return found
+
+
 def verify_realization(
     result: RealizationResult,
     target: FrequencyTarget,
@@ -544,11 +673,12 @@ def verify_realization(
     Per target: the factor residual must stay below tol, Newton from
     i*omega must land within 1e-8 of it, and the argument-principle count
     in the isolation box around +-i*omega must be exactly one.  Numeric
-    failures mark the target failed instead of raising.  The first boxes of
-    a factor's targets are counted in one batch; when it fails (a box
-    touches a root, overflows or names an edge root), and for a box that
-    holds more than one root, each box is counted on its own, so the
-    report is the same as from counts one box at a time.
+    failures mark the target failed instead of raising.  A box that holds
+    more than one root is halved, up to 11 times, until it holds one.  The
+    boxes of a factor's targets are counted in one batch per halving
+    level; when a batch fails (a box touches a root, overflows or names an
+    edge root), each of its boxes is counted on its own, so the report is
+    the same as from counts one box at a time.
     """
     if weights is None:
         weights = WeightTable.ones(target.n, target.r)
@@ -563,45 +693,44 @@ def verify_realization(
     for j, group in enumerate(target.groups):
         factor = factors[j]
         signed = [(omega, sign) for omega in group for sign in (+1, -1)]
-        try:
-            # the first isolation box of every target in one batch; when
-            # any of them fails, each is counted again on its own below
-            first = _certified_counts(
-                factor, [Region(-delta, delta, s * o - delta, s * o + delta) for o, s in signed]
-            )
-        except (BoundaryRoot, NoConvergence):
-            first = None
-        for i, (omega, sign) in enumerate(signed):
-            w = sign * omega
+        centres = [sign * omega for omega, sign in signed]
+        # unlucky clustering: a neighbouring root may sit inside the
+        # nominal box, so boxes that hold more than one root are halved
+        # until exactly one remains; each level is one batch of boxes
+        counts = [0] * len(signed)
+        boxes: list = [None] * len(signed)
+        errors: list = [None] * len(signed)
+        pending = list(range(len(signed)))
+        d = delta
+        for _ in range(12):
+            for i in pending:
+                boxes[i] = Region(-d, d, centres[i] - d, centres[i] + d)
+            for i, got in zip(pending, _isolation_counts(factor, [boxes[i] for i in pending])):
+                if isinstance(got, Exception):
+                    errors[i] = got
+                    continue
+                counts[i], _, edges = got
+                values = np.concatenate([vals for _, vals, _ in edges])
+                min_abs = min(min_abs, float(np.abs(values).min()))
+                panels = max(panels, *(len(turn) for _, _, turn in edges))
+            pending = [i for i in pending if errors[i] is None and counts[i] > 1]
+            if not pending:
+                break
+            d *= 0.5
+        for (omega, sign), w, count, box, error in zip(signed, centres, counts, boxes, errors):
             residual = abs(evaluate(factor, 1j * w))
             note = ""
             polished = None
             offset = None
-            count = 0
             ok = residual < tol
-            try:
-                # unlucky clustering: a neighbouring root may sit inside
-                # the nominal box, so shrink until exactly one remains
-                d = delta
-                for level in range(12):
-                    box = Region(-d, d, w - d, w + d)
-                    if level == 0 and first is not None:
-                        count, _, edges = first[i]
-                    else:
-                        count, _, edges = _certified_counts(factor, [box])[0]
-                    values = np.concatenate([vals for _, vals, _ in edges])
-                    min_abs = min(min_abs, float(np.abs(values).min()))
-                    panels = max(panels, *(len(turn) for _, _, turn in edges))
-                    if count <= 1:
-                        break
-                    d *= 0.5
+            if error is not None:
+                ok = False
+                note = f"count failed: {error}"
+            else:
                 roots_counted += count
                 if count != 1:
                     ok = False
                     note = f"isolation box holds {count} roots"
-            except (BoundaryRoot, NoConvergence) as exc:
-                ok = False
-                note = f"count failed: {exc}"
             if ok:
                 try:
                     polished = polish_root(factor, 1j * w, 1e-12 * _scale(factor, box))

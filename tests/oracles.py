@@ -7,8 +7,10 @@ and integer congruences for reduced leading-weight matrices,
 eigendecompositions for factor weights, finite differences for
 derivatives, a plain per-column delay sweep that reduces every phase, a
 contour evaluation that takes one complex exponential per node and term
-instead of the separable tables of the spectrum kernel, and a
-trapezoid-rule winding integral in place of the certified count.
+instead of the separable tables of the spectrum kernel, a
+trapezoid-rule winding integral in place of the certified count, and a
+root search that counts the whole region first and then quadrisects it one
+cell at a time instead of starting from one certified grid.
 """
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ import math
 import mpmath as mp
 import numpy as np
 
-from spectra_forge.errors import SearchExhausted
+from spectra_forge import spectrum
+from spectra_forge.errors import BoundaryRoot, NoConvergence, SearchExhausted, TooManyRoots
 from spectra_forge.quasipoly import evaluate_derivative_many, evaluate_many
 from spectra_forge.realization import FrequencyTarget, WeightTable, base_point, index_vectors
 
@@ -237,7 +240,12 @@ def contour_values_reference(factor, region, per_edge: int):
 def line_values_reference(factor, h_levels=(), h_nodes=(), v_levels=(), v_nodes=()):
     """(z, D, D') with one row per line, the horizontal lines h_nodes[i] +
     i*h_levels[i] first, then the vertical lines v_levels[i] + i*v_nodes[i],
-    each evaluated pointwise like :func:`contour_values_reference`."""
+    each evaluated pointwise like :func:`contour_values_reference`; a single
+    row of nodes is shared by all lines of its kind."""
+    h_nodes, v_nodes = (
+        np.broadcast_to(nodes, (len(levels), np.shape(nodes)[-1])) if len(levels) else ()
+        for levels, nodes in ((h_levels, h_nodes), (v_levels, v_nodes))
+    )
     z = np.array([xs + 1j * y for y, xs in zip(h_levels, h_nodes)]
                  + [x + 1j * ys for x, ys in zip(v_levels, v_nodes)])
     return z, evaluate_many(factor, z), evaluate_derivative_many(factor, z)
@@ -272,3 +280,105 @@ def count_roots_trapezoid(factor, region, per_edge: int = 256, max_per_edge: int
         if dilated:
             raise ValueError("|D| vanishes on the contour even after dilation")
         region = region.dilated(1e-6)
+
+
+def _split_path_reference(path, at: float, value):
+    """The pieces of a certified path below and above the point at, where D
+    is value (used only when at falls inside a segment)."""
+    t, d, turn = path
+    i = int(np.searchsorted(t, at))
+    if t[i] == at:
+        return (t[: i + 1], d[: i + 1], turn[:i]), (t[i:], d[i:], turn[i:])
+    lower = (
+        np.concatenate((t[:i], [at])), np.concatenate((d[:i], [value])),
+        np.concatenate((turn[: i - 1], [cmath.phase(value / d[i - 1])])),
+    )
+    upper = (
+        np.concatenate(([at], t[i:])), np.concatenate(([value], d[i:])),
+        np.concatenate(([cmath.phase(d[i] / value)], turn[i:])),
+    )
+    return lower, upper
+
+
+def _nodes_reference(lo: float, mid: float, hi: float) -> np.ndarray:
+    """The 17 starting nodes of a path from lo to hi, with mid the ninth."""
+    half = np.linspace(0.0, 1.0, 9)
+    nodes = np.empty(17)
+    nodes[:9] = lo + (mid - lo) * half
+    nodes[-9:] = mid + (hi - mid) * half
+    nodes[-1] = hi
+    return nodes
+
+
+def _split_reference(factor, region, edges, frac: float, threshold: float):
+    """The four children (region, edges, count) of a cell cut at frac of
+    its width and height; only the two cut lines are certified."""
+    x0, x1, y0, y1 = region.re_min, region.re_max, region.im_min, region.im_max
+    xm = x0 + frac * (x1 - x0)
+    ym = y0 + frac * (y1 - y0)
+    resolution = 1e-6 * max(x1 - x0, y1 - y0)
+    across, up = spectrum._certify(
+        factor, (ym,), _nodes_reference(x0, xm, x1)[None],
+        (xm,), _nodes_reference(y0, ym, y1)[None],
+        (threshold, threshold), (resolution, resolution),
+    )
+    bottom, top, left, right = edges
+    b0, b1 = _split_path_reference(bottom, xm, up[1][0])
+    t0, t1 = _split_path_reference(top, xm, up[1][-1])
+    l0, l1 = _split_path_reference(left, ym, across[1][0])
+    r0, r1 = _split_path_reference(right, ym, across[1][-1])
+    a0, a1 = _split_path_reference(across, xm, None)
+    u0, u1 = _split_path_reference(up, ym, None)
+    quads = (
+        (spectrum.Region(x0, xm, y0, ym), (b0, a0, l0, u0)),
+        (spectrum.Region(xm, x1, y0, ym), (b1, a1, u0, r0)),
+        (spectrum.Region(x0, xm, ym, y1), (a0, t0, l1, u1)),
+        (spectrum.Region(xm, x1, ym, y1), (a1, t1, u1, r1)),
+    )
+    return [(quad, sides, spectrum._winding(*sides)) for quad, sides in quads]
+
+
+def locate_roots_reference(factor, region, max_roots: int = 64) -> list[complex]:
+    """Roots in the region by counting the whole region first (dilated once
+    if its boundary touches a root), then quadrisecting one cell at a time
+    with reused certified edges, first at 0.53 of a cell's width and
+    height, down to one-root cells polished from their centres."""
+    total, cell, edges = spectrum._certified_counts(factor, [region])[0]
+    if total == 0:
+        return []
+    if total > max_roots:
+        raise TooManyRoots(f"region holds {total} roots, caller allowed {max_roots}")
+    scale = spectrum._scale(factor, region)
+    margin = 1e-9 * scale
+    roots = []
+    stack = [(cell, edges, total)]
+    while stack:
+        cell, edges, count = stack.pop()
+        if count == 1:
+            try:
+                z = spectrum.polish_root(factor, cell.center, 1e-10 * scale)
+            except NoConvergence:
+                z = None
+            if z is not None and cell.contains(z):
+                roots.append(z)
+                continue
+        if cell.diameter < margin:
+            raise NoConvergence(float("nan"), "subdivision failed to isolate roots")
+        for frac in (0.53, 0.5, 0.47, 0.41, 0.59, 0.445, 0.565):
+            try:
+                children = _split_reference(factor, cell, edges, frac, 1e-8 * scale)
+            except (BoundaryRoot, NoConvergence):
+                continue
+            if sum(c for _, _, c in children) == count:
+                break
+        else:
+            raise BoundaryRoot(f"could not split cell {cell.to_dict()} cleanly")
+        stack.extend(child for child in children if child[2] > 0)
+    roots.sort(key=lambda z: (round(z.imag, 9), round(z.real, 9)))
+    kept = [z for z in roots if region.contains(z, margin)]
+    if len(kept) != total:
+        raise BoundaryRoot("a root lies between the region's boundary and its dilation")
+    for a, b in zip(kept, kept[1:]):
+        if abs(a - b) < margin:
+            raise NoConvergence(float("nan"), "polish collapsed two cells onto one root")
+    return kept

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from spectra_forge import cli
 from spectra_forge.cli import main
 from spectra_forge.errors import SpectraForgeError
 from spectra_forge.quasipoly import ScalarFactor
@@ -378,6 +379,37 @@ def test_usage_errors_are_input_errors(capsys, scalar_problem):
         code, doc = run(capsys, argv)
         assert code == 1
         assert doc["error"]["type"] == "ValueError"
+
+
+def test_one_parser_serves_many_calls(capsys, tmp_path, scalar_problem):
+    # the parser is built once per process; rebuilding it before every
+    # call must give the same exit codes and the same bytes
+    factor = write_json(
+        tmp_path / "factor.json",
+        {"terms": [{"a": 1.0, "b": 1.0, "tau": 3 * math.pi / 2}], "multiplicity": 1},
+    )
+    result = tmp_path / "result.json"
+    calls = (
+        ["realize", "--input", scalar_problem, "--output", str(result)],
+        ["verify", "--result", str(result), "--input", scalar_problem],
+        ["bmat", "--n", "x", "--indices", "1"],
+        ["bmat", "--n", "7", "--indices", "1,2"],
+        ["spectrum", "--input", factor, "--re=-0.5,0.5", "--im", "0.7,1.9"],
+        ["realize", "--input", scalar_problem, "--tol", "1e-9"],
+    )
+
+    def outputs(fresh):
+        got = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = main(argv)
+            got.append((code, capsys.readouterr().out, result.read_bytes()))
+        return got
+
+    reused = outputs(False)
+    assert [code for code, _, _ in reused] == [0, 0, 1, 0, 0, 0]
+    assert outputs(True) == reused
 
 
 def test_help_exits_zero(capsys):

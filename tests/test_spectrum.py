@@ -467,22 +467,92 @@ def test_locate_roots_spaced_below_the_old_cell_size():
 @pytest.mark.parametrize("box", [(-0.5, 0.5, 0.7, 1.9), (-1.0, 1.0, 0.5, 6.0)])
 def test_locate_cuts_miss_the_axis_root(monkeypatch, box):
     # both boxes are symmetric about Re = 0, where the root i lies; the
-    # taller one holds 4 roots, and a first cut at half its width ran
-    # through i, so every split has to succeed at its first fraction
+    # taller one holds 4 roots, and a cut at half its width ran through i,
+    # so the first grid and every later split have to succeed at their
+    # first cuts, none of which lies on Re = 0
     made = []
-    split = spectrum._split
+    grid = spectrum._grid
 
-    def recorded(factor, cell, edges, frac, threshold):
-        made.append(False)
-        children = split(factor, cell, edges, frac, threshold)
-        made[-1] = sum(c for _, _, c in children) == spectrum._winding(*edges)
-        return children
+    def recorded(factor, xs, ys, threshold, resolution, edges=None):
+        made.append((xs, False))
+        cells = grid(factor, xs, ys, threshold, resolution, edges)
+        whole = Region(xs[0], xs[-1], ys[0], ys[-1])
+        expected = count_roots(factor, whole) if edges is None else spectrum._winding(*edges)
+        made[-1] = (xs, sum(c for _, _, c in cells) == expected)
+        return cells
 
-    monkeypatch.setattr(spectrum, "_split", recorded)
+    monkeypatch.setattr(spectrum, "_grid", recorded)
     roots = locate_roots(UNIT_ROOT_FACTOR, Region(*box))
-    assert all(made)
+    assert made and all(ok and 0.0 not in xs[1:-1] for xs, ok in made)
     assert len(roots) == oracles.count_roots_trapezoid(UNIT_ROOT_FACTOR, Region(*box))
     assert min(abs(z - 1j) for z in roots) < 1e-10
+
+
+def test_grid_cells_hold_what_they_count_alone():
+    # the cells of a grid, and the four children of a region cut with its
+    # certified edges (at 0.41, which falls inside their segments), hold
+    # as many roots as count_roots finds in each of them alone
+    for factor, region in _census_like_cases(13, 6):
+        x0, x1, y0, y1 = region.re_min, region.re_max, region.im_min, region.im_max
+        threshold = 1e-8 * spectrum._scale(factor, region)
+        resolution = 1e-6 * max(x1 - x0, y1 - y0)
+        total, _, edges = spectrum._certified_counts(factor, [region])[0]
+        grid = spectrum._grid(factor, spectrum._cuts(x0, x1, 2), spectrum._cuts(y0, y1, 5),
+                              threshold, resolution)
+        xs, ys = [x0, x0 + 0.41 * (x1 - x0), x1], [y0, y0 + 0.41 * (y1 - y0), y1]
+        children = spectrum._grid(factor, xs, ys, threshold, resolution, edges)
+        for cells in (grid, children):
+            assert sum(count for _, _, count in cells) == total == count_roots(factor, region)
+            for cell, sides, count in cells:
+                assert count == count_roots(factor, cell) == spectrum._winding(*sides)
+
+
+def _assert_same_roots(got, ref):
+    """Same outcome as the reference: the same exception type, or as many
+    roots, each within 1e-9 relative."""
+    if isinstance(ref, tuple):
+        assert isinstance(got, tuple) and got[0] == ref[0]
+        return
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert abs(a - b) <= 1e-9 * max(abs(b), 1.0)
+
+
+def test_locate_grid_matches_quadrisection_reference(realized_three):
+    factor = result_factors(realized_three[1], WeightTable.ones(3))[0]
+    small = _census_like_cases(11, 24) + _family_cases(12, (0, 2, 20, 200, 2000))
+    cases = (
+        [(f, r, 64) for f, r in small]
+        + [(factor, Region(-0.25, 0.5, 0.05, 4.05), 100),
+           (UNIT_ROOT_FACTOR, Region(-1.0, 1.0, -8.0, 8.0), 40),
+           (UNIT_ROOT_FACTOR, Region(-1.0, 1.0, -8.0, 8.0), 2)]
+    )
+    for f, region, max_roots in cases:
+        _assert_same_roots(_outcome(locate_roots, f, region, max_roots),
+                           _outcome(oracles.locate_roots_reference, f, region, max_roots))
+
+
+@pytest.mark.parametrize("box", [(-0.5, 0.5, 0.47, 1.47), (-0.5, 0.5, 1.0, 2.0)])
+def test_locate_falls_back_when_the_grid_touches_a_root(monkeypatch, box):
+    # the root i lies on the grid's one interior line y = 0.47 + 0.53,
+    # then on the region's bottom edge: the grid batch raises, and the
+    # region is counted on its own (dilated in the second case)
+    failed = []
+    grid = spectrum._grid
+
+    def recorded(factor, xs, ys, threshold, resolution, edges=None):
+        try:
+            return grid(factor, xs, ys, threshold, resolution, edges)
+        except BoundaryRoot:
+            failed.append(edges is None)
+            raise
+
+    monkeypatch.setattr(spectrum, "_grid", recorded)
+    region = Region(*box)
+    roots = locate_roots(UNIT_ROOT_FACTOR, region)
+    assert failed[0]
+    assert roots == oracles.locate_roots_reference(UNIT_ROOT_FACTOR, region)
+    assert len(roots) == 1 and abs(roots[0] - 1j) < 1e-10
 
 
 def test_locate_empty_region():
@@ -572,7 +642,7 @@ def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
         spectrum._certified_counts(factor, boxes)
     assert count_roots(factor, boxes[0]) == 1
     # roots at i and near 0.01 + 1.012i: the box around i holds both and is
-    # halved three times
+    # halved three times, and so is the box around -i
     pair = (
         _plain_result([8.341277222419043, 1.68389917788926],
                       [0.30876964473194174, -1.2810143986814622]),
@@ -586,8 +656,20 @@ def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
     split = (realize(target, weights), target, weights)
     cases = [(realized_three[1], realized_three[0], None), touching, pair, split]
 
-    batched = [verify_realization(*case) for case in cases]
     counted = spectrum._certified_counts
+    calls = []
+
+    def recorded(factor, regions):
+        calls[-1].append(len(regions))
+        return counted(factor, regions)
+
+    monkeypatch.setattr(spectrum, "_certified_counts", recorded)
+    batched = []
+    for case in cases:
+        calls.append([])
+        batched.append(verify_realization(*case))
+    # the boxes around +-i of the pair case are halved together, three times
+    assert calls[2] == [4, 2, 2, 2]
     monkeypatch.setattr(spectrum, "_certified_counts",
                         lambda factor, regions: [counted(factor, [r])[0] for r in regions])
     assert [verify_realization(*case) for case in cases] == batched
