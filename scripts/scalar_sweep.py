@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Realize growing prefixes of (1, sqrt2, sqrt3, sqrt5, sqrt7, sqrt11) and verify.
+"""Realize growing prefixes of (1, sqrt2, sqrt3, sqrt5, ..., sqrt23) and verify.
 
 Prints one row per instance with the realized delays, coefficients,
 residual, Newton iterations, the transversality diagnostic at the base
@@ -8,7 +8,8 @@ point, and the verification verdict.
 Usage:
     python scripts/scalar_sweep.py [--max-n 5] [--tol 1e-10] [--json out.json]
 
---max-n runs from 1 to 6; n = 6 is the realized frontier of this sequence.
+--max-n runs from 1 to 10: the square roots of 1 and of the first nine
+primes.
 """
 import argparse
 import json
@@ -27,7 +28,7 @@ from spectra_forge.realization import (
 )
 from spectra_forge.spectrum import verify_realization
 
-OMEGAS = (1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0), math.sqrt(7.0), math.sqrt(11.0))
+OMEGAS = tuple(math.sqrt(p) for p in (1, 2, 3, 5, 7, 11, 13, 17, 19, 23))
 
 
 def main(argv=None):

@@ -71,7 +71,7 @@ class NoConvergence(SpectraForgeError):
 
 
 class LeftDomain(SpectraForgeError):
-    """A Newton iterate left the admissible region (some delay <= 0)."""
+    """A solution left the admissible region (a delay <= 0 or a zero coefficient)."""
 
 
 class SingularJacobian(SpectraForgeError):

@@ -27,8 +27,11 @@ The constructive path mirrors the existence proof:
     off a multiply and a floor for the others) discards points far from
     all corners, and only the survivors are tested exactly against each
     open column.
-3.  Damped Newton on the full 2n-real system from that starting point,
-    with an epsilon schedule retrying when the basin was missed.
+3.  The openness argument made constructive: with d0 the hit's angular
+    errors, phases w*tau_k - (1 - s) d0 give a system that the hit and the
+    base amplitudes solve at s = 0 and that is the real one at s = 1.
+    Pseudo-arclength continuation traces it to s = 1 and a plain Newton
+    lands; each epsilon, large ones (small delays) first, gives one path.
 
 All matrices here are small (n rarely above 10), so plain LAPACK via numpy
 is used for determinants and solves.
@@ -201,12 +204,12 @@ class RealizationResult:
     """Realized delays and coefficients plus solver diagnostics.
 
     ``residual`` is max |D_j(i w)| over every assigned target, recomputed by
-    direct factor evaluation after the solve.  ``search_window`` records,
-    per delay, the angular error (radians) of the sweep candidate the
-    Newton polish started from.  The base point is not kept: it is
-    scaffolding of the construction, and :func:`base_point` rebuilds it
-    from the target and the weights.  ``from_dict`` ignores the ``base``
-    key that older result files carry.
+    direct factor evaluation after the solve.  ``search_window`` holds the
+    winning path's start offsets max_i |d0[i, k]| (radians), and
+    ``newton_iterations`` its corrector plus landing iterations.  The base
+    point is not kept: it is scaffolding of the construction, and
+    :func:`base_point` rebuilds it from the target and the weights.
+    ``from_dict`` ignores the ``base`` key that older result files carry.
     """
 
     taus: np.ndarray
@@ -237,13 +240,14 @@ class RealizationResult:
 
 @dataclass(frozen=True)
 class RealizeConfig:
-    """Solver knobs: the residual tolerance, the sweep windows tried in
-    turn, the sweep budget in grid points and the Newton iteration cap.
+    """Solver knobs: the residual tolerance, the sweep radii tried in turn
+    (one continuation path each), the sweep budget in grid points and the
+    landing Newton's iteration cap.
     ``from_dict`` ignores unknown keys, such as the ``seed`` that older
     files carry."""
 
     tol: float = 1e-10
-    epsilon_schedule: tuple[float, ...] = (0.4, 0.3, 0.2, 0.1)
+    epsilon_schedule: tuple[float, ...] = (0.8, 1.0, 1.2, 1.4, 0.4, 0.3, 0.2, 0.1)
     budget: int = 10_000_000
     max_iter: int = 50
 
@@ -443,10 +447,15 @@ def circ_dist(x, y):
     return np.abs(np.mod(np.asarray(x) - np.asarray(y) + np.pi, _TWO_PI) - np.pi)
 
 
+def _phase_offsets(omega: np.ndarray, angles: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """wrap(w_i tau_k - angles[i, k]) in [-pi, pi); its abs is circ_dist's, bit for bit."""
+    phase = np.mod(np.multiply.outer(omega, taus), _TWO_PI)
+    return np.mod(phase - angles + np.pi, _TWO_PI) - np.pi
+
+
 def _column_distance(omega: np.ndarray, angles_col: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Worst angular error of each candidate tau against one angle column."""
-    phase = np.mod(np.multiply.outer(taus, omega), _TWO_PI)
-    return circ_dist(phase, angles_col[None, :]).max(axis=1)
+    return np.abs(_phase_offsets(omega, angles_col[:, None], taus)).max(axis=0)
 
 
 def _quarter_turn_offset(omega, taus: np.ndarray) -> np.ndarray:
@@ -610,33 +619,95 @@ def delay_candidates(
 
 def achieved_windows(target: FrequencyTarget, base: BasePoint, taus: np.ndarray) -> np.ndarray:
     """Per-delay worst angular error of a candidate vector."""
-    omega = target.flat
-    out = np.empty(len(taus))
-    for k, tau in enumerate(taus):
-        out[k] = float(_column_distance(omega, base.target_angles[:, k], np.array([tau]))[0])
-    return out
+    return np.abs(_phase_offsets(target.flat, base.target_angles, taus)).max(axis=0)
 
 
 # ---------------------------------------------------------------------------
-# Newton refinement
+# Continuation and Newton
 
 
 def _system(target: FrequencyTarget, weights: WeightTable):
     omega = target.flat
+    n = omega.size
     brows = np.repeat(weights.b, target.sizes, axis=0)
+    dtau = (-1j * omega)[:, None]
 
-    def complex_rows(taus, coeffs):
-        ph = np.exp(-1j * np.multiply.outer(omega, taus))
-        return (brows * ph) @ coeffs - 1j * omega, ph
+    def complex_rows(taus, coeffs, offset=0.0):
+        ph = brows * np.exp(-1j * (np.multiply.outer(omega, taus) - offset))
+        return ph @ coeffs - 1j * omega, ph
 
-    def jacobian(taus, coeffs, ph):
-        dtau = (-1j * omega)[:, None] * (brows * ph) * coeffs[None, :]
-        da = brows * ph
-        top = np.hstack([dtau.real, da.real])
-        bot = np.hstack([dtau.imag, da.imag])
-        return np.vstack([top, bot])
+    def jacobian(taus, coeffs, ph, out=None):
+        # real parts on top, imaginary parts below; into out[:2n, :2n] if given
+        full = np.concatenate([dtau * ph * coeffs, ph], axis=1)
+        out = np.empty((2 * n, 2 * n)) if out is None else out
+        out[:n, :2 * n], out[n:2 * n, :2 * n] = full.real, full.imag
+        return out
 
     return complex_rows, jacobian
+
+
+# Continuation: step cap per path, and the residual the corrector reaches
+# along it (the landing Newton then polishes to the solve tolerance).
+_PATH_STEPS = 300
+_PATH_TOL = 1e-3
+
+
+def _trace_path(target: FrequencyTarget, weights: WeightTable, taus0: np.ndarray,
+                amps0: np.ndarray, d0: np.ndarray) -> tuple[np.ndarray, int]:
+    """Pseudo-arclength continuation (Allgower and Georg) of H(tau, a, s) = 0,
+    the system with phases w_i tau_k - (1 - s) d0[i, k], from (taus0, amps0,
+    0) to s = 1, where it returns the interpolated point and the corrections.
+    The tangent solves the Jacobian bordered by the last one (first by the s
+    axis), and Newton bordered by the tangent corrects.  A step doubles after
+    one correction, predicts no further than s = 1.05, and halves when four
+    miss _PATH_TOL, one fails to shrink the residual, or a delay leaves
+    tau > 0.  Step underflow, s < -0.5 or _PATH_STEPS raise NoConvergence."""
+    n = target.n
+    complex_rows, jacobian = _system(target, weights)
+    mat, unit = np.eye(2 * n + 1), np.eye(2 * n + 1)[-1]  # first border: the s axis
+
+    def rows_at(x):  # H at x; its Jacobian goes into mat above the border
+        taus, coeffs = x[:n], x[n:-1]
+        rows, ph = complex_rows(taus, coeffs, (1.0 - x[-1]) * d0)
+        jacobian(taus, coeffs, ph, mat)
+        ds = (ph * d0) @ coeffs
+        mat[:n, -1], mat[n:-1, -1] = ds.imag, -ds.real
+        return rows, float(np.abs(rows).max())
+
+    def next_tangent():
+        t = np.linalg.solve(mat, unit)
+        mat[-1] = t / np.linalg.norm(t)
+        return mat[-1].copy()
+
+    x = np.concatenate([taus0, amps0, [0.0]])
+    rows_at(x)
+    tangent, h, iterations, step = next_tangent(), 1.0, 0, 0
+    while step < _PATH_STEPS and h >= 1e-6 and x[-1] >= -0.5:
+        step += 1
+        if tangent[-1] > 0.0:
+            h = min(h, (1.05 - x[-1]) / tangent[-1])
+        y, norm = x + h * tangent, np.inf
+        try:
+            for k in range(5):
+                previous = norm
+                rows, norm = rows_at(y)
+                if norm < _PATH_TOL or k == 4 or norm >= previous:
+                    break
+                rhs = np.concatenate([rows.real, rows.imag, [tangent @ (y - x) - h]])
+                y -= np.linalg.solve(mat, rhs)
+        except np.linalg.LinAlgError:
+            norm = np.inf
+        if not norm < _PATH_TOL or np.any(y[:n] <= 0.0):
+            h *= 0.5
+            continue
+        iterations += k
+        if y[-1] >= 1.0:
+            return x + (1.0 - x[-1]) / (y[-1] - x[-1]) * (y - x), iterations
+        x, tangent = y, next_tangent()
+        h *= 2.0 if k <= 1 else 1.0
+    why = "step underflow" if h < 1e-6 else "turned back" if x[-1] < -0.5 else "step cap"
+    raise NoConvergence(
+        norm, f"path stalled ({why}) at s = {x[-1]:.6g} after {step} steps, residual {norm:.2e}")
 
 
 def newton_refine(
@@ -648,15 +719,15 @@ def newton_refine(
     max_iter: int = 50,
     search_window: np.ndarray | None = None,
 ) -> RealizationResult:
-    """Damped Newton on the 2n-real realization system.
+    """Plain Newton on the 2n-real realization system.
 
-    The residual norm is max |row| over the complex rows.  Steps are halved
-    (Armijo on the norm, also rejecting tau <= 0) up to 30 times; a step
-    that can only leave the tau > 0 region raises LeftDomain, an unusable
-    Jacobian raises SingularJacobian, and hitting max_iter raises
-    NoConvergence with the final residual.  Without ``search_window`` the
-    result records the final delays' angular errors against the base
-    angles.
+    The residual norm is max |row| over the complex rows.  An unusable
+    Jacobian raises SingularJacobian, and missing tol within max_iter
+    steps raises NoConvergence with the final residual.  The step from the
+    first iterate below tol is the last, kept if it lowers the residual: it
+    takes the result to the rounding floor whatever tol is.  Without
+    ``search_window`` the result records the final delays' angular errors
+    against the base angles.
     """
     weights = _default_weights(weights, target)
     _check_shapes(weights, target)
@@ -670,10 +741,8 @@ def newton_refine(
 
     rows, ph = complex_rows(taus, coeffs)
     norm = float(np.abs(rows).max())
-    iterations = 0
-    for _ in range(max_iter):
-        if norm < tol:
-            break
+    iterations, last = 0, norm < tol
+    while not last and iterations < max_iter:
         jac = jacobian(taus, coeffs, ph)
         if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > 1e15:
             raise SingularJacobian(f"Jacobian unusable at iteration {iterations}")
@@ -681,30 +750,14 @@ def newton_refine(
             delta = np.linalg.solve(jac, -np.concatenate([rows.real, rows.imag]))
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
-        s = 1.0
-        accepted = False
-        domain_blocked = False
-        for _ in range(30):
-            t_new = taus + s * delta[:n]
-            c_new = coeffs + s * delta[n:]
-            if np.any(t_new <= 0.0):
-                domain_blocked = True
-                s *= 0.5
-                continue
-            rows_new, ph_new = complex_rows(t_new, c_new)
-            norm_new = float(np.abs(rows_new).max())
-            if norm_new <= (1.0 - 1e-4 * s) * norm:
-                taus, coeffs, rows, ph, norm = t_new, c_new, rows_new, ph_new, norm_new
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            if domain_blocked:
-                raise LeftDomain("Newton step cannot keep every delay positive")
-            raise NoConvergence(norm, "Newton line search stalled")
-        iterations += 1
-    if norm >= tol:
-        raise NoConvergence(norm)
+        last, step = norm < tol, (taus + delta[:n], coeffs + delta[n:])
+        step_rows, step_ph = complex_rows(*step)
+        step_norm = float(np.abs(step_rows).max())
+        if not (last and step_norm >= norm):
+            (taus, coeffs), rows, ph, norm = step, step_rows, step_ph, step_norm
+            iterations += 1
+    if not norm < tol:
+        raise NoConvergence(norm, f"Newton: residual {norm:.3e} after {iterations} iterations")
     if search_window is None:
         search_window = achieved_windows(target, base_point(target, weights), taus)
     return RealizationResult(
@@ -741,13 +794,13 @@ def realize(
     weights: WeightTable | None = None,
     config: RealizeConfig | None = None,
 ) -> RealizationResult:
-    """Full pipeline: base point, delay sweep, Newton, independent recheck.
+    """Full pipeline: base point, then per epsilon rung sweep, path, landing, recheck.
 
     Frequencies are rescaled so max(omega) = 1 during the solve (the
     defining equations are exactly covariant under (tau, a, omega) ->
-    (tau/c, c a, c omega)) and mapped back afterwards.  Each epsilon in the
-    schedule is attempted in turn; the last failure propagates if all of
-    them miss.
+    (tau/c, c a, c omega)) and mapped back afterwards.  If no rung of the
+    epsilon schedule lands and passes the recheck, the last rung's error
+    is raised with a message that names every rung's failure.
     """
     config = config or RealizeConfig()
     weights = _default_weights(weights, target)
@@ -757,40 +810,27 @@ def realize(
     scale = float(target.flat.max())
     scaled = target.scaled(1.0 / scale)
     base_s = base_point(scaled, weights)
-    tol_scaled = config.tol / scale
-
-    last_err: Exception | None = None
+    failures = []
     for eps in config.epsilon_schedule:
         try:
             taus0 = delay_candidates(scaled, base_s, eps, config.budget)
-        except SearchExhausted as exc:
-            last_err = exc
-            continue
-        windows = achieved_windows(scaled, base_s, taus0)
-        try:
-            partial = newton_refine(
-                taus0,
-                base_s.amplitudes,
-                scaled,
-                weights,
-                tol=tol_scaled,
-                max_iter=config.max_iter,
-                search_window=windows,
-            )
-        except (NoConvergence, LeftDomain, SingularJacobian) as exc:
-            last_err = exc
-            continue
-        taus = partial.taus / scale
-        coeffs = partial.coeffs * scale
-        if np.any(taus <= 0.0) or np.any(coeffs == 0.0):
-            last_err = LeftDomain("rescaled solution left the admissible region")
-            continue
-        residual = _verified_residual(taus, coeffs, target, weights)
-        if not (residual < config.tol):
-            last_err = NoConvergence(residual, "independent recheck above tolerance")
-            continue
-        return replace(partial, taus=taus, coeffs=coeffs, residual=residual)
-    raise last_err if last_err is not None else NoConvergence(float("nan"))
+            d0 = _phase_offsets(scaled.flat, base_s.target_angles, taus0)
+            x, corrections = _trace_path(scaled, weights, taus0, base_s.amplitudes, d0)
+            partial = newton_refine(*np.split(x[:-1], 2), scaled, weights, tol=config.tol / scale,
+                                    max_iter=config.max_iter, search_window=np.abs(d0).max(axis=0))
+            taus, coeffs = partial.taus / scale, partial.coeffs * scale
+            if np.any(taus <= 0.0) or np.any(coeffs == 0.0):
+                raise LeftDomain("landed outside the admissible region")
+            residual = _verified_residual(taus, coeffs, target, weights)
+            if not residual < config.tol:
+                raise NoConvergence(residual, "independent recheck above tolerance")
+            return replace(partial, taus=taus, coeffs=coeffs, residual=residual,
+                           newton_iterations=corrections + partial.newton_iterations)
+        except (SearchExhausted, NoConvergence, LeftDomain, SingularJacobian) as exc:
+            failures.append(f"eps {eps}: {exc}")
+            last = exc
+    last.args = ("every epsilon rung failed; " + "; ".join(failures),)
+    raise last
 
 
 def _verified_residual(taus, coeffs, target, weights) -> float:

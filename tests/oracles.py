@@ -5,7 +5,8 @@ compensated/high-precision summation for factor values, dense matrix
 assembly plus LAPACK determinants for ring systems, mpmath determinants
 and integer congruences for reduced leading-weight matrices,
 eigendecompositions for factor weights, finite differences for
-derivatives, a plain per-column delay sweep that reduces every phase, a
+derivatives, a plain per-column delay sweep that reduces every phase and
+measures its hits' angular errors column by column, a
 contour evaluation that takes one complex exponential per node and term
 instead of the separable tables of the spectrum kernel, a
 trapezoid-rule winding integral in place of the certified count, and a
@@ -178,6 +179,14 @@ def _column_distance(omega, angles_col, taus):
     phase = np.mod(np.multiply.outer(taus, omega), 2.0 * np.pi)
     dist = np.abs(np.mod(phase - angles_col[None, :] + np.pi, 2.0 * np.pi) - np.pi)
     return dist.max(axis=1)
+
+
+def achieved_windows(target: FrequencyTarget, base, taus) -> np.ndarray:
+    """Per-delay worst angular error of a candidate vector, one column at
+    a time."""
+    omega = target.flat
+    return np.array([float(_column_distance(omega, base.target_angles[:, k], np.array([tau]))[0])
+                     for k, tau in enumerate(taus)])
 
 
 def _refine_candidate(omega, angles_col, tau, halfwidth, points=4097):

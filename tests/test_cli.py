@@ -343,6 +343,21 @@ def test_bad_solver_setting_is_input_error(capsys, tmp_path, key, value, word):
     assert word in doc["error"]["message"]
 
 
+def test_failed_rungs_keep_the_numeric_exit_code(capsys, tmp_path):
+    # every rung's sweep runs out within 50 grid points: exit 2, the last
+    # rung's error type, and a message that names every rung
+    path = write_json(
+        tmp_path / "short.json",
+        {"mode": "scalar", "payload": {"omegas": [1.0, SQRT2, 3 ** 0.5, 5 ** 0.5]},
+         "config": {"budget": 50}},
+    )
+    code, doc = run(capsys, ["realize", "--input", path])
+    assert code == 2
+    assert doc["error"]["type"] == "SearchExhausted"
+    for eps in (0.8, 1.0, 1.2, 1.4, 0.4, 0.3, 0.2, 0.1):
+        assert f"eps {eps}: " in doc["error"]["message"]
+
+
 def test_output_is_deterministic(tmp_path, scalar_problem):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

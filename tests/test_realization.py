@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectra_forge.errors import (
+    NoConvergence,
     SearchExhausted,
     SingularIB,
     SingularJacobian,
@@ -18,7 +19,6 @@ from spectra_forge.realization import (
     FrequencyTarget,
     RealizeConfig,
     WeightTable,
-    achieved_windows,
     base_point,
     cal_I,
     cal_I_B,
@@ -34,6 +34,7 @@ from spectra_forge.realization import (
     transversality_at_base,
 )
 from oracles import (
+    achieved_windows,
     delay_candidates_reference,
     direct_transversality,
     grid_scan_delay,
@@ -42,6 +43,8 @@ from oracles import (
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
+# sqrt of 1 and the first nine primes: the scalar frontier sequence
+PRIME_ROOTS = tuple(math.sqrt(p) for p in (1, 2, 3, 5, 7, 11, 13, 17, 19, 23))
 
 D3_TARGET = FrequencyTarget(((1.0,), (SQRT2,)))
 D3_WEIGHTS = WeightTable(np.array([[1.0, 2.0], [1.0, -1.0]]))
@@ -441,6 +444,36 @@ def test_newton_converges_from_search_candidate():
     assert residual_on_targets(factor, [1.0, SQRT2]) < 1e-10
 
 
+def test_newton_takes_full_steps():
+    # plain Newton: the same iterates as an undamped Newton on the complex
+    # residual with a central-difference Jacobian, and the same last step
+    target = FrequencyTarget(((1.0, SQRT2),))
+    base = base_point(target)
+    x = np.concatenate([delay_candidates(target, base, epsilon=0.2), base.amplitudes])
+    omega = target.flat
+
+    def real_f(v):
+        r = np.exp(-1j * np.multiply.outer(omega, v[:2])) @ v[2:] - 1j * omega
+        return np.concatenate([r.real, r.imag])
+
+    def newton_step(v):
+        jac = np.column_stack([(real_f(v + e) - real_f(v - e)) / 2e-7 for e in 1e-7 * np.eye(4)])
+        return v - np.linalg.solve(jac, real_f(v))
+
+    steps = 0
+    while np.abs(real_f(x)).max() >= 1e-10:
+        x = newton_step(x)
+        steps += 1
+    # one more step from the first iterate below tol, kept if it helps
+    last = newton_step(x)
+    if np.abs(real_f(last)).max() < np.abs(real_f(x)).max():
+        x, steps = last, steps + 1
+    res = newton_refine(
+        delay_candidates(target, base, epsilon=0.2), base.amplitudes, target, tol=1e-10)
+    assert res.newton_iterations == steps
+    assert np.allclose(np.concatenate([res.taus, res.coeffs]), x, rtol=1e-9, atol=1e-9)
+
+
 def test_newton_duplicate_delays_singular_jacobian():
     target = FrequencyTarget(((1.0, SQRT2),))
     with pytest.raises(SingularJacobian):
@@ -516,6 +549,96 @@ def test_realize_conjugate_roots_come_free():
     for w in (1.0, SQRT2):
         assert abs(evaluate(factor, 1j * w)) < 1e-10
         assert abs(evaluate(factor, -1j * w)) < 1e-10
+
+
+def test_continuation_start_solves_the_shifted_system():
+    # at s = 0 the sweep hit and the base amplitudes solve the system whose
+    # phases are shifted back by the hit's angular errors d0
+    from spectra_forge.realization import _phase_offsets, _system
+
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        target, weights = random_partition(rng, nmax=5)
+        try:
+            base = base_point(target, weights)
+        except (SingularIB, ZeroAmplitude):
+            continue
+        taus0 = delay_candidates(target, base, epsilon=0.8)
+        d0 = _phase_offsets(target.flat, base.target_angles, taus0)
+        assert np.all(np.abs(d0) < 0.8)
+        rows, _ = _system(target, weights)[0](taus0, base.amplitudes, d0)
+        assert np.abs(rows).max() < 1e-12 * (1.0 + np.abs(target.flat).max())
+
+
+def test_realize_search_window_is_the_start_offset():
+    # search_window reads max_i |d0[i, k]| of the first rung's sweep hit,
+    # which is that hit's achieved window
+    target = FrequencyTarget((PRIME_ROOTS[:4],))
+    res = realize(target)
+    scaled = target.scaled(1.0 / max(PRIME_ROOTS[:4]))
+    base = base_point(scaled)
+    windows = achieved_windows(scaled, base, delay_candidates(scaled, base, epsilon=0.8))
+    assert res.search_window.tolist() == windows.tolist()
+    assert np.all(res.search_window < 0.8)
+
+
+@pytest.mark.parametrize("n, tau_bound", [(7, 2.5e3), (8, 1.5e4), (9, 2.5e4), (10, 1.5e4)])
+def test_realize_frontier_prefixes(n, tau_bound):
+    # the first rungs give paths to delays far below those of a small-epsilon
+    # sweep hit; the eps = 0.4 damped Newton failed from n = 7 on
+    from spectra_forge.spectrum import verify_realization
+
+    target = FrequencyTarget((PRIME_ROOTS[:n],))
+    res = realize(target)
+    assert res.residual < 1e-10
+    assert np.all(res.taus > 0) and res.taus.max() < tau_bound
+    report = verify_realization(res, target, WeightTable.ones(n))
+    assert all(t.local_count == 1 and t.residual < 1e-10 for t in report.targets)
+    if n <= 8:
+        assert report.passed
+    else:
+        # at tau of order 2e4 the polish of a root near i w stalls above its
+        # 1e-12 tolerance for some last-bit perturbations of the delays (the
+        # phase floor of verify_realization); nothing else may fail
+        assert all(t.passed or t.note == "polish failed: polish stalled" for t in report.targets)
+
+
+def test_realize_seven_roots_of_primes():
+    # (sqrt 2, .., sqrt 17): a sweep hit at eps = 0.4 led to tau 1.33e5,
+    # where verification fails
+    from spectra_forge.spectrum import verify_realization
+
+    target = FrequencyTarget((PRIME_ROOTS[1:8],))
+    res = realize(target)
+    assert res.taus.max() < 2e3
+    assert verify_realization(res, target, WeightTable.ones(7)).passed
+
+
+def test_realize_failure_names_every_rung():
+    # 50 grid points reach tau of about 5: every rung's sweep runs out, and
+    # the error keeps the last rung's type and lists all of them
+    cfg = RealizeConfig(budget=50)
+    with pytest.raises(SearchExhausted) as err:
+        realize(FrequencyTarget((PRIME_ROOTS[:5],)), config=cfg)
+    message = str(err.value)
+    for eps in cfg.epsilon_schedule:
+        assert f"eps {eps}: delay search for column" in message
+    assert message.count("best distance") == len(cfg.epsilon_schedule)
+    assert err.value.index == 0 and err.value.best_distance > 1.4
+
+
+def test_realize_path_stall_names_s_steps_and_residual(monkeypatch):
+    # a step cap of one stalls every path on its first step, before s = 1
+    from spectra_forge import realization
+
+    monkeypatch.setattr(realization, "_PATH_STEPS", 1)
+    cfg = RealizeConfig(epsilon_schedule=(0.8, 0.4))
+    with pytest.raises(NoConvergence) as err:
+        realize(FrequencyTarget((PRIME_ROOTS[:3],)), config=cfg)
+    message = str(err.value)
+    for eps in cfg.epsilon_schedule:
+        assert f"eps {eps}: path stalled (step cap) at s = " in message
+    assert message.count("after 1 steps, residual") == 2
 
 
 def test_realize_scaling_covariance():

@@ -30,6 +30,17 @@ SQRT2 = math.sqrt(2.0)
 
 UNIT_ROOT_FACTOR = ScalarFactor(((1.0, 1.0, 3 * PI / 2),))  # root exactly at +-i
 
+# realizations of (1, sqrt 2, sqrt 3) and (1, .., sqrt 5) from a damped
+# Newton off an epsilon = 0.4 sweep hit: delays up to 98 and 2412, so
+# dense root bands and contours where exp(-lam tau) overflows
+DENSE_THREE = ScalarFactor(tuple(zip(
+    (1.5976667762750911, -0.4784177406908176, -0.21357584413242384), (1.0,) * 3,
+    (60.997806024167296, 29.29517015662082, 98.07213317424751))))
+DENSE_FOUR = ScalarFactor(tuple(zip(
+    (1.9304609849465144, -0.42021423613317743, -0.6438220996890606, -0.30879626581024533),
+    (1.0,) * 4,
+    (61.147039313392405, 2412.185130952612, 286.9844113459155, 97.79479135193435))))
+
 
 def random_factor(rng):
     k = int(rng.integers(1, 4))
@@ -67,10 +78,8 @@ def test_count_pure_lambda_factor():
 
 def test_count_overflow_on_contour_is_no_convergence():
     # max(tau) is about 2.4e3 here, so exp(-lam tau) overflows at Re lam = -0.5
-    target = FrequencyTarget(((1.0, SQRT2, math.sqrt(3.0), math.sqrt(5.0)),))
-    factor = result_factors(realize(target), WeightTable.ones(4))[0]
     with pytest.raises(NoConvergence, match="overflowed"):
-        count_roots(factor, Region(-0.5, 0.5, 0.5, 1.5))
+        count_roots(DENSE_FOUR, Region(-0.5, 0.5, 0.5, 1.5))
 
 
 def test_count_root_on_edge_is_boundary_root():
@@ -442,15 +451,13 @@ def _assert_located(factor, region, roots):
     assert gaps.min() > 1e-6
 
 
-def test_locate_dense_band_of_realized_factor(realized_three):
+def test_locate_dense_band_of_realized_factor():
     # 62 roots at delays up to 98: polishing from cell centres without
     # keeping the result in its cell once reported one root twice here
-    target, result = realized_three
-    factor = result_factors(result, WeightTable.ones(3))[0]
     region = Region(-0.25, 0.5, 0.05, 4.05)
-    roots = locate_roots(factor, region, max_roots=100)
+    roots = locate_roots(DENSE_THREE, region, max_roots=100)
     assert len(roots) == 62
-    _assert_located(factor, region, roots)
+    _assert_located(DENSE_THREE, region, roots)
 
 
 def test_locate_roots_spaced_below_the_old_cell_size():
@@ -518,12 +525,11 @@ def _assert_same_roots(got, ref):
         assert abs(a - b) <= 1e-9 * max(abs(b), 1.0)
 
 
-def test_locate_grid_matches_quadrisection_reference(realized_three):
-    factor = result_factors(realized_three[1], WeightTable.ones(3))[0]
+def test_locate_grid_matches_quadrisection_reference():
     small = _census_like_cases(11, 24) + _family_cases(12, (0, 2, 20, 200, 2000))
     cases = (
         [(f, r, 64) for f, r in small]
-        + [(factor, Region(-0.25, 0.5, 0.05, 4.05), 100),
+        + [(DENSE_THREE, Region(-0.25, 0.5, 0.05, 4.05), 100),
            (UNIT_ROOT_FACTOR, Region(-1.0, 1.0, -8.0, 8.0), 40),
            (UNIT_ROOT_FACTOR, Region(-1.0, 1.0, -8.0, 8.0), 2)]
     )
