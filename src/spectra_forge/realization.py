@@ -538,61 +538,31 @@ def _quarter_turn_survivors(first: int, last: int, step: float, omega: np.ndarra
     return taus
 
 
-def delay_candidates(
-    target: FrequencyTarget,
-    base: BasePoint,
-    epsilon: float,
-    budget: int = 10_000_000,
-) -> np.ndarray:
-    """Smallest tau_k > 0 per column with all angles within epsilon.
+def _sweep(omega: np.ndarray, angles: np.ndarray, best: dict, epsilon: float, budget: int,
+           widen: bool = False) -> dict:
+    """Walk the grid tau = i*step, i = 1..budget, step = 2*pi/(64*max(omega)),
+    for the open columns of ``best`` (column -> smallest exact distance
+    seen so far, updated in place) and return each column's first hit, a
+    grid point whose exact distance is below epsilon, sharpened by
+    :func:`_refine_candidate`; a hit closes its column.
 
-    One sweep over the grid tau = i*step, i = 1..budget, step =
-    2*pi/(64*max(omega)), serves every column: a step this fine cannot
-    jump across an epsilon-window for the schedule used here.  Every base
-    angle is a quarter turn, so a grid point can only come within r of a
-    column's angles if every row's angle lies within r of a quarter turn.
-    The gate applies that test to each chunk of the grid, row by row:
-
-    * the w_max row by residue: its angle at index i is i*pi/32 up to
-      rounding, so only the indices with a residue mod 64 near 16 or 48
-      are enumerated, and only their taus are built;
-    * every other row by :func:`_quarter_turn_offset`, a multiply and a
-      floor, keeping the points whose offset is below r plus
-      :func:`_offset_slack` (evaluated at the chunk's largest tau); see
-      :func:`_quarter_turn_survivors`.
-
-    The offset less that slack is a lower bound on every exact column
-    distance, so the gate passes a proven superset of the points within r
-    of an open column, and the exact test decides.  For the survivors one
-    phase table mod 2*pi and its distances to pi/2 and 3*pi/2 are built
-    once per chunk; each open column picks its entries from them, which
-    is the elementwise arithmetic of the per-column distance, bit for bit.
-    Each column's first hit is then sharpened by a local scan
-    (:func:`_refine_candidate`).  The gate radius r is epsilon, widened
-    while some open column's best distance so far is larger, so that
-    SearchExhausted reports that column's true minimum over the budget.
-    Raises SearchExhausted for the first column that uses up its budget.
+    Chunks start at 1024 points and double up to 65536.  Each is gated by
+    :func:`_quarter_turn_survivors` at epsilon, or, with ``widen``, at the
+    largest best distance of the open columns, so that every point that
+    could lower an open column's best is measured and the best distances
+    end as exact minima over the budget.  The survivors get
+    one phase table mod 2*pi and its distances to pi/2 and 3*pi/2; each
+    open column picks its entries from them, which is the elementwise
+    arithmetic of :func:`_column_distance`, bit for bit.
     """
-    if not (0.0 < epsilon < 0.5 * np.pi):
-        raise ValueError("epsilon must lie in (0, pi/2)")
-    budget = _count(budget, "budget")
-    angles = base.target_angles
-    if not np.all((angles == 0.5 * np.pi) | (angles == 1.5 * np.pi)):
-        raise ValueError("target angles must all be pi/2 or 3*pi/2")
-    omega = target.flat
-    n = omega.size
-    if n == 1:
-        # one angle: exact smallest positive solution
-        return np.array([float(angles[0, 0]) / float(omega[0])])
     half = angles == 0.5 * np.pi
     step = _TWO_PI / (64.0 * float(omega.max()))
-    taus = np.empty(n)
-    best = dict.fromkeys(range(n), np.inf)  # open column -> best distance
+    found = {}
     done = 0
     chunk = 1 << 10
     while best and done < budget:
         count = min(chunk, budget - done)
-        reach = max(epsilon, max(best.values()))
+        reach = max(best.values()) if widen else epsilon
         grid = _quarter_turn_survivors(done + 1, done + count, step, omega, reach)
         # one row per frequency, so that a column's worst row is an
         # elementwise maximum over n rows
@@ -605,16 +575,73 @@ def delay_candidates(
             if hits.size:
                 tau = float(grid[hits[0]])
                 refined, rd = _refine_candidate(omega, angles[:, k], tau, step)
-                taus[k] = refined if rd < epsilon else tau
+                found[k] = refined if rd < epsilon else tau
                 del best[k]
             else:
                 best[k] = min(best[k], float(dist.min(initial=np.inf)))
         done += count
         chunk = min(2 * chunk, 1 << 16)
+    return found
+
+
+def delay_candidates(
+    target: FrequencyTarget,
+    base: BasePoint,
+    epsilon: float,
+    budget: int = 10_000_000,
+) -> np.ndarray:
+    """Smallest tau_k > 0 per column with all angles within epsilon.
+
+    One sweep over the grid tau = i*step, i = 1..budget, step =
+    2*pi/(64*max(omega)), serves every column: a step this fine cannot
+    jump across an epsilon-window for the schedule used here.  Every base
+    angle is a quarter turn, so a grid point can only come within epsilon
+    of a column's angles if every row's angle lies within epsilon of a
+    quarter turn.  The gate applies that test to each chunk of the grid,
+    row by row:
+
+    * the w_max row by residue: its angle at index i is i*pi/32 up to
+      rounding, so only the indices with a residue mod 64 near 16 or 48
+      are enumerated, and only their taus are built;
+    * every other row by :func:`_quarter_turn_offset`, a multiply and a
+      floor, keeping the points whose offset is below epsilon plus
+      :func:`_offset_slack` (evaluated at the chunk's largest tau); see
+      :func:`_quarter_turn_survivors`.
+
+    The offset less that slack is a lower bound on every exact column
+    distance, so the gate passes a proven superset of the points within
+    epsilon of an open column, and the exact test decides (see
+    :func:`_sweep`).  Each column's first hit is then sharpened by a
+    local scan (:func:`_refine_candidate`).
+
+    When the budget runs out, SearchExhausted names the first column
+    without a hit.  Its best distance must be the exact minimum over the
+    budget, which the epsilon gate does not see, so that one column is
+    swept a second time with the gate at its own running best, starting
+    from the smallest distance the first sweep measured for it.  A
+    successful search never pays for that.
+    """
+    if not (0.0 < epsilon < 0.5 * np.pi):
+        raise ValueError("epsilon must lie in (0, pi/2)")
+    budget = _count(budget, "budget")
+    angles = base.target_angles
+    if not np.all((angles == 0.5 * np.pi) | (angles == 1.5 * np.pi)):
+        raise ValueError("target angles must all be pi/2 or 3*pi/2")
+    omega = target.flat
+    n = omega.size
+    if n == 1:
+        # one angle: exact smallest positive solution
+        return np.array([float(angles[0, 0]) / float(omega[0])])
+    best = dict.fromkeys(range(n), np.inf)  # open column -> best distance
+    found = _sweep(omega, angles, best, epsilon, budget)
     if best:
         index = min(best)
-        raise SearchExhausted(index, best[index])
-    return taus
+        # starting from the first sweep's best, a true distance, also keeps
+        # a point at exactly that distance, which the gate's strict < drops
+        exact = {index: best[index]}
+        _sweep(omega, angles, exact, epsilon, budget, widen=True)
+        raise SearchExhausted(index, exact[index])
+    return np.array([found[k] for k in range(n)])
 
 
 def achieved_windows(target: FrequencyTarget, base: BasePoint, taus: np.ndarray) -> np.ndarray:
@@ -646,10 +673,13 @@ def _system(target: FrequencyTarget, weights: WeightTable):
     return complex_rows, jacobian
 
 
-# Continuation: step cap per path, and the residual the corrector reaches
-# along it (the landing Newton then polishes to the solve tolerance).
+# Continuation: step cap per path, the residual the corrector reaches
+# along it (the landing Newton then polishes to the solve tolerance), and
+# the growth of max |a| over max(1, max |a| at the start) that ends a path
+# as diverged (landed paths stay below about 400).
 _PATH_STEPS = 300
 _PATH_TOL = 1e-3
+_PATH_GROWTH = 1e4
 
 
 def _trace_path(target: FrequencyTarget, weights: WeightTable, taus0: np.ndarray,
@@ -661,9 +691,12 @@ def _trace_path(target: FrequencyTarget, weights: WeightTable, taus0: np.ndarray
     axis), and Newton bordered by the tangent corrects.  A step doubles after
     one correction, predicts no further than s = 1.05, and halves when four
     miss _PATH_TOL, one fails to shrink the residual, or a delay leaves
-    tau > 0.  Step underflow, s < -0.5 or _PATH_STEPS raise NoConvergence."""
+    tau > 0.  Step underflow, s < -0.5 or _PATH_STEPS raise NoConvergence,
+    and so does an accepted point whose max |a| exceeds _PATH_GROWTH times
+    max(1, max |amps0|): such paths run off to infinity and never land."""
     n = target.n
     complex_rows, jacobian = _system(target, weights)
+    amp_cap = _PATH_GROWTH * max(1.0, float(np.abs(amps0).max()))
     mat, unit = np.eye(2 * n + 1), np.eye(2 * n + 1)[-1]  # first border: the s axis
 
     def rows_at(x):  # H at x; its Jacobian goes into mat above the border
@@ -701,6 +734,10 @@ def _trace_path(target: FrequencyTarget, weights: WeightTable, taus0: np.ndarray
             h *= 0.5
             continue
         iterations += k
+        amp = float(np.abs(y[n:-1]).max())
+        if amp > amp_cap:
+            raise NoConvergence(norm, f"path diverged (max |a| {amp:.3g}) at s = {y[-1]:.6g} "
+                                      f"after {step} steps")
         if y[-1] >= 1.0:
             return x + (1.0 - x[-1]) / (y[-1] - x[-1]) * (y - x), iterations
         x, tangent = y, next_tangent()

@@ -258,6 +258,54 @@ def test_delay_search_budget_exhaustion():
     assert 0.05 <= err.value.best_distance < math.inf
 
 
+@pytest.mark.parametrize("budget", [1023, 1024, 1025, 3072, 7168])
+@pytest.mark.parametrize("n, eps", [(3, 0.05), (4, 0.1), (5, 0.3)])
+def test_delay_search_exhaustion_on_chunk_boundaries(n, eps, budget):
+    # chunks of 1024, 2048 and 4096 points end at 1024, 3072 and 7168: the
+    # second sweep of the reported column covers the same grid, last chunk
+    # included, and finds the exact minimum
+    target = FrequencyTarget((PRIME_ROOTS[:n],))
+    base = base_point(target)
+    with pytest.raises(SearchExhausted) as ref:
+        delay_candidates_reference(target.flat, base.target_angles, eps, budget)
+    with pytest.raises(SearchExhausted) as err:
+        delay_candidates(target, base, eps, budget)
+    assert err.value.index == ref.value.index
+    assert err.value.best_distance == ref.value.best_distance
+
+
+def test_delay_search_reports_the_first_open_column():
+    # (1, sqrt 2) at eps 0.1: column 0 hits within 1024 points, so column 1
+    # is reported, with its exact best distance
+    target = FrequencyTarget(((1.0, SQRT2),))
+    base = base_point(target)
+    with pytest.raises(SearchExhausted) as err:
+        delay_candidates(target, base, 0.1, 1024)
+    with pytest.raises(SearchExhausted) as ref:
+        delay_candidates_reference(target.flat, base.target_angles, 0.1, 1024)
+    assert (err.value.index, err.value.best_distance) == (1, ref.value.best_distance)
+    assert ref.value.index == 1
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.8])
+def test_successful_delay_search_gates_at_epsilon(monkeypatch, eps):
+    # a search that finds every column never widens its gate beyond epsilon
+    from spectra_forge import realization
+
+    reaches = []
+    gate = realization._quarter_turn_survivors
+
+    def spy(first, last, step, omega, reach):
+        reaches.append(reach)
+        return gate(first, last, step, omega, reach)
+
+    monkeypatch.setattr(realization, "_quarter_turn_survivors", spy)
+    for n in range(2, 7):
+        target = FrequencyTarget((PRIME_ROOTS[:n],)).scaled(1.0 / PRIME_ROOTS[n - 1])
+        delay_candidates(target, base_point(target), epsilon=eps)
+    assert len(reaches) > 5 and set(reaches) == {eps}
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_delay_search_matches_reference_on_prime_ladder(n):
     omegas = tuple(math.sqrt(p) for p in (1, 2, 3, 5, 7, 11)[:n])
@@ -639,6 +687,21 @@ def test_realize_path_stall_names_s_steps_and_residual(monkeypatch):
     for eps in cfg.epsilon_schedule:
         assert f"eps {eps}: path stalled (step cap) at s = " in message
     assert message.count("after 1 steps, residual") == 2
+
+
+def test_realize_diverging_path_ends_early():
+    # a random_partition target (seed 5, nmax 5) whose rung-0.8 path lets
+    # the amplitudes grow without bound while s creeps towards 1; the path
+    # ends as diverged within a few dozen steps, and a later rung realizes
+    from spectra_forge.spectrum import verify_realization
+
+    target = FrequencyTarget(((0.729302916406334, 1.8646102214893225),))
+    weights = WeightTable(np.array([[-1.2828264162313114, -1.96585511130388]]))
+    with pytest.raises(NoConvergence) as err:
+        realize(target, weights, RealizeConfig(epsilon_schedule=(0.8,)))
+    assert "eps 0.8: path diverged (max |a| " in str(err.value)
+    res = realize(target, weights)
+    assert verify_realization(res, target, weights).passed
 
 
 def test_realize_scaling_covariance():

@@ -611,6 +611,21 @@ def test_verify_tampered_delay_fails(realized_three):
     assert any(t.residual > 1e-3 for t in report.targets)
 
 
+def test_verify_drift_bound_follows_tol():
+    # a (1, sqrt 2) result with a coefficient off by 2.5e-7: its residual
+    # 2.5e-7 passes tol 1e-6, and so must its roots, about 2e-8 from +-i w;
+    # at the default tol the residual fails as before
+    target = FrequencyTarget(((1.0, SQRT2),))
+    result = realize(target)
+    bumped = dataclasses.replace(result, coeffs=result.coeffs + np.array([2.5e-7, 0.0]))
+    loose = verify_realization(bumped, target, tol=1e-6)
+    assert loose.passed
+    assert all(1e-8 < t.polish_offset < 1e-6 for t in loose.targets if t.omega == 1.0)
+    strict = verify_realization(bumped, target)
+    assert not strict.passed
+    assert all(t.residual > 1e-8 and t.note == "" for t in strict.targets)
+
+
 def test_verify_dimension_mismatch():
     target = FrequencyTarget(((1.0, SQRT2),))
     result = realize(target)
