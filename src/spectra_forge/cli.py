@@ -188,17 +188,14 @@ def _cmd_verify(args) -> tuple[int, dict]:
 def _cmd_bmat(args) -> tuple[int, dict]:
     indices = tuple(int(tok) for tok in args.indices.split(",") if tok != "")
     mat = dn_ring.build_B(args.n, indices, convention=args.convention)
-    det = float(np.linalg.det(mat))
-    hadamard = float(np.prod(np.linalg.norm(mat, axis=0)))
-    singular = abs(det) <= 1e-9 * max(hadamard, 1e-300)
     return EXIT_OK, {
         "schema": SCHEMA,
         "n": args.n,
         "indices": list(indices),
         "convention": args.convention,
         "matrix": mat.tolist(),
-        "det": det,
-        "singular": singular,
+        "det": float(np.linalg.det(mat)),
+        "singular": dn_ring.singular_selection(args.n, indices),
     }
 
 

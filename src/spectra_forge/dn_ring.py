@@ -50,6 +50,7 @@ __all__ = [
     "characteristic_factorization",
     "build_B",
     "det_B_two_factor",
+    "singular_selection",
     "detect_even_degeneracy",
     "ring_weight_table",
     "realize_ring",
@@ -317,6 +318,17 @@ def det_B_two_factor(n: int, i1: int, i2: int) -> float:
                   - cos[(2 * i1 * i2) % n] - 1.0)
 
 
+def singular_selection(n: int, indices: Sequence[int]) -> bool:
+    """Whether a factor selection of an odd ring is refused as singular:
+    |det B| <= 1e-12 times the Hadamard bound (the product of its column
+    norms), for B from :func:`build_B` in the eigen-consistent convention
+    2.  :func:`realize_ring` refuses these selections with
+    :class:`SingularB`, and the CLI's bmat reports them as singular."""
+    reduced = build_B(n, indices, convention=2.0)
+    hadamard = float(np.prod(np.linalg.norm(reduced, axis=0)))
+    return abs(float(np.linalg.det(reduced))) <= 1e-12 * max(hadamard, 1e-300)
+
+
 def detect_even_degeneracy(n: int) -> list[tuple[int, int]]:
     """Zero factor weights (coupling index k, factor index j) for even n.
 
@@ -409,7 +421,8 @@ def realize_ring(
     ``layout`` states how many point delays belong to the internal profile
     and to each coupling profile, e.g. {"internal": 1, "couplings": {"2": 1}};
     the total must equal the number of prescribed frequencies.  The reduced
-    leading-weight matrix is checked for singularity before any solving.
+    leading-weight matrix is checked for singularity
+    (:func:`singular_selection`) before any solving.
     Realized coefficients map back one-to-one: weight-1 columns become
     internal atoms, the others coupling atoms.
     """
@@ -418,9 +431,7 @@ def realize_ring(
     target = FrequencyTarget(tuple(tuple(g) for g in groups))
     weights, roles = ring_weight_table(n, idx, target.sizes, layout)
 
-    reduced = build_B(n, idx, convention=2.0)
-    hadamard = float(np.prod(np.linalg.norm(reduced, axis=0)))
-    if abs(float(np.linalg.det(reduced))) <= 1e-12 * max(hadamard, 1e-300):
+    if singular_selection(n, idx):
         raise SingularB(f"factor selection {idx} has a singular leading-weight matrix")
 
     result = realize(target, weights, config)

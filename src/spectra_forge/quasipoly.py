@@ -128,22 +128,37 @@ def _term_arrays(factor: ScalarFactor):
     return ab, taus
 
 
+def _term_sums(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k table[..., k] * weights[j, k] for each row j of the 2-D
+    weights, with the row index first: shape (len(weights),) +
+    table.shape[:-1].
+
+    Every vectorised sum over delay terms goes through here.  numpy's
+    einsum adds the terms of each point in the same order whatever else is
+    in the batch, so a point has the same bits alone, in a pair, in any
+    sub-batch or reshaped (numpy's matrix product rounds a lone row
+    differently from the same row inside a batch).
+    """
+    return np.einsum("...k,jk->j...", table, weights)
+
+
 def evaluate_many(factor: ScalarFactor, lam: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`evaluate` over an array of points."""
+    """Vectorized :func:`evaluate` over an array of points.
+
+    Each point has the same bits in any batch (see :func:`_term_sums`); it
+    agrees with :func:`evaluate` to rounding, not bit for bit.
+    """
     lam = np.asarray(lam, dtype=complex)
-    if not factor.terms:
-        return lam.copy()
     ab, taus = _term_arrays(factor)
-    return lam - np.exp(-np.multiply.outer(lam, taus)) @ ab
+    return lam - _term_sums(np.exp(-np.multiply.outer(lam, taus)), ab[None])[0]
 
 
 def evaluate_derivative_many(factor: ScalarFactor, lam: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`evaluate_derivative` over an array of points."""
+    """Vectorized :func:`evaluate_derivative` over an array of points, with
+    the same batch independence as :func:`evaluate_many`."""
     lam = np.asarray(lam, dtype=complex)
-    if not factor.terms:
-        return np.ones_like(lam)
     ab, taus = _term_arrays(factor)
-    return 1.0 + np.exp(-np.multiply.outer(lam, taus)) @ (ab * taus)
+    return 1.0 + _term_sums(np.exp(-np.multiply.outer(lam, taus)), (ab * taus)[None])[0]
 
 
 def evaluate_product(product: CharProduct, lam: complex) -> complex:

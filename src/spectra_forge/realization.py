@@ -837,7 +837,9 @@ def realize(
     defining equations are exactly covariant under (tau, a, omega) ->
     (tau/c, c a, c omega)) and mapped back afterwards.  If no rung of the
     epsilon schedule lands and passes the recheck, the last rung's error
-    is raised with a message that names every rung's failure.
+    is raised with a message that names every rung's failure.  Once a sweep
+    runs out at column 0 with best distance d, a later rung with epsilon at
+    most d fails the same way without sweeping.
     """
     config = config or RealizeConfig()
     weights = _default_weights(weights, target)
@@ -848,8 +850,13 @@ def realize(
     scaled = target.scaled(1.0 / scale)
     base_s = base_point(scaled, weights)
     failures = []
+    exhausted = -np.inf  # column 0's best distance once a sweep ran out there
     for eps in config.epsilon_schedule:
         try:
+            if eps <= exhausted:
+                # within the budget no grid point comes nearer column 0, and
+                # no column precedes it, so this sweep would end the same way
+                raise SearchExhausted(0, exhausted)
             taus0 = delay_candidates(scaled, base_s, eps, config.budget)
             d0 = _phase_offsets(scaled.flat, base_s.target_angles, taus0)
             x, corrections = _trace_path(scaled, weights, taus0, base_s.amplitudes, d0)
@@ -864,6 +871,8 @@ def realize(
             return replace(partial, taus=taus, coeffs=coeffs, residual=residual,
                            newton_iterations=corrections + partial.newton_iterations)
         except (SearchExhausted, NoConvergence, LeftDomain, SingularJacobian) as exc:
+            if isinstance(exc, SearchExhausted) and exc.index == 0:
+                exhausted = exc.best_distance
             failures.append(f"eps {eps}: {exc}")
             last = exc
     last.args = ("every epsilon rung failed; " + "; ".join(failures),)

@@ -44,7 +44,12 @@ exp(-i y tau) over the y nodes of each vertical line, times one factor per
 line for its level; every entry is the same product exp(-x tau) *
 cis(-y tau) that a complex exponential of -z*tau forms.  Bisection
 midpoints go through :func:`quasipoly.evaluate_many` and
-:func:`quasipoly.evaluate_derivative_many`.
+:func:`quasipoly.evaluate_derivative_many`.  Every sum over the delay
+terms, of D, D' and the bounds alike, is one call of
+:func:`quasipoly._term_sums`, whose rounding does not depend on the
+batch, so a node's values are the same bits whichever lines or regions
+share its batch, and a batch of regions counts each one exactly as it
+would be counted alone.
 """
 from __future__ import annotations
 
@@ -56,7 +61,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundaryRoot, NoConvergence, TooManyRoots
-from .quasipoly import ScalarFactor, _term_arrays, evaluate, evaluate_derivative
+from .quasipoly import ScalarFactor, _term_arrays, _term_sums, evaluate, evaluate_derivative
 from .quasipoly import evaluate_derivative_many, evaluate_many
 from .realization import FrequencyTarget, RealizationResult, WeightTable, result_factors
 
@@ -127,7 +132,8 @@ def _line_values(factor: ScalarFactor, h_levels=(), h_nodes=(), v_levels=(), v_n
     A horizontal line takes the table exp(-x tau) over its nodes times the
     one factor cis(-y tau) of its level, a vertical line the table
     cis(-y tau) over its nodes times exp(-x tau) of its level, and D = z -
-    E @ ab and D' = 1 + E @ (ab tau) come from the one table E.  Both
+    sum_k E_k a_k b_k and D' = 1 + sum_k E_k a_k b_k tau_k come from the
+    one table E in one call of :func:`quasipoly._term_sums`.  Both
     tables are complex exponentials of purely real or purely imaginary
     arguments, so each entry of E is the same float as the complex
     exp(-z*tau) of the direct evaluation (numpy's real exp can differ from
@@ -150,9 +156,8 @@ def _line_values(factor: ScalarFactor, h_levels=(), h_nodes=(), v_levels=(), v_n
             angle = np.exp(-1j * (nodes[..., None] * taus))
             e.append(np.exp(-levels * taus + 0j)[:, None, :] * angle)
         z, e = np.concatenate(z), np.concatenate(e)
-        vals = z - e @ ab
-        ders = 1.0 + e @ (ab * taus)
-    return z, vals, ders
+        sums = _term_sums(e, np.stack((ab, ab * taus)))
+        return z, z - sums[0], 1.0 + sums[1]
 
 
 class _Touch(BoundaryRoot):
@@ -162,9 +167,10 @@ class _Touch(BoundaryRoot):
 def _bounds(taus, weights, z, vals, ders, threshold):
     """Per node z, where D is vals and D' is ders, the rows |D| less its
     rounding floor f, |D'| plus its rounding floor, and the slope and
-    curvature sums sum_k |a_k b_k| tau_k^(1, 2) exp(-x tau_k); weights are
-    |a_k b_k| tau_k^(0, 1, 2).  Raises NoConvergence when D overflowed and
-    _Touch when |D| <= threshold (broadcast against the nodes) somewhere."""
+    curvature sums sum_k |a_k b_k| tau_k^(1, 2) exp(-x tau_k); weights has
+    the rows |a_k b_k| tau_k^(0, 1, 2).  Raises NoConvergence when D
+    overflowed and _Touch when |D| <= threshold (broadcast against the
+    nodes) somewhere."""
     size = np.abs(vals)
     if not np.isfinite(size.max()):
         raise NoConvergence(float("nan"), "factor overflowed on the contour")
@@ -173,7 +179,7 @@ def _bounds(taus, weights, z, vals, ders, threshold):
         raise _Touch(f"|D| = {size[touch].min():.3e} on the contour")
     with np.errstate(over="ignore", invalid="ignore"):
         decay = np.exp(-np.multiply.outer(z.real, taus))
-        total, slope, curve = (decay @ w for w in weights)
+        total, slope, curve = _term_sums(decay, weights)
         radius = np.abs(z)
         floor = 4.0 * _EPS * (radius * (1.0 + slope) + len(taus) * total)
         slope_floor = 4.0 * _EPS * (1.0 + len(taus) * slope + radius * curve)
@@ -190,9 +196,7 @@ def _certified(za, zb, bounds_a, bounds_b):
     return h * np.minimum(1.0 + slope, ders + 0.5 * h * curve) < margin
 
 
-def _certify(
-    factor: ScalarFactor, h_levels, h_nodes, v_levels, v_nodes, threshold, resolution, groups=None
-):
+def _certify(factor: ScalarFactor, h_levels, h_nodes, v_levels, v_nodes, threshold, resolution):
     """Certified paths along the lines of :func:`_line_values`, one per
     line; the horizontal and the vertical lines may differ in their number
     of nodes.
@@ -202,11 +206,10 @@ def _certify(
     D there, and the certified change of arg D over each segment.  The
     threshold of :func:`_bounds` and the resolution are given per line.
     Besides the errors of :func:`_bounds`, raises BoundaryRoot when a
-    segment shorter than its line's resolution stays uncertified.  When
-    groups gives each line a group, the midpoints of each group are
-    evaluated on their own, so a group's paths are bit for bit those of a
-    batch that holds its lines alone (numpy's matrix product rounds a lone
-    row differently from the same row among others).
+    segment shorter than its line's resolution stays uncertified.  Every
+    value has the same bits whatever else is in the batch (see
+    :func:`quasipoly._term_sums`), so each line's path is bit for bit the
+    one a batch of that line alone gives.
     """
     if np.shape(h_nodes)[-1] == np.shape(v_nodes)[-1] or not (len(h_levels) and len(v_levels)):
         blocks = [_line_values(factor, h_levels, h_nodes, v_levels, v_nodes)]
@@ -220,7 +223,7 @@ def _certify(
     line = np.repeat(np.arange(len(lengths)), lengths)
     ab, taus = _term_arrays(factor)
     size = np.abs(ab)
-    weights = (size, size * taus, size * taus**2)
+    weights = np.stack((size, size * taus, size * taus**2))
     threshold = np.asarray(threshold, dtype=float)
     resolution = np.asarray(resolution, dtype=float)
     bounds = _bounds(taus, weights, z, vals, ders, threshold[line])
@@ -243,19 +246,9 @@ def _certify(
                     "a root lies within a few node spacings of the contour"
                 )
             zm = 0.5 * (za + zb)
-            dm = np.empty_like(zm)
-            bounds_m = np.empty((4, zm.size))
-            if groups is None:
-                parts = [slice(None)]
-            else:
-                owner = groups[open_rows]
-                parts = [owner == g for g in np.unique(owner)]
-            for part in parts:
-                zp = zm[part]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    d, p = evaluate_many(factor, zp), evaluate_derivative_many(factor, zp)
-                dm[part] = d
-                bounds_m[:, part] = _bounds(taus, weights, zp, d, p, threshold[open_rows][part])
+            with np.errstate(over="ignore", invalid="ignore"):
+                dm, pm = evaluate_many(factor, zm), evaluate_derivative_many(factor, zm)
+            bounds_m = _bounds(taus, weights, zm, dm, pm, threshold[open_rows])
             rows.append(open_rows)
             place.append(np.where(open_rows < len(h_levels), zm.real, zm.imag))
             found.append(dm)
@@ -322,10 +315,10 @@ def _winding(bottom, top, left, right) -> int:
 def _certified_counts(factor: ScalarFactor, regions):
     """(count, region, edges) per region: the winding number with the
     certified edges (bottom, top, left, right) it came from.  All regions
-    are certified in one batch of paths, each region's midpoints evaluated
-    on their own, so every region comes out bit for bit as if counted
-    alone.  A lone region whose contour touches a root is dilated once and
-    retried; a batch raises instead."""
+    are certified in one batch of paths, and every region comes out bit for
+    bit as if counted alone, because no value depends on the batch (see
+    :func:`_certify`).  A lone region whose contour touches a root is
+    dilated once and retried; a batch raises instead."""
     for dilated in (False, True):
         corners = np.array([(r.re_min, r.im_min, r.re_max, r.im_max) for r in regions])
         lo, hi = corners[:, :2], corners[:, 2:]
@@ -339,7 +332,7 @@ def _certified_counts(factor: ScalarFactor, regions):
         try:
             paths = _certify(
                 factor, levels[:, 1].ravel(), nodes[h, 0], levels[:, 0].ravel(), nodes[v, 1],
-                threshold[owner], resolution[owner], owner if len(regions) > 1 else None,
+                threshold[owner], resolution[owner],
             )
         except _Touch as exc:
             if len(regions) > 1:
@@ -646,8 +639,9 @@ def _isolation_halfwidth(target: FrequencyTarget, max_delay: float) -> float:
 
 def _isolation_counts(factor: ScalarFactor, boxes) -> list:
     """What :func:`_certified_counts` gives for each box on its own, or the
-    BoundaryRoot or NoConvergence it raises: all boxes in one batch, and
-    one by one when the batch fails."""
+    BoundaryRoot or NoConvergence it raises: all boxes in one batch, which
+    counts each box as it would be counted alone, and one by one when the
+    batch fails, since a batch raises for all its boxes at once."""
     try:
         return _certified_counts(factor, boxes)
     except (BoundaryRoot, NoConvergence) as exc:

@@ -222,6 +222,26 @@ def test_bmat_five_ring_value(capsys):
     assert doc["singular"] is False
 
 
+def test_bmat_and_realize_ring_share_one_singularity_test(capsys, monkeypatch):
+    # the nonsingular selection (1, 2) of the 5-ring, declared singular by
+    # the one test: realize_ring refuses it and bmat reports it singular
+    from spectra_forge import dn_ring
+    from spectra_forge.errors import SingularB
+
+    asked = []
+
+    def singular(n, indices):
+        asked.append((n, tuple(indices)))
+        return True
+
+    monkeypatch.setattr(dn_ring, "singular_selection", singular)
+    with pytest.raises(SingularB):
+        dn_ring.realize_ring(5, (1, 2), ((1.0,), (SQRT2,)), {"couplings": {2: 1, 3: 1}})
+    code, doc = run(capsys, ["bmat", "--n", "5", "--indices", "1,2"])
+    assert code == 0 and doc["singular"] is True
+    assert asked == [(5, (1, 2))] * 2
+
+
 def test_bmat_even_cell_count_is_input_error(capsys):
     code, doc = run(capsys, ["bmat", "--n", "4", "--indices", "0,1"])
     assert code == 1

@@ -17,6 +17,7 @@ from spectra_forge.dn_ring import (
     factor_weights,
     realize_ring,
     ring_from_dict,
+    singular_selection,
     ring_to_dict,
     ring_weight_table,
     validate_equivariance,
@@ -292,6 +293,21 @@ def test_two_factor_singular_family_on_non_squarefree_sizes():
         realize_ring(
             25, (5, 10), ((1.0,), (SQRT2,)), {"couplings": {6: 1, 11: 1}}
         )
+
+
+def test_singular_selection_is_the_congruence_rule_on_every_two_factor_pair():
+    # the one decision behind realize_ring's SingularB and bmat's verdict,
+    # over criterion 7's full sweep (odd n in [5, 101], 63 singular pairs)
+    singular = []
+    for n in range(5, 102, 2):
+        for i1 in range(1, (n - 1) // 2):
+            for i2 in range(i1 + 1, (n - 1) // 2 + 1):
+                found = singular_selection(n, (i1, i2))
+                assert found == two_factor_singular_by_congruence(n, i1, i2), (n, i1, i2)
+                if found:
+                    singular.append((n, i1, i2))
+    assert len(singular) == 63 and singular[0] == (25, 5, 10)
+    assert singular_selection(9, (0, 3)) and not singular_selection(7, (0, 1, 2, 3))
 
 
 def test_det_B_two_factor_bad_indices():

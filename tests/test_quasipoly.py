@@ -21,6 +21,7 @@ from spectra_forge.quasipoly import (
     product_to_dict,
     residual_on_targets,
 )
+from spectra_forge.quasipoly import _term_sums
 from oracles import eval_factor_fsum, eval_factor_mp
 
 PI = math.pi
@@ -150,6 +151,57 @@ def test_vectorized_matches_scalar():
     for z, v, d in zip(pts, vals, ders):
         assert abs(v - evaluate(f, complex(z))) < 1e-14
         assert abs(d - evaluate_derivative(f, complex(z))) < 1e-14
+
+
+def _layouts(f, points, i, j):
+    """f at points[i] alone, in a pair, in a sub-batch, and inside the
+    whole batch reshaped to two rows; f maps an array of points (or of
+    table rows) to one value per point, after any leading axis of its
+    own."""
+    alone = f(points[i])
+    pair = f(points[[j, i]])[..., 1]
+    lo, hi = min(i, j), max(i, j) + 1
+    sub = f(points[lo:hi])[..., i - lo]
+    half = len(points) // 2
+    reshaped = f(points.reshape((2, half) + points.shape[1:]))[..., i // half, i % half]
+    return alone, pair, sub, reshaped
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+@st.composite
+def batch_cases(draw):
+    m = draw(st.integers(min_value=0, max_value=12))
+    terms = draw(st.lists(st.tuples(coef, coef, st.floats(0.0, 60.0)), min_size=m, max_size=m))
+    size = 2 * draw(st.integers(min_value=1, max_value=20))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    i, j = (int(k) for k in rng.integers(size, size=2))
+    return ScalarFactor(tuple(terms)), rng, size, i, j
+
+
+@given(batch_cases())
+@settings(max_examples=150, deadline=None)
+def test_term_sums_do_not_depend_on_the_batch(case):
+    # a point's D, D' and bound sums have the same bits alone, in a pair,
+    # in a sub-batch and reshaped; a matrix product over the term axis
+    # rounds a lone row differently from the same row inside a batch
+    factor, rng, size, i, j = case
+    m = len(factor.terms)
+    z = rng.uniform(-1.0, 1.0, size) + 1j * rng.uniform(-30.0, 30.0, size)
+    for f in (evaluate_many, evaluate_derivative_many):
+        batch = f(factor, z)
+        for value in _layouts(lambda pts: f(factor, pts), z, i, j):
+            assert _bits(value) == _bits(batch[i])
+    # real tables with stacked weight rows, as the certificate's bounds use
+    table = np.exp(-np.multiply.outer(rng.uniform(-1.0, 1.0, size), rng.uniform(0.0, 60.0, m)))
+    weights = rng.uniform(0.0, 3.0, (3, m)) * rng.uniform(0.0, 60.0, m) ** np.arange(3)[:, None]
+    batch = _term_sums(table, weights)
+    for value in _layouts(lambda rows: _term_sums(rows, weights), table, i, j):
+        assert _bits(value) == _bits(batch[:, i])
+    for row in range(3):
+        assert _bits(_term_sums(table, weights[row : row + 1])[0]) == _bits(batch[row])
 
 
 def test_factor_validation():

@@ -662,17 +662,31 @@ def test_realize_seven_roots_of_primes():
     assert verify_realization(res, target, WeightTable.ones(7)).passed
 
 
-def test_realize_failure_names_every_rung():
+def test_realize_failure_names_every_rung(monkeypatch):
     # 50 grid points reach tau of about 5: every rung's sweep runs out, and
-    # the error keeps the last rung's type and lists all of them
+    # the error keeps the last rung's type and lists all of them.  The first
+    # sweep runs out at column 0 with best distance 1.669, above every
+    # rung's epsilon, so no later rung sweeps again
+    from spectra_forge import realization
+
+    sweeps = []
+    sweep = realization.delay_candidates
+
+    def counted(*args, **kwargs):
+        sweeps.append(args[2])
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(realization, "delay_candidates", counted)
     cfg = RealizeConfig(budget=50)
     with pytest.raises(SearchExhausted) as err:
         realize(FrequencyTarget((PRIME_ROOTS[:5],)), config=cfg)
-    message = str(err.value)
-    for eps in cfg.epsilon_schedule:
-        assert f"eps {eps}: delay search for column" in message
-    assert message.count("best distance") == len(cfg.epsilon_schedule)
-    assert err.value.index == 0 and err.value.best_distance > 1.4
+    assert sweeps == [0.8]
+    # the same message, bit for bit, as when every rung swept
+    assert str(err.value) == "every epsilon rung failed; " + "; ".join(
+        f"eps {eps}: delay search for column 0 exhausted its budget (best distance 1.6690 rad)"
+        for eps in cfg.epsilon_schedule
+    )
+    assert err.value.index == 0 and err.value.best_distance == float.fromhex("0x1.ab41b09886fe8p+0")
 
 
 def test_realize_path_stall_names_s_steps_and_residual(monkeypatch):

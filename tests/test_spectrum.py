@@ -697,6 +697,31 @@ def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
     assert batched[0].passed and batched[2].targets[0].passed and batched[3].passed
     assert [t.local_count for t in batched[1].targets] == [1, 1, 0, 0]
 
+    # random 3- to 12-term factors, six random boxes each: a batch that
+    # succeeds counts every box as it is counted alone, with the same
+    # certified edges bit for bit
+    rng = np.random.default_rng(29)
+    compared = 0
+    for _ in range(40):
+        m = int(rng.integers(3, 13))
+        terms = zip(rng.uniform(-1.5, 1.5, m).tolist(), rng.uniform(0.0, 12.0, m).tolist())
+        factor = ScalarFactor(tuple((a, 1.0, t) for a, t in terms))
+        centres = rng.uniform(-0.3, 0.3, 6) + 1j * rng.uniform(-4.0, 4.0, 6)
+        half = rng.uniform(0.02, 0.4, (6, 2))
+        boxes = [Region(c.real - w, c.real + w, c.imag - h, c.imag + h)
+                 for c, (w, h) in zip(centres, half)]
+        try:
+            batch = counted(factor, boxes)
+        except (BoundaryRoot, NoConvergence):
+            continue
+        for got, box in zip(batch, boxes):
+            count, region, edges = counted(factor, [box])[0]
+            assert got[:2] == (count, region)
+            for path, alone in zip(got[2], edges):
+                assert [a.tobytes() for a in path] == [a.tobytes() for a in alone]
+        compared += 1
+    assert compared >= 30
+
 
 def test_report_json_shape(realized_three):
     target, result = realized_three
