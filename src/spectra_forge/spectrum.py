@@ -34,9 +34,12 @@ other cell with roots is cut in four, reusing its certified edges, so a
 split certifies only its two cut lines, first at 0.53 of the width and
 height.  :func:`verify_realization` certifies that every prescribed
 +-i*omega of a realization really is an isolated root of its factor.  It
-counts the isolation boxes of all targets of a factor in one batch of
-paths, and the boxes it has to halve in one batch per halving level; it
-counts boxes one by one only when a batch fails.
+counts the isolation boxes around +i*omega of all targets of a factor in
+one batch of paths, and the boxes it has to halve in one batch per halving
+level; it counts boxes one by one only when a batch fails.  Only these
+upper boxes are certified: the factor's coefficients are real, so D(conj
+z) = conj D(z), and each box around -i*omega, its exact mirror in floating
+point, holds the mirrored roots; its check is the upper one mirrored.
 
 Every path is axis-parallel, so the kernel :func:`_line_values` builds one
 table exp(-x tau) over the x nodes of each horizontal line and one table
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -288,14 +291,16 @@ def _nodes(cuts, counts: tuple[int, ...]) -> np.ndarray:
     return np.concatenate((lo + (cuts[..., after] - lo) * frac, cuts[..., -1:]), axis=-1)
 
 
-def _scale(factor: ScalarFactor, region: Region) -> float:
+def _scale(bound: float, region: Region) -> float:
+    """1 + the largest |z| on the region + bound, the factor's
+    :meth:`~quasipoly.ScalarFactor.coefficient_bound`."""
     corner = max(
         abs(complex(region.re_min, region.im_min)),
         abs(complex(region.re_max, region.im_max)),
         abs(complex(region.re_min, region.im_max)),
         abs(complex(region.re_max, region.im_min)),
     )
-    return 1.0 + corner + factor.coefficient_bound()
+    return 1.0 + corner + bound
 
 
 def _count(turn: float) -> int:
@@ -319,13 +324,14 @@ def _certified_counts(factor: ScalarFactor, regions):
     bit as if counted alone, because no value depends on the batch (see
     :func:`_certify`).  A lone region whose contour touches a root is
     dilated once and retried; a batch raises instead."""
+    bound = factor.coefficient_bound()
     for dilated in (False, True):
         corners = np.array([(r.re_min, r.im_min, r.re_max, r.im_max) for r in regions])
         lo, hi = corners[:, :2], corners[:, 2:]
         # per region, the x and the y nodes of its edges and their levels
         nodes = _nodes(np.stack((lo, 0.5 * (lo + hi), hi), axis=-1), (_HALF, _HALF))
         levels = np.stack((lo, hi), axis=-1)
-        threshold = np.array([_BOUNDARY_REL * _scale(factor, r) for r in regions])
+        threshold = np.array([_BOUNDARY_REL * _scale(bound, r) for r in regions])
         resolution = _DILATE * (hi - lo).max(axis=1)
         owner = np.arange(4 * len(regions)) // 2 % len(regions)
         h, v = owner[: 2 * len(regions)], owner[2 * len(regions) :]
@@ -503,7 +509,7 @@ def locate_roots(
     scale and lies in the (marginally padded) region; the total matches
     the argument-principle count of the whole region.
     """
-    scale = _scale(factor, region)
+    scale = _scale(factor.coefficient_bound(), region)
     threshold = _BOUNDARY_REL * scale
     kx, ky = _grid_shape(factor, region, max_roots)
     x0, x1, y0, y1 = region.re_min, region.re_max, region.im_min, region.im_max
@@ -596,7 +602,8 @@ class TargetCheck:
 class SpectrumReport:
     """Per-target checks; contour_min_abs is the smallest |D| at any node of
     the isolation boxes, contour_panels the most certified segments on any
-    one of their edges."""
+    one of their edges.  Both come from the boxes around +i*omega, the only
+    ones certified; the box around -i*omega mirrors one of them."""
 
     targets: tuple[TargetCheck, ...]
     passed: bool
@@ -627,13 +634,30 @@ def _isolation_halfwidth(target: FrequencyTarget, max_delay: float) -> float:
     and also at a quarter of the equation's mean vertical root spacing
     2*pi/max_delay: realized delays routinely reach 1e3..1e4, which packs
     genuine neighbouring roots far closer than any fixed box width.
+    Raises ValueError, before anything is counted, when the box around
+    some omega has no height in floating point (omega +- delta rounds to
+    omega), naming the cause.
     """
-    signed = np.concatenate([target.flat, -target.flat])
-    signed.sort()
-    gaps = np.diff(signed)
-    delta = min(0.05, 0.5 * float(gaps.min()))
+    # +-omega in increasing order from -min(omega) on: every gap among them
+    omegas = np.sort(target.flat)
+    ladder = np.concatenate((-omegas[:1], omegas))
+    gaps = np.diff(ladder)
+    k = int(np.argmin(gaps))
+    delta = min(0.05, 0.5 * float(gaps[k]))
     if max_delay > 0:
         delta = min(delta, 0.5 * np.pi / max_delay)
+    flat = omegas[omegas - delta == omegas + delta].tolist()
+    if flat:
+        low, high = ladder[k : k + 2].tolist()
+        cause = (
+            f"the targets {low!r}i and {high!r}i are only {high - low:.3g} apart"
+            if delta == 0.5 * gaps[k]
+            else f"it is capped at 0.05 and at pi/2 over the largest delay {max_delay!r}"
+        )
+        raise ValueError(
+            f"no isolation box fits around {flat[0]!r}i: its half-width {delta:.3g} is below "
+            f"the float spacing there, because {cause}"
+        )
     return float(delta)
 
 
@@ -675,6 +699,21 @@ def verify_realization(
     level; when a batch fails (a box touches a root, overflows or names an
     edge root), each of its boxes is counted on its own, so the report is
     the same as from counts one box at a time.
+
+    Only the boxes around +i*omega are counted, and only +i*omega is
+    polished.  The factor has real coefficients, so D(conj z) = conj D(z),
+    and the box around -i*omega is the exact mirror of the one around
+    +i*omega (negation is exact in floating point): it holds as many
+    roots, and the certificate of the upper box proves that count.  The
+    residual and the Newton polish at -i*omega are those at +i*omega
+    conjugated bit for bit (cmath.exp, complex products and CPython's
+    complex quotient commute with conjugation), but for the sign of a zero
+    real part.  So each -omega check is the +omega check with sign -1 and
+    its polished root conjugated, a zero real part written -0.0 as the
+    polish from 1j * -omega leaves it.  A failed count of the +omega box
+    fails the -omega check with the same note.  Targets too close for a
+    box of positive height raise ValueError (see
+    :func:`_isolation_halfwidth`).
     """
     if weights is None:
         weights = WeightTable.ones(target.n, target.r)
@@ -688,19 +727,18 @@ def verify_realization(
     panels = 0
     for j, group in enumerate(target.groups):
         factor = factors[j]
-        signed = [(omega, sign) for omega in group for sign in (+1, -1)]
-        centres = [sign * omega for omega, sign in signed]
+        bound = factor.coefficient_bound()
         # unlucky clustering: a neighbouring root may sit inside the
         # nominal box, so boxes that hold more than one root are halved
         # until exactly one remains; each level is one batch of boxes
-        counts = [0] * len(signed)
-        boxes: list = [None] * len(signed)
-        errors: list = [None] * len(signed)
-        pending = list(range(len(signed)))
+        counts = [0] * len(group)
+        boxes: list = [None] * len(group)
+        errors: list = [None] * len(group)
+        pending = list(range(len(group)))
         d = delta
         for _ in range(12):
             for i in pending:
-                boxes[i] = Region(-d, d, centres[i] - d, centres[i] + d)
+                boxes[i] = Region(-d, d, group[i] - d, group[i] + d)
             for i, got in zip(pending, _isolation_counts(factor, [boxes[i] for i in pending])):
                 if isinstance(got, Exception):
                     errors[i] = got
@@ -713,8 +751,8 @@ def verify_realization(
             if not pending:
                 break
             d *= 0.5
-        for (omega, sign), w, count, box, error in zip(signed, centres, counts, boxes, errors):
-            residual = abs(evaluate(factor, 1j * w))
+        for omega, count, box, error in zip(group, counts, boxes, errors):
+            residual = abs(evaluate(factor, 1j * omega))
             note = ""
             polished = None
             offset = None
@@ -723,33 +761,37 @@ def verify_realization(
                 ok = False
                 note = f"count failed: {error}"
             else:
-                roots_counted += count
+                roots_counted += 2 * count
                 if count != 1:
                     ok = False
                     note = f"isolation box holds {count} roots"
             if ok:
                 try:
-                    polished = polish_root(factor, 1j * w, 1e-12 * _scale(factor, box))
-                    offset = abs(polished - 1j * w)
+                    polished = polish_root(factor, 1j * omega, 1e-12 * _scale(bound, box))
+                    offset = abs(polished - 1j * omega)
                     if offset > max(tol, 1e-8):
                         ok = False
                         note = f"polished root drifted {offset:.3e} from target"
                 except NoConvergence as exc:
                     ok = False
                     note = f"polish failed: {exc}"
-            checks.append(
-                TargetCheck(
-                    factor=j,
-                    omega=omega,
-                    sign=sign,
-                    residual=residual,
-                    local_count=count,
-                    polished=polished,
-                    polish_offset=offset,
-                    passed=ok,
-                    note=note,
-                )
+            check = TargetCheck(
+                factor=j,
+                omega=omega,
+                sign=1,
+                residual=residual,
+                local_count=count,
+                polished=polished,
+                polish_offset=offset,
+                passed=ok,
+                note=note,
             )
+            if polished is not None:
+                # conj(polished) with a zero real part as -0.0: 1j * -omega
+                # is -0.0 - omega*1j, and a polish that takes no step
+                # returns it unchanged
+                polished = complex(-(0.0 - polished.real), -polished.imag)
+            checks += [check, replace(check, sign=-1, polished=polished)]
     overall = all(c.passed for c in checks)
     return SpectrumReport(
         targets=tuple(checks),

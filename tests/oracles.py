@@ -357,7 +357,7 @@ def locate_roots_reference(factor, region, max_roots: int = 64) -> list[complex]
         return []
     if total > max_roots:
         raise TooManyRoots(f"region holds {total} roots, caller allowed {max_roots}")
-    scale = spectrum._scale(factor, region)
+    scale = spectrum._scale(factor.coefficient_bound(), region)
     margin = 1e-9 * scale
     roots = []
     stack = [(cell, edges, total)]

@@ -128,6 +128,27 @@ def test_verify_dimension_mismatch(capsys, tmp_path, scalar_problem, multifactor
     assert code == 1
 
 
+def test_verify_names_near_duplicate_frequencies(capsys, tmp_path):
+    # 3 and the next float above it leave no room for an isolation box
+    above = math.nextafter(3.0, 4.0)
+    problem = write_json(
+        tmp_path / "close.json",
+        {
+            "mode": "multifactor",
+            "payload": {"groups": [[1.0, 3.0], [above]], "weights": [[1, 1, 1], [1, -1, 2]]},
+        },
+    )
+    result = write_json(
+        tmp_path / "result.json",
+        {"taus": [1.0, 2.0, 3.0], "coeffs": [0.1, 0.2, 0.3], "residual": 0.0,
+         "newton_iterations": 0},
+    )
+    code, doc = run(capsys, ["verify", "--result", result, "--input", problem])
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+    assert f"the targets 3.0i and {above!r}i are only 4.44e-16 apart" in doc["error"]["message"]
+
+
 def test_ring_five_cells(capsys, tmp_path):
     path = write_json(
         tmp_path / "ring5.json",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from spectra_forge import spectrum
+from spectra_forge.dn_ring import realize_ring, ring_weight_table
 from spectra_forge.errors import BoundaryRoot, NoConvergence, TooManyRoots
 from spectra_forge.quasipoly import ScalarFactor, evaluate, evaluate_derivative_many
 from spectra_forge.realization import (
@@ -501,7 +502,7 @@ def test_grid_cells_hold_what_they_count_alone():
     # as many roots as count_roots finds in each of them alone
     for factor, region in _census_like_cases(13, 6):
         x0, x1, y0, y1 = region.re_min, region.re_max, region.im_min, region.im_max
-        threshold = 1e-8 * spectrum._scale(factor, region)
+        threshold = 1e-8 * spectrum._scale(factor.coefficient_bound(), region)
         resolution = 1e-6 * max(x1 - x0, y1 - y0)
         total, _, edges = spectrum._certified_counts(factor, [region])[0]
         grid = spectrum._grid(factor, spectrum._cuts(x0, x1, 2), spectrum._cuts(y0, y1, 5),
@@ -650,25 +651,34 @@ def _plain_result(taus, coeffs):
         {"taus": taus, "coeffs": coeffs, "residual": 0.0, "newton_iterations": 0})
 
 
-def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
+def _touching_case():
     # lam - 1.05 exp(-lam tau) has its roots +-1.05i on the top edge of the
-    # box around i and the bottom edge of the box around -i, so the batch
-    # of the factor's four boxes touches a root and each box is counted on
-    # its own, those two after a dilation
+    # box around i and the bottom edge of the box around -i
     tau = 1.5 * PI / 1.05
-    touching = (_plain_result([tau, 1.0], [1.05, 0.0]), FrequencyTarget(((1.0, 3.0),)), None)
+    return _plain_result([tau, 1.0], [1.05, 0.0]), FrequencyTarget(((1.0, 3.0),)), None
+
+
+def _pair_case():
+    # roots at i and near 0.01 + 1.012i: the box around i holds both
+    return (
+        _plain_result([8.341277222419043, 1.68389917788926],
+                      [0.30876964473194174, -1.2810143986814622]),
+        FrequencyTarget(((1.0, 2.0),)), None,
+    )
+
+
+def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
+    # the touching case: a batch of the boxes around +-i and +-3i touches a
+    # root, and each box is counted on its own, those around +-i after a
+    # dilation
+    touching = _touching_case()
     factor = result_factors(touching[0], WeightTable.ones(2))[0]
     boxes = [Region(-0.05, 0.05, w - 0.05, w + 0.05) for w in (1.0, -1.0, 3.0, -3.0)]
     with pytest.raises(BoundaryRoot):
         spectrum._certified_counts(factor, boxes)
     assert count_roots(factor, boxes[0]) == 1
-    # roots at i and near 0.01 + 1.012i: the box around i holds both and is
-    # halved three times, and so is the box around -i
-    pair = (
-        _plain_result([8.341277222419043, 1.68389917788926],
-                      [0.30876964473194174, -1.2810143986814622]),
-        FrequencyTarget(((1.0, 2.0),)), None,
-    )
+    # the pair case: the box around i is halved three times
+    pair = _pair_case()
     factor = result_factors(pair[0], WeightTable.ones(2))[0]
     halved = [Region(-d, d, 1.0 - d, 1.0 + d) for d in (0.05, 0.0125, 0.00625)]
     assert [count_roots(factor, box) for box in halved] == [2, 2, 1]
@@ -689,8 +699,9 @@ def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
     for case in cases:
         calls.append([])
         batched.append(verify_realization(*case))
-    # the boxes around +-i of the pair case are halved together, three times
-    assert calls[2] == [4, 2, 2, 2]
+    # only the boxes around +i w are counted: the box around i of the pair
+    # case is halved three times, and the box around -i is its mirror
+    assert calls[2] == [2, 1, 1, 1]
     monkeypatch.setattr(spectrum, "_certified_counts",
                         lambda factor, regions: [counted(factor, [r])[0] for r in regions])
     assert [verify_realization(*case) for case in cases] == batched
@@ -721,6 +732,99 @@ def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
                 assert [a.tobytes() for a in path] == [a.tobytes() for a in alone]
         compared += 1
     assert compared >= 30
+
+
+def _lower_check(factor, j, omega, delta, tol=1e-8):
+    """The TargetCheck of -i*omega from its own box and its own polish,
+    the way the box around +i*omega is counted and polished: the box is
+    halved while it holds more than one root, up to 11 times."""
+    start = 1j * -omega
+    count, error, d = 0, None, delta
+    for _ in range(12):
+        box = Region(-d, d, -omega - d, -omega + d)
+        try:
+            count = spectrum._certified_counts(factor, [box])[0][0]
+        except (BoundaryRoot, NoConvergence) as exc:
+            error = exc
+            break
+        if count <= 1:
+            break
+        d *= 0.5
+    residual = abs(evaluate(factor, start))
+    ok, note, polished, offset = residual < tol, "", None, None
+    if error is not None:
+        ok, note = False, f"count failed: {error}"
+    elif count != 1:
+        ok, note = False, f"isolation box holds {count} roots"
+    if ok:
+        try:
+            scale = spectrum._scale(factor.coefficient_bound(), box)
+            polished = polish_root(factor, start, 1e-12 * scale)
+            offset = abs(polished - start)
+            if offset > max(tol, 1e-8):
+                ok, note = False, f"polished root drifted {offset:.3e} from target"
+        except NoConvergence as exc:
+            ok, note = False, f"polish failed: {exc}"
+    return spectrum.TargetCheck(j, omega, -1, residual, count, polished, offset, ok, note)
+
+
+def test_lower_targets_mirror_their_own_count_and_polish(monkeypatch, realized_three):
+    # verify_realization counts and polishes only around +i*omega; each
+    # -omega check must be what its own box and polish give, bit for bit
+    target = FrequencyTarget(((1.0,), (SQRT2,)))
+    weights = WeightTable(np.array([[1.0, 2.0], [1.0, -1.0]]))
+    layout = {"couplings": {2: 1, 3: 1}}
+    ring_weights, _ = ring_weight_table(5, (1, 2), target.sizes, layout)
+    _, ring_result = realize_ring(5, (1, 2), target.groups, layout)
+    cases = [
+        (realized_three[1], realized_three[0], None),
+        (realize(target, weights), target, weights),
+        (ring_result, target, ring_weights),
+        _pair_case(),
+        _touching_case(),
+    ]
+    counted = spectrum._certified_counts
+    boxes = []
+
+    def recorded(factor, regions):
+        boxes.extend(regions)
+        return counted(factor, regions)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectrum, "_certified_counts", recorded)
+        reports = [verify_realization(*case) for case in cases]
+    assert boxes and all(box.im_max > 0 for box in boxes)
+    mirrored = 0
+    for (result, target, weights), report in zip(cases, reports):
+        factors = result_factors(result, weights or WeightTable.ones(target.n, target.r))
+        delta = spectrum._isolation_halfwidth(target, float(np.max(result.taus)))
+        assert [t.sign for t in report.targets] == [1, -1] * target.n
+        for upper, lower in zip(report.targets[::2], report.targets[1::2]):
+            direct = _lower_check(factors[lower.factor], lower.factor, lower.omega, delta)
+            assert lower == direct
+            assert repr(lower.polished) == repr(direct.polished)  # the sign of a zero too
+            assert (lower.factor, lower.omega, lower.passed) == (upper.factor, upper.omega, upper.passed)
+            mirrored += 1
+    assert mirrored == 3 + 2 + 2 + 2 + 2
+    assert reports[3].targets[0].passed and not reports[4].passed
+
+
+def test_near_duplicate_frequencies_are_named_before_counting(monkeypatch):
+    # 3 and the next float above it are 4.4e-16 apart: the half-width
+    # 2.2e-16 leaves 3 +- delta at 3, so no box around 3i has any height
+    above = math.nextafter(3.0, 4.0)
+    target = FrequencyTarget(((1.0, 3.0), (above,)))
+    result = _plain_result([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
+
+    def never(factor, regions):
+        raise AssertionError("counted a box")
+
+    monkeypatch.setattr(spectrum, "_certified_counts", never)
+    with pytest.raises(ValueError) as info:
+        verify_realization(result, target)
+    message = str(info.value)
+    assert f"{3.0!r}i and {above!r}i are only {above - 3.0:.3g} apart" in message
+    assert "no isolation box fits around 3.0i" in message
 
 
 def test_report_json_shape(realized_three):
