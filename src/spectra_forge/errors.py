@@ -47,10 +47,19 @@ class SearchExhausted(SpectraForgeError):
     """The dense-torus delay sweep ran out of budget for one delay index.
 
     ``index`` is the 0-based delay column, the first one that found no hit
-    within the budget.  ``best_distance`` is that column's smallest angular
-    error (radians) over every grid point of the budget: the exact
-    minimum, not a bound, so it is finite, positive and at least the
-    epsilon that was asked for.
+    within the budget.  ``best_distance`` (radians) is the exact minimum
+    over every grid point of the budget, not a bound, of the angular
+    error that column could have:
+
+    * when the sweep chooses the orthants (``realize``, or
+      ``delay_candidates`` with a weight table), columns fill in order, so
+      ``index`` is the number of independent orthants found, and
+      ``best_distance`` is the smallest quarter-turn distance of a grid
+      point whose orthant, as column ``index``, lies outside their span
+      (infinite if there is none).  For one group it is at least the
+      epsilon asked for, and a smaller epsilon runs out the same way;
+    * for a fixed base (``delay_candidates`` with a base point) it is that
+      column's own smallest distance, at least the epsilon asked for.
     """
 
     def __init__(self, index: int, best_distance: float):

@@ -14,26 +14,31 @@ The constructive path mirrors the existence proof:
 
 1.  A base point in angle space.  Replacing each phase w*tau_k by a free
     angle turns the system into P~(angles) a = i w with P~ entrywise
-    b[j][k] * exp(-i angle).  At the quarter-turn angles chosen here
-    (3*pi/2 where the block sign pattern is +, pi/2 where it is -) the
-    matrix collapses to i times a real invertible matrix, so the base
-    amplitudes follow from one linear solve.
+    b[j][k] * exp(-i angle).  At quarter-turn angles (3*pi/2 where a sign
+    pattern is +, pi/2 where it is -) the matrix collapses to i times the
+    real matrix of weighted sign columns, so whenever those columns are
+    independent the base amplitudes follow from one linear solve.  The
+    paper's block sign pattern (the index vectors) is one such choice;
+    :func:`base_point` builds it, as the precondition.
 2.  A dense-torus sweep.  Because the flattened frequency vector has no
-    rational relation, the line t -> t*omega fills the angle torus densely,
-    and each delay column is that line's first visit to within epsilon of
-    the column's quarter-turn corner.  One sweep along the line serves
-    every column: a cheap gate (every angle w_i*tau within epsilon of a
-    quarter turn, read off the grid index for the largest frequency and
-    off a multiply and a floor for the others) discards points far from
-    all corners, and only the survivors are tested exactly against each
-    open column.
+    rational relation, the line t -> t*omega fills the angle torus
+    densely.  A visit to within epsilon of a quarter-turn corner names
+    that corner's orthant, and :func:`realize` takes the first n
+    orthants the line reaches whose weighted sign columns are
+    independent: they form the base, and their visits the start delays.
+    One sweep along the line serves every column: a cheap gate (every
+    angle w_i*tau within epsilon of a quarter turn, read off the grid
+    index for the largest frequency and off a multiply and a floor for
+    the others) discards points far from all corners, and only the
+    survivors are measured exactly.
 3.  The openness argument made constructive: with d0 the hit's angular
     errors, phases w*tau_k - (1 - s) d0 give a system that the hit and the
     base amplitudes solve at s = 0 and that is the real one at s = 1.
     Pseudo-arclength continuation traces it to s = 1 and a plain Newton
-    lands; each epsilon, large ones (small delays) first, gives one path.
+    lands; each epsilon, large ones (small delays) first, gives a path,
+    and a second one if the first fails.
 
-All matrices here are small (n rarely above 10), so plain LAPACK via numpy
+All matrices here are small (n rarely above 15), so plain LAPACK via numpy
 is used for determinants and solves.
 """
 from __future__ import annotations
@@ -185,12 +190,13 @@ class WeightTable:
 
 @dataclass(frozen=True)
 class BasePoint:
-    """Linearization data at the quarter-turn base angles.
+    """Linearization data at quarter-turn base angles.
 
     ``calIB`` is the stacked sign-and-weight matrix, ``amplitudes`` solves
-    calIB @ amplitudes = omega, ``sign_matrix`` holds the block sign
-    pattern and ``target_angles`` the corresponding angles (3*pi/2 for +,
-    pi/2 for -), row = frequency index, column = delay index.
+    calIB @ amplitudes = omega, ``sign_matrix`` holds the sign pattern (the
+    paper's block pattern from :func:`base_point`, or the orthants the
+    sweep chose) and ``target_angles`` the corresponding angles (3*pi/2 for
+    +, pi/2 for -), row = frequency index, column = delay index.
     """
 
     calIB: np.ndarray
@@ -205,10 +211,10 @@ class RealizationResult:
 
     ``residual`` is max |D_j(i w)| over every assigned target, recomputed by
     direct factor evaluation after the solve.  ``search_window`` holds the
-    winning path's start offsets max_i |d0[i, k]| (radians), and
-    ``newton_iterations`` its corrector plus landing iterations.  The base
-    point is not kept: it is scaffolding of the construction, and
-    :func:`base_point` rebuilds it from the target and the weights.
+    winning path's start offsets max_i |d0[i, k]| (radians) against the
+    orthants its start chose, and ``newton_iterations`` its corrector plus
+    landing iterations.  The base point is not kept: it is scaffolding of
+    the construction.
     ``from_dict`` ignores the ``base`` key that older result files carry.
     """
 
@@ -375,7 +381,12 @@ def base_point(target: FrequencyTarget, weights: WeightTable | None = None) -> B
     near-rational target.
     """
     weights = _default_weights(weights, target)
-    mat = cal_I_B(weights, target)
+    return _solved_base(target, cal_I_B(weights, target), _block_signs(target))
+
+
+def _solved_base(target: FrequencyTarget, mat: np.ndarray, signs: np.ndarray) -> BasePoint:
+    """The base point of the stacked matrix mat, whose sign pattern is
+    signs; raises as :func:`base_point` describes."""
     hadamard = float(np.prod(np.linalg.norm(mat, axis=0)))
     det = float(np.linalg.det(mat))
     if abs(det) <= 1e-12 * max(hadamard, 1e-300):
@@ -387,9 +398,16 @@ def base_point(target: FrequencyTarget, weights: WeightTable | None = None) -> B
     if small.size:
         k = int(small[0])
         raise ZeroAmplitude(k + 1, float(amps[k]))
-    signs = _block_signs(target)
     angles = np.where(signs > 0, 1.5 * np.pi, 0.5 * np.pi)
     return BasePoint(mat, amps, signs, angles)
+
+
+def _orthant_base(target: FrequencyTarget, weights: WeightTable, taus: np.ndarray) -> BasePoint:
+    """The base point whose column k holds the quarter turns nearest the
+    angles w*tau_k: sign +1 where 3*pi/2 is nearer, -1 where pi/2 is."""
+    phase = np.mod(np.multiply.outer(target.flat, taus), _TWO_PI)
+    signs = np.where(circ_dist(phase, 1.5 * np.pi) < circ_dist(phase, 0.5 * np.pi), 1.0, -1.0)
+    return _solved_base(target, np.repeat(weights.b, target.sizes, axis=0) * signs, signs)
 
 
 def _default_weights(weights: WeightTable | None, target: FrequencyTarget) -> WeightTable:
@@ -487,24 +505,40 @@ def _offset_slack(tau_max: float, w_max: float) -> float:
     return 1e-12 + 1e-15 * tau_max * w_max
 
 
-def _refine_candidate(omega, angles_col, tau, halfwidth, points=4097):
-    """First argmin of the column distance over an even scan of
-    [tau - halfwidth, tau + halfwidth], clipped below at halfwidth/4.
+def _refine_candidate(omega, angles_col, tau, halfwidth):
+    """First argmin of the column distance over an even scan of 4097
+    points of [tau - halfwidth, tau + halfwidth], clipped below at
+    halfwidth/4.
 
-    Only the points whose quarter-turn offset allows them to beat the
-    exact distance U at the smallest offset are measured exactly: every
-    scan point at distance <= U is among them, so the first argmin in
-    index order is the full scan's first argmin.
+    The distance is measured exactly at every 64th scan point first.  It
+    is Lipschitz in tau with constant max(omega), so between two such
+    points, gap apart, with distances d0 and d1, it stays above
+    (d0 + d1 - max(omega) * gap) / 2; less twice :func:`_offset_slack`,
+    which covers the rounding at both ends, that bound holds for the
+    computed distances too.  Only the blocks whose bound does not exceed
+    the best coarse distance are measured in full: they hold every scan
+    point at or below it, so the first argmin is the full scan's.
     """
-    grid = np.linspace(max(tau - halfwidth, 0.25 * halfwidth), tau + halfwidth, points)
-    offset = _quarter_turn_offset(omega, grid).max(axis=0)
-    first = int(np.argmin(offset))
-    bound = float(_column_distance(omega, angles_col, grid[first:first + 1])[0])
-    slack = _offset_slack(float(grid[-1]), float(omega.max()))
-    grid = grid[offset - slack <= bound]
-    dist = _column_distance(omega, angles_col, grid)
-    k = int(np.argmin(dist))
-    return float(grid[k]), float(dist[k])
+    grid = np.linspace(max(tau - halfwidth, 0.25 * halfwidth), tau + halfwidth, 64 * 64 + 1)
+    coarse = _column_distance(omega, angles_col, grid[::64])
+    w_max = float(omega.max())
+    low = 0.5 * (coarse[:-1] + coarse[1:] - w_max * np.diff(grid[::64]))
+    blocks = np.nonzero(low - 2.0 * _offset_slack(float(grid[-1]), w_max) <= coarse.min())[0]
+    inner = (64 * blocks[:, None] + np.arange(1, 64)).ravel()
+    dist = _column_distance(omega, angles_col, grid[inner])
+    k = int(np.argmin(coarse))
+    best = (float(coarse[k]), 64 * k)  # (distance, scan index): ties go to the first
+    if inner.size:
+        j = int(np.argmin(dist))
+        best = min(best, (float(dist[j]), int(inner[j])))
+    return float(grid[best[1]]), best[0]
+
+
+def _sharpened(omega, angles_col, tau, step, epsilon) -> float:
+    """A hit tau sharpened by :func:`_refine_candidate` if the scan's best
+    stays within epsilon of the same column, else tau itself."""
+    refined, distance = _refine_candidate(omega, angles_col, tau, step)
+    return refined if distance < epsilon else tau
 
 
 def _quarter_turn_survivors(first: int, last: int, step: float, omega: np.ndarray,
@@ -538,67 +572,165 @@ def _quarter_turn_survivors(first: int, last: int, step: float, omega: np.ndarra
     return taus
 
 
-def _sweep(omega: np.ndarray, angles: np.ndarray, best: dict, epsilon: float, budget: int,
-           widen: bool = False) -> dict:
+def _grid_step(omega: np.ndarray) -> float:
+    """The sweep's grid step, 1/64 of a turn of the largest frequency."""
+    return _TWO_PI / (64.0 * float(omega.max()))
+
+
+def _sweep(omega: np.ndarray, budget: int, reach, visit) -> bool:
     """Walk the grid tau = i*step, i = 1..budget, step = 2*pi/(64*max(omega)),
-    for the open columns of ``best`` (column -> smallest exact distance
-    seen so far, updated in place) and return each column's first hit, a
-    grid point whose exact distance is below epsilon, sharpened by
-    :func:`_refine_candidate`; a hit closes its column.
+    until visit returns True (then return True) or the budget runs out.
 
     Chunks start at 1024 points and double up to 65536.  Each is gated by
-    :func:`_quarter_turn_survivors` at epsilon, or, with ``widen``, at the
-    largest best distance of the open columns, so that every point that
-    could lower an open column's best is measured and the best distances
-    end as exact minima over the budget.  The survivors get
-    one phase table mod 2*pi and its distances to pi/2 and 3*pi/2; each
-    open column picks its entries from them, which is the elementwise
-    arithmetic of :func:`_column_distance`, bit for bit.
+    :func:`_quarter_turn_survivors` at reach(), and its survivors get one
+    phase table mod 2*pi; visit(grid, d_half, d_3half) receives them with
+    every row's distance to pi/2 and to 3*pi/2.  A quarter-turn column's
+    distance is then an elementwise pick from the two and a maximum over
+    rows, which is the arithmetic of :func:`_column_distance`, bit for bit.
     """
-    half = angles == 0.5 * np.pi
-    step = _TWO_PI / (64.0 * float(omega.max()))
-    found = {}
-    done = 0
-    chunk = 1 << 10
-    while best and done < budget:
+    step = _grid_step(omega)
+    done, chunk = 0, 1 << 10
+    while done < budget:
         count = min(chunk, budget - done)
-        reach = max(best.values()) if widen else epsilon
-        grid = _quarter_turn_survivors(done + 1, done + count, step, omega, reach)
+        grid = _quarter_turn_survivors(done + 1, done + count, step, omega, reach())
         # one row per frequency, so that a column's worst row is an
         # elementwise maximum over n rows
         phase = np.mod(np.multiply.outer(omega, grid), _TWO_PI)
-        d_half = circ_dist(phase, 0.5 * np.pi)
-        d_3half = circ_dist(phase, 1.5 * np.pi)
-        for k in list(best):
-            dist = np.where(half[:, k, None], d_half, d_3half).max(axis=0)
-            hits = np.nonzero(dist < epsilon)[0]
-            if hits.size:
-                tau = float(grid[hits[0]])
-                refined, rd = _refine_candidate(omega, angles[:, k], tau, step)
-                found[k] = refined if rd < epsilon else tau
-                del best[k]
-            else:
-                best[k] = min(best[k], float(dist.min(initial=np.inf)))
+        if visit(grid, circ_dist(phase, 0.5 * np.pi), circ_dist(phase, 1.5 * np.pi)):
+            return True
         done += count
         chunk = min(2 * chunk, 1 << 16)
-    return found
+    return False
+
+
+def _column_search(omega: np.ndarray, angles: np.ndarray, epsilon: float,
+                   budget: int) -> np.ndarray:
+    """Each fixed angle column's first hit, sharpened; see
+    :func:`delay_candidates`."""
+    n = omega.size
+    half = angles == 0.5 * np.pi
+    step = _grid_step(omega)
+    found = {}
+
+    def visitor(best):  # best: open column -> smallest exact distance so far
+        def visit(grid, d_half, d_3half):
+            for k in list(best):
+                dist = np.where(half[:, k, None], d_half, d_3half).max(axis=0)
+                hits = np.nonzero(dist < epsilon)[0]
+                if hits.size:
+                    found[k] = _sharpened(omega, angles[:, k], float(grid[hits[0]]), step, epsilon)
+                    del best[k]
+                else:
+                    best[k] = min(best[k], float(dist.min(initial=np.inf)))
+            return not best
+        return visit
+
+    best = dict.fromkeys(range(n), np.inf)
+    if not _sweep(omega, budget, lambda: epsilon, visitor(best)):
+        index = min(best)
+        # gated at its running best, starting from the first sweep's best, a
+        # true distance, so that a point at exactly that distance, which the
+        # gate's strict < drops, is still counted
+        exact = {index: best[index]}
+        _sweep(omega, budget, lambda: exact[index], visitor(exact))
+        raise SearchExhausted(index, exact[index])
+    return np.array([found[k] for k in range(n)])
+
+
+class _Span:
+    """Orthonormal basis of accepted columns and their volume relative to
+    Hadamard's bound, the product of each column's share outside the span
+    of those before it; that product is |det| / prod |column| once the
+    basis is square, the test :func:`base_point` applies."""
+
+    def __init__(self, n: int):
+        self.basis = np.zeros((n, 0))
+        self.volume = 1.0
+
+    def _shares(self, cols: np.ndarray):
+        """Each column's part outside the span, and its share of the column's norm."""
+        rest = cols - self.basis @ (self.basis.T @ cols)
+        rest -= self.basis @ (self.basis.T @ rest)  # reorthogonalized
+        return rest, np.linalg.norm(rest, axis=0) / np.linalg.norm(cols, axis=0)
+
+    def extends(self, cols: np.ndarray) -> np.ndarray:
+        """Per column: would it keep the volume above 1e-12?"""
+        return self.volume * self._shares(cols)[1] > 1e-12
+
+    def add(self, col: np.ndarray) -> bool:
+        """Accept col if it keeps the volume above 1e-12."""
+        rest, share = self._shares(col[:, None])
+        if not self.volume * share[0] > 1e-12:
+            return False
+        self.volume *= float(share[0])
+        self.basis = np.column_stack([self.basis, rest / np.linalg.norm(rest)])
+        return True
+
+
+def _orthant_search(omega: np.ndarray, brows: np.ndarray, epsilon: float, budget: int,
+                    skip: np.ndarray | None = None) -> tuple[list[float], _Span]:
+    """The sweep's choice of orthants (see :func:`delay_candidates`),
+    passing over the orthant whose rows nearer 3*pi/2 are ``skip``: the
+    delays found, n of them unless the budget ran out, and their span."""
+    n = omega.size
+    step = _grid_step(omega)
+    span, taus = _Span(n), []
+    seen = set() if skip is None else {np.asarray(skip, dtype=bool).tobytes()}
+
+    def visit(grid, d_half, d_3half):
+        hits = np.nonzero(np.minimum(d_half, d_3half).max(axis=0) < epsilon)[0]
+        upper = d_3half[:, hits] < d_half[:, hits]  # the rows nearer 3*pi/2
+        # a new orthant can only start where the hits' orthant changes
+        starts = np.r_[True, np.any(upper[:, 1:] != upper[:, :-1], axis=0)][:hits.size]
+        for j in np.nonzero(starts)[0]:
+            key = upper[:, j].tobytes()
+            if key in seen:
+                continue
+            seen.add(key)
+            if span.add(brows[:, len(taus)] * np.where(upper[:, j], 1.0, -1.0)):
+                angles = np.where(upper[:, j], 1.5 * np.pi, 0.5 * np.pi)
+                taus.append(_sharpened(omega, angles, float(grid[hits[j]]), step, epsilon))
+                if len(taus) == n:
+                    return True
+        return False
+
+    _sweep(omega, budget, lambda: epsilon, visit)
+    return taus, span
+
+
+def _outside_distance(omega: np.ndarray, brows: np.ndarray, span: _Span, budget: int) -> float:
+    """Smallest quarter-turn distance over the budget of a grid point whose
+    orthant, as column k = span size, lies outside the span: a sweep
+    whose gate starts open and closes to the running best."""
+    k, best = span.basis.shape[1], [np.inf]
+
+    def visit(grid, d_half, d_3half):
+        dist = np.minimum(d_half, d_3half).max(axis=0)
+        near = np.nonzero(dist < best[0])[0]
+        signs = np.where(d_3half[:, near] < d_half[:, near], 1.0, -1.0)
+        outside = span.extends(brows[:, k, None] * signs)
+        best[0] = min(best[0], float(dist[near][outside].min(initial=np.inf)))
+        return False
+
+    _sweep(omega, budget, lambda: best[0], visit)
+    return best[0]
 
 
 def delay_candidates(
     target: FrequencyTarget,
-    base: BasePoint,
+    base: BasePoint | WeightTable,
     epsilon: float,
     budget: int = 10_000_000,
 ) -> np.ndarray:
-    """Smallest tau_k > 0 per column with all angles within epsilon.
+    """Start delays within epsilon of n quarter-turn columns, one per column.
 
     One sweep over the grid tau = i*step, i = 1..budget, step =
     2*pi/(64*max(omega)), serves every column: a step this fine cannot
-    jump across an epsilon-window for the schedule used here.  Every base
-    angle is a quarter turn, so a grid point can only come within epsilon
-    of a column's angles if every row's angle lies within epsilon of a
-    quarter turn.  The gate applies that test to each chunk of the grid,
-    row by row:
+    jump across an epsilon-window for the schedule used here.  A grid
+    point is a hit when every angle w_i*tau lies within epsilon of a
+    quarter turn, and the quarter turns it is near, 3*pi/2 or pi/2 per
+    row, name its orthant.  The gate applies that test to each chunk of
+    the grid, row by row:
 
     * the w_max row by residue: its angle at index i is i*pi/32 up to
       rounding, so only the indices with a residue mod 64 near 16 or 48
@@ -609,39 +741,49 @@ def delay_candidates(
       :func:`_quarter_turn_survivors`.
 
     The offset less that slack is a lower bound on every exact column
-    distance, so the gate passes a proven superset of the points within
-    epsilon of an open column, and the exact test decides (see
-    :func:`_sweep`).  Each column's first hit is then sharpened by a
-    local scan (:func:`_refine_candidate`).
+    distance, so the gate passes a proven superset of the hits, and the
+    exact test decides (see :func:`_sweep`).  Each chosen hit is then
+    sharpened by a local scan (:func:`_refine_candidate`).
 
-    When the budget runs out, SearchExhausted names the first column
-    without a hit.  Its best distance must be the exact minimum over the
-    budget, which the epsilon gate does not see, so that one column is
-    swept a second time with the gate at its own running best, starting
-    from the smallest distance the first sweep measured for it.  A
-    successful search never pays for that.
+    With a :class:`BasePoint`, column k waits for the base's own angles,
+    and the result is each column's first hit.  When the budget runs out,
+    SearchExhausted names the first column without a hit, with its exact
+    best distance over the budget: that one column is swept a second time
+    with the gate at its own running best.
+
+    With a :class:`WeightTable` the sweep chooses the orthants: hits are
+    taken in grid order, the first of each orthant only, and the orthant
+    with signs s becomes the next column k when the weighted column
+    b[:, k] * s (weights repeated over each group's rows) keeps the columns
+    so far independent by the Hadamard-relative test of
+    :func:`base_point`.  For one group this greedy basis has the
+    smallest possible largest delay.  The sign of row i in column k is
+    +1 where w_i*tau_k is nearer 3*pi/2 and -1 where nearer pi/2, so the
+    delays name their base.  When the budget runs out, SearchExhausted
+    gives the number of columns found and the smallest quarter-turn
+    distance over the budget of a grid point whose orthant, as the next
+    column, lies outside their span, from a second sweep gated at its
+    running best.  A successful search never pays for that second sweep.
     """
     if not (0.0 < epsilon < 0.5 * np.pi):
         raise ValueError("epsilon must lie in (0, pi/2)")
     budget = _count(budget, "budget")
+    omega = target.flat
+    if isinstance(base, WeightTable):
+        _check_shapes(base, target)
+        base.require_nonzero()
+        brows = np.repeat(base.b, target.sizes, axis=0)
+        taus, span = _orthant_search(omega, brows, epsilon, budget)
+        if len(taus) < omega.size:
+            raise SearchExhausted(len(taus), _outside_distance(omega, brows, span, budget))
+        return np.array(taus)
     angles = base.target_angles
     if not np.all((angles == 0.5 * np.pi) | (angles == 1.5 * np.pi)):
         raise ValueError("target angles must all be pi/2 or 3*pi/2")
-    omega = target.flat
-    n = omega.size
-    if n == 1:
+    if omega.size == 1:
         # one angle: exact smallest positive solution
         return np.array([float(angles[0, 0]) / float(omega[0])])
-    best = dict.fromkeys(range(n), np.inf)  # open column -> best distance
-    found = _sweep(omega, angles, best, epsilon, budget)
-    if best:
-        index = min(best)
-        # starting from the first sweep's best, a true distance, also keeps
-        # a point at exactly that distance, which the gate's strict < drops
-        exact = {index: best[index]}
-        _sweep(omega, angles, exact, epsilon, budget, widen=True)
-        raise SearchExhausted(index, exact[index])
-    return np.array([found[k] for k in range(n)])
+    return _column_search(omega, angles, epsilon, budget)
 
 
 def achieved_windows(target: FrequencyTarget, base: BasePoint, taus: np.ndarray) -> np.ndarray:
@@ -764,7 +906,7 @@ def newton_refine(
     first iterate below tol is the last, kept if it lowers the residual: it
     takes the result to the rounding floor whatever tol is.  Without
     ``search_window`` the result records the final delays' angular errors
-    against the base angles.
+    against the angles of the paper's base.
     """
     weights = _default_weights(weights, target)
     _check_shapes(weights, target)
@@ -831,15 +973,27 @@ def realize(
     weights: WeightTable | None = None,
     config: RealizeConfig | None = None,
 ) -> RealizationResult:
-    """Full pipeline: base point, then per epsilon rung sweep, path, landing, recheck.
+    """Full pipeline: per epsilon rung, sweep for a base, then path, landing, recheck.
 
     Frequencies are rescaled so max(omega) = 1 during the solve (the
     defining equations are exactly covariant under (tau, a, omega) ->
-    (tau/c, c a, c omega)) and mapped back afterwards.  If no rung of the
-    epsilon schedule lands and passes the recheck, the last rung's error
-    is raised with a message that names every rung's failure.  Once a sweep
-    runs out at column 0 with best distance d, a later rung with epsilon at
-    most d fails the same way without sweeping.
+    (tau/c, c a, c omega)) and mapped back afterwards.  :func:`base_point`
+    at the paper's index-vector signs is the precondition (SingularIB,
+    ZeroAmplitude).  For n >= 2 each rung's sweep chooses the base itself:
+    :func:`delay_candidates` with the weight table takes n independent
+    quarter-turn orthants in the order the torus line reaches them, and
+    the path starts from those hits and the base they name; if it fails,
+    the rung tries once more with the last orthant replaced (see
+    :func:`_starts`).  For n = 1 the closed form tau = 3*pi/(2w), a = w
+    stands.  If no rung lands and passes the recheck, the last rung's
+    error is raised with a message that names every rung's failure.
+
+    For one group the columns b_k * s are independent exactly when the
+    sign vectors s are, so once a sweep runs out with best distance d,
+    every grid point within a smaller epsilon <= d lies in the span of
+    the orthants found: a later rung with epsilon at most d runs out too,
+    and is skipped.  For several groups an orthant passed over as one
+    column may be independent as the next, and every rung sweeps.
     """
     config = config or RealizeConfig()
     weights = _default_weights(weights, target)
@@ -848,35 +1002,64 @@ def realize(
 
     scale = float(target.flat.max())
     scaled = target.scaled(1.0 / scale)
-    base_s = base_point(scaled, weights)
+    paper = base_point(scaled, weights)
     failures = []
-    exhausted = -np.inf  # column 0's best distance once a sweep ran out there
+    spent = None  # a one-group sweep's SearchExhausted, which bounds later rungs
     for eps in config.epsilon_schedule:
+        if spent is not None and eps <= spent.best_distance:
+            failures.append(f"eps {eps}: skipped (no usable grid point nearer than "
+                            f"{spent.best_distance:.4f} rad)")
+            last = spent
+            continue
         try:
-            if eps <= exhausted:
-                # within the budget no grid point comes nearer column 0, and
-                # no column precedes it, so this sweep would end the same way
-                raise SearchExhausted(0, exhausted)
-            taus0 = delay_candidates(scaled, base_s, eps, config.budget)
-            d0 = _phase_offsets(scaled.flat, base_s.target_angles, taus0)
-            x, corrections = _trace_path(scaled, weights, taus0, base_s.amplitudes, d0)
-            partial = newton_refine(*np.split(x[:-1], 2), scaled, weights, tol=config.tol / scale,
-                                    max_iter=config.max_iter, search_window=np.abs(d0).max(axis=0))
-            taus, coeffs = partial.taus / scale, partial.coeffs * scale
-            if np.any(taus <= 0.0) or np.any(coeffs == 0.0):
-                raise LeftDomain("landed outside the admissible region")
-            residual = _verified_residual(taus, coeffs, target, weights)
-            if not residual < config.tol:
-                raise NoConvergence(residual, "independent recheck above tolerance")
-            return replace(partial, taus=taus, coeffs=coeffs, residual=residual,
-                           newton_iterations=corrections + partial.newton_iterations)
-        except (SearchExhausted, NoConvergence, LeftDomain, SingularJacobian) as exc:
-            if isinstance(exc, SearchExhausted) and exc.index == 0:
-                exhausted = exc.best_distance
+            for label, base, taus0 in _starts(scaled, weights, paper, eps, config.budget):
+                try:
+                    d0 = _phase_offsets(scaled.flat, base.target_angles, taus0)
+                    x, corrections = _trace_path(scaled, weights, taus0, base.amplitudes, d0)
+                    partial = newton_refine(*np.split(x[:-1], 2), scaled, weights,
+                                            tol=config.tol / scale, max_iter=config.max_iter,
+                                            search_window=np.abs(d0).max(axis=0))
+                    taus, coeffs = partial.taus / scale, partial.coeffs * scale
+                    if np.any(taus <= 0.0) or np.any(coeffs == 0.0):
+                        raise LeftDomain("landed outside the admissible region")
+                    residual = _verified_residual(taus, coeffs, target, weights)
+                    if not residual < config.tol:
+                        raise NoConvergence(residual, "independent recheck above tolerance")
+                    return replace(partial, taus=taus, coeffs=coeffs, residual=residual,
+                                   newton_iterations=corrections + partial.newton_iterations)
+                except (NoConvergence, LeftDomain, SingularJacobian) as exc:
+                    failures.append(f"{label}: {exc}")
+                    last = exc
+        except SearchExhausted as exc:
+            if target.r == 1:
+                spent = exc
             failures.append(f"eps {eps}: {exc}")
             last = exc
     last.args = ("every epsilon rung failed; " + "; ".join(failures),)
     raise last
+
+
+def _starts(scaled: FrequencyTarget, weights: WeightTable, paper: BasePoint, eps: float,
+            budget: int):
+    """The (label, base, start delays) a rung tries in turn.  For n = 1 the
+    paper's base and its closed form.  Otherwise the sweep's orthants,
+    and, if their path fails, the same sweep passing over the last
+    orthant chosen: the first n - 1 stay and the next independent orthant
+    the line reaches replaces it.  A path through two merging delays,
+    the usual failure, then often lands, at delays far below the next
+    rung's or the paper base's.  If the budget holds no such orthant the
+    rung ends with the first path's failure."""
+    if scaled.n == 1:
+        yield f"eps {eps}", paper, delay_candidates(scaled, paper, eps, budget)
+        return
+    taus0 = delay_candidates(scaled, weights, eps, budget)
+    base = _orthant_base(scaled, weights, taus0)
+    yield f"eps {eps}", base, taus0
+    brows = np.repeat(weights.b, scaled.sizes, axis=0)
+    taus, _ = _orthant_search(scaled.flat, brows, eps, budget, skip=base.sign_matrix[:, -1] > 0)
+    if len(taus) == scaled.n:
+        taus0 = np.array(taus)
+        yield f"eps {eps}, last orthant replaced", _orthant_base(scaled, weights, taus0), taus0
 
 
 def _verified_residual(taus, coeffs, target, weights) -> float:

@@ -6,7 +6,9 @@ assembly plus LAPACK determinants for ring systems, mpmath determinants
 and integer congruences for reduced leading-weight matrices,
 eigendecompositions for factor weights, finite differences for
 derivatives, a plain per-column delay sweep that reduces every phase and
-measures its hits' angular errors column by column, a
+measures its hits' angular errors column by column, a scan of every grid
+point for the sweep's choice of orthants with singular values for
+independence, a
 contour evaluation that takes one complex exponential per node and term
 instead of the separable tables of the spectrum kernel, a
 trapezoid-rule winding integral in place of the certified count, and a
@@ -225,6 +227,62 @@ def delay_candidates_reference(omega, angles, epsilon, budget):
     step = 2.0 * np.pi / (64.0 * float(omega.max()))
     return [sweep_column_reference(omega, angles[:, k], epsilon, step, budget, k)
             for k in range(omega.size)]
+
+
+def _volume(cols: np.ndarray) -> float:
+    """|det| over Hadamard's bound, generalised to n x m columns: the
+    product of the singular values of the column-normalised matrix."""
+    return float(np.prod(np.linalg.svd(cols / np.linalg.norm(cols, axis=0), compute_uv=False)))
+
+
+def orthant_search_reference(omega, brows, epsilon, budget, skip=None):
+    """The sweep's choice of orthants from a scan of every grid point
+    i*step, i = 1..budget: the first hit (every row within epsilon of a
+    quarter turn) of each orthant, orthants in the order of those hits,
+    each kept as the next column k when brows[:, k] * signs keeps the
+    kept columns' volume above 1e-12 (singular values), and its hit
+    sharpened by the full local scan; the orthant with signs ``skip``, if
+    given, is passed over.  Returns (signs, taus), with one column of signs
+    per delay, or raises SearchExhausted(number kept, smallest quarter-turn
+    distance over the budget of a point whose orthant, as the next column,
+    would keep the volume above 1e-12)."""
+    n = omega.size
+    step = 2.0 * np.pi / (64.0 * float(omega.max()))
+    kept, taus, seen = [], [], set()
+    if skip is not None:
+        seen.add(np.asarray(skip, dtype=float).tobytes())
+    for start in range(1, budget + 1, 4096):
+        grid = np.arange(start, min(start + 4096, budget + 1)) * step
+        phase = np.mod(np.multiply.outer(grid, omega), 2.0 * np.pi)
+        d_half = np.abs(np.mod(phase - 0.5 * np.pi + np.pi, 2.0 * np.pi) - np.pi)
+        d_3half = np.abs(np.mod(phase - 1.5 * np.pi + np.pi, 2.0 * np.pi) - np.pi)
+        dist = np.minimum(d_half, d_3half).max(axis=1)
+        for i in np.nonzero(dist < epsilon)[0]:
+            signs = np.where(d_3half[i] < d_half[i], 1.0, -1.0)
+            if signs.tobytes() in seen:
+                continue
+            seen.add(signs.tobytes())
+            cols = np.column_stack([brows[:, k] * s for k, s in enumerate(kept)]
+                                   + [brows[:, len(kept)] * signs])
+            if _volume(cols) > 1e-12:
+                angles = np.where(signs > 0, 1.5 * np.pi, 0.5 * np.pi)
+                refined, rd = _refine_candidate(omega, angles, float(grid[i]), step)
+                kept.append(signs)
+                taus.append(refined if rd < epsilon else float(grid[i]))
+                if len(kept) == n:
+                    return np.column_stack(kept), taus
+    index = len(kept)
+    grid = np.arange(1, budget + 1) * step
+    phase = np.mod(np.multiply.outer(grid, omega), 2.0 * np.pi)
+    d_half = np.abs(np.mod(phase - 0.5 * np.pi + np.pi, 2.0 * np.pi) - np.pi)
+    d_3half = np.abs(np.mod(phase - 1.5 * np.pi + np.pi, 2.0 * np.pi) - np.pi)
+    dist = np.minimum(d_half, d_3half).max(axis=1)
+    patterns, which = np.unique(d_3half < d_half, axis=0, return_inverse=True)
+    base = [brows[:, k] * s for k, s in enumerate(kept)]
+    outside = np.array([
+        _volume(np.column_stack(base + [brows[:, index] * np.where(p, 1.0, -1.0)])) > 1e-12
+        for p in patterns])
+    raise SearchExhausted(index, float(dist[outside[np.ravel(which)]].min(initial=np.inf)))
 
 
 def contour_nodes(region, per_edge: int) -> np.ndarray:

@@ -38,13 +38,14 @@ from oracles import (
     delay_candidates_reference,
     direct_transversality,
     grid_scan_delay,
+    orthant_search_reference,
     random_partition,
 )
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
-# sqrt of 1 and the first nine primes: the scalar frontier sequence
-PRIME_ROOTS = tuple(math.sqrt(p) for p in (1, 2, 3, 5, 7, 11, 13, 17, 19, 23))
+# sqrt of 1 and the first thirteen primes: the scalar frontier sequence
+PRIME_ROOTS = tuple(math.sqrt(p) for p in (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
 
 D3_TARGET = FrequencyTarget(((1.0,), (SQRT2,)))
 D3_WEIGHTS = WeightTable(np.array([[1.0, 2.0], [1.0, -1.0]]))
@@ -391,6 +392,84 @@ def test_pruned_refine_matches_full_scan(seed, n, log_steps):
     assert _refine_candidate(omega, col, tau, step) == full_scan(omega, col, tau, step)
 
 
+def _recorded_starts(monkeypatch):
+    """Every (eps, signs, start delays) realize tries, in order."""
+    from spectra_forge import realization
+
+    attempts = []
+    starts = realization._starts
+
+    def recorded(scaled, weights, paper, eps, budget):
+        for label, base, taus0 in starts(scaled, weights, paper, eps, budget):
+            attempts.append((eps, base.sign_matrix.copy(), taus0.copy()))
+            yield label, base, taus0
+
+    monkeypatch.setattr(realization, "_starts", recorded)
+    return attempts
+
+
+def _assert_starts_match_full_scan(monkeypatch, target, weights):
+    # each rung's orthants and start delays, and those of its retry without
+    # the last orthant, are the full scan's greedy basis bit for bit
+    attempts = _recorded_starts(monkeypatch)
+    realize(target, weights)
+    scaled = target.scaled(1.0 / float(target.flat.max()))
+    brows = np.repeat(weights.b, target.sizes, axis=0)
+    assert attempts
+    skip = None
+    for k, (eps, signs, taus0) in enumerate(attempts):
+        retry = k > 0 and attempts[k - 1][0] == eps
+        ref_signs, ref_taus = orthant_search_reference(
+            scaled.flat, brows, eps, 10_000_000, skip if retry else None)
+        assert signs.tolist() == ref_signs.tolist()
+        assert taus0.tolist() == ref_taus
+        skip = signs[:, -1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_orthant_choice_matches_full_scan_on_ladder(monkeypatch, n):
+    target = FrequencyTarget((PRIME_ROOTS[:n],))
+    _assert_starts_match_full_scan(monkeypatch, target, WeightTable.ones(n))
+
+
+def test_orthant_choice_matches_full_scan_on_random_partitions(monkeypatch):
+    rng = np.random.default_rng(21)
+    checked = 0
+    while checked < 20:
+        target, weights = random_partition(rng, nmax=5)
+        if target.n < 2:
+            continue
+        try:
+            base_point(target, weights)
+        except (SingularIB, ZeroAmplitude):
+            continue
+        _assert_starts_match_full_scan(monkeypatch, target, weights)
+        checked += 1
+
+
+def test_orthant_search_exhaustion_matches_full_scan():
+    # the count of orthants found and the best distance of a point outside
+    # their span, as the full scan finds them.  For one group no such point
+    # is within epsilon.  For two groups one can be: an orthant passed over
+    # as column k may be independent as column k + 1, so the skip rule of
+    # realize is kept to one group
+    cases = [
+        (FrequencyTarget((PRIME_ROOTS[:5],)), WeightTable.ones(5), 0.8, 50, 1),
+        (FrequencyTarget(((1.0, SQRT2), (math.sqrt(3.0), math.sqrt(5.0)))),
+         WeightTable(np.array([[1.0, 1.0, 2.0, 2.0], [1.0, 1.0, -0.5, 0.75]])), 0.5, 1200, 3),
+    ]
+    for target, weights, eps, budget, index in cases:
+        scaled = target.scaled(1.0 / float(target.flat.max()))
+        brows = np.repeat(weights.b, target.sizes, axis=0)
+        with pytest.raises(SearchExhausted) as err:
+            delay_candidates(scaled, weights, eps, budget)
+        with pytest.raises(SearchExhausted) as ref:
+            orthant_search_reference(scaled.flat, brows, eps, budget)
+        assert err.value.index == ref.value.index == index
+        assert err.value.best_distance == ref.value.best_distance
+        assert (err.value.best_distance >= eps) == (target.r == 1)
+
+
 def test_delay_search_rejects_non_quarter_turn_angles():
     target = FrequencyTarget(((1.0, SQRT2),))
     base = base_point(target)
@@ -620,20 +699,25 @@ def test_continuation_start_solves_the_shifted_system():
 
 def test_realize_search_window_is_the_start_offset():
     # search_window reads max_i |d0[i, k]| of the first rung's sweep hit,
-    # which is that hit's achieved window
-    target = FrequencyTarget((PRIME_ROOTS[:4],))
+    # which is that hit's achieved window against the base its orthants
+    # name; the first path of (1, .., sqrt 7) lands
+    target = FrequencyTarget((PRIME_ROOTS[:5],))
     res = realize(target)
-    scaled = target.scaled(1.0 / max(PRIME_ROOTS[:4]))
-    base = base_point(scaled)
-    windows = achieved_windows(scaled, base, delay_candidates(scaled, base, epsilon=0.8))
+    scaled = target.scaled(1.0 / max(PRIME_ROOTS[:5]))
+    signs, taus = orthant_search_reference(scaled.flat, np.ones((5, 5)), 0.8, 10_000_000)
+    base = dataclasses.replace(base_point(scaled), sign_matrix=signs,
+                               target_angles=np.where(signs > 0, 1.5 * PI, 0.5 * PI))
+    windows = achieved_windows(scaled, base, taus)
     assert res.search_window.tolist() == windows.tolist()
     assert np.all(res.search_window < 0.8)
 
 
-@pytest.mark.parametrize("n, tau_bound", [(7, 2.5e3), (8, 1.5e4), (9, 2.5e4), (10, 1.5e4)])
+@pytest.mark.parametrize("n, tau_bound", [(7, 80.0), (8, 150.0), (9, 350.0), (10, 550.0),
+                                         (11, 1.9e3), (12, 3.2e3), (13, 6.5e3), (14, 400.0)])
 def test_realize_frontier_prefixes(n, tau_bound):
-    # the first rungs give paths to delays far below those of a small-epsilon
-    # sweep hit; the eps = 0.4 damped Newton failed from n = 7 on
+    # the sweep's orthants give paths to delays far below those of the
+    # paper's index-vector base (2.5e3 to 2.5e4 for n = 7..10, and no
+    # realization from n = 14 on); every target verifies
     from spectra_forge.spectrum import verify_realization
 
     target = FrequencyTarget((PRIME_ROOTS[:n],))
@@ -642,13 +726,7 @@ def test_realize_frontier_prefixes(n, tau_bound):
     assert np.all(res.taus > 0) and res.taus.max() < tau_bound
     report = verify_realization(res, target, WeightTable.ones(n))
     assert all(t.local_count == 1 and t.residual < 1e-10 for t in report.targets)
-    if n <= 8:
-        assert report.passed
-    else:
-        # at tau of order 2e4 the polish of a root near i w stalls above its
-        # 1e-12 tolerance for some last-bit perturbations of the delays (the
-        # phase floor of verify_realization); nothing else may fail
-        assert all(t.passed or t.note == "polish failed: polish stalled" for t in report.targets)
+    assert report.passed
 
 
 def test_realize_seven_roots_of_primes():
@@ -664,9 +742,10 @@ def test_realize_seven_roots_of_primes():
 
 def test_realize_failure_names_every_rung(monkeypatch):
     # 50 grid points reach tau of about 5: every rung's sweep runs out, and
-    # the error keeps the last rung's type and lists all of them.  The first
-    # sweep runs out at column 0 with best distance 1.669, above every
-    # rung's epsilon, so no later rung sweeps again
+    # the error keeps the last rung's type and lists all of them.  The
+    # sweep at 0.8 finds one orthant, and no other orthant comes nearer
+    # than 1.1928 rad, so rung 1.0 is not swept; 1.2 and 1.4 are, and after
+    # 1.4 (three orthants, best distance 1.4989) no later rung is
     from spectra_forge import realization
 
     sweeps = []
@@ -680,17 +759,27 @@ def test_realize_failure_names_every_rung(monkeypatch):
     cfg = RealizeConfig(budget=50)
     with pytest.raises(SearchExhausted) as err:
         realize(FrequencyTarget((PRIME_ROOTS[:5],)), config=cfg)
-    assert sweeps == [0.8]
-    # the same message, bit for bit, as when every rung swept
-    assert str(err.value) == "every epsilon rung failed; " + "; ".join(
-        f"eps {eps}: delay search for column 0 exhausted its budget (best distance 1.6690 rad)"
-        for eps in cfg.epsilon_schedule
-    )
-    assert err.value.index == 0 and err.value.best_distance == float.fromhex("0x1.ab41b09886fe8p+0")
+    assert sweeps == [0.8, 1.2, 1.4]
+    exhausted = "delay search for column {} exhausted its budget (best distance {} rad)"
+    skipped = "skipped (no usable grid point nearer than {} rad)"
+    assert str(err.value) == "every epsilon rung failed; " + "; ".join([
+        "eps 0.8: " + exhausted.format(1, "1.1928"),
+        "eps 1.0: " + skipped.format("1.1928"),
+        "eps 1.2: " + exhausted.format(2, "1.3333"),
+        "eps 1.4: " + exhausted.format(3, "1.4989"),
+    ] + [f"eps {eps}: " + skipped.format("1.4989") for eps in (0.4, 0.3, 0.2, 0.1)])
+    # each exhaustion as the full scan sees it
+    scaled = FrequencyTarget((PRIME_ROOTS[:5],)).scaled(1.0 / PRIME_ROOTS[4])
+    for eps, index in ((0.8, 1), (1.2, 2), (1.4, 3)):
+        with pytest.raises(SearchExhausted) as ref:
+            orthant_search_reference(scaled.flat, np.ones((5, 5)), eps, 50)
+        assert ref.value.index == index
+    assert (err.value.index, err.value.best_distance) == (ref.value.index, ref.value.best_distance)
 
 
 def test_realize_path_stall_names_s_steps_and_residual(monkeypatch):
-    # a step cap of one stalls every path on its first step, before s = 1
+    # a step cap of one stalls every path on its first step, before s = 1:
+    # on each rung the sweep's orthants and the retry without the last one
     from spectra_forge import realization
 
     monkeypatch.setattr(realization, "_PATH_STEPS", 1)
@@ -700,7 +789,8 @@ def test_realize_path_stall_names_s_steps_and_residual(monkeypatch):
     message = str(err.value)
     for eps in cfg.epsilon_schedule:
         assert f"eps {eps}: path stalled (step cap) at s = " in message
-    assert message.count("after 1 steps, residual") == 2
+        assert f"eps {eps}, last orthant replaced: path stalled (step cap) at s = " in message
+    assert message.count("after 1 steps, residual") == 4
 
 
 def test_realize_diverging_path_ends_early():
@@ -767,7 +857,7 @@ def test_continue_large_step_with_bisection_harness():
     target = FrequencyTarget(((1.0, SQRT2, math.sqrt(3.0)),))
     res = realize(target)
     start = np.array(target.flat)
-    goal = start + np.array([0.5, 0.0, 0.0])
+    goal = start + np.array([1.5, 0.0, 0.0])
 
     # tight iteration cap makes the full step fail; the harness bisects
     with pytest.raises(NoConvergence):
