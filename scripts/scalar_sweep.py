@@ -2,10 +2,8 @@
 """Realize growing prefixes of (1, sqrt2, sqrt3, sqrt5, ..., sqrt43) and verify.
 
 Prints one row per instance with the realized delays, coefficients,
-residual, Newton iterations, the transversality diagnostic at the paper's
-index-vector base point (realize starts its path from the orthants its
-sweep chooses, not from that base), and the verification verdict.  Exits
-1 if any instance fails verification.
+residual, Newton iterations and the verification verdict.  Exits 1 if any
+instance fails verification.
 
 Usage:
     python scripts/scalar_sweep.py [--max-n 5] [--tol 1e-10] [--json out.json]
@@ -26,7 +24,6 @@ from spectra_forge.realization import (
     RealizeConfig,
     WeightTable,
     realize,
-    transversality_at_base,
 )
 from spectra_forge.spectrum import verify_realization
 
@@ -48,7 +45,6 @@ def main(argv=None):
         result = realize(target, config=config)
         elapsed = time.perf_counter() - t0
         report = verify_realization(result, target, WeightTable.ones(n), tol=1e-8)
-        trans = transversality_at_base(target)
         rows.append(
             {
                 "n": n,
@@ -57,15 +53,13 @@ def main(argv=None):
                 "residual": result.residual,
                 "newton_iterations": result.newton_iterations,
                 "search_window": result.search_window.tolist(),
-                "paper_base_transversality": trans,
                 "verified": report.passed,
                 "seconds": elapsed,
             }
         )
         print(
             f"n={n}: residual={result.residual:.2e}  iters={result.newton_iterations}  "
-            f"max_tau={result.taus.max():.1f}  paper_base_transversality={trans:.3e}  "
-            f"verified={report.passed}  ({elapsed:.2f}s)"
+            f"max_tau={result.taus.max():.1f}  verified={report.passed}  ({elapsed:.2f}s)"
         )
         with np.printoptions(precision=6, suppress=False):
             print(f"    taus   = {result.taus}")

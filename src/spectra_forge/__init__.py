@@ -9,7 +9,6 @@ from .errors import (
     BadIndex,
     BadParity,
     BoundaryRoot,
-    BudgetExceeded,
     LeftDomain,
     NoConvergence,
     SearchExhausted,
@@ -42,11 +41,9 @@ from .realization import (
     continue_realization,
     delay_candidates,
     det_cal_I_B_lemma,
-    independence_diagnostic,
     index_vectors,
     newton_refine,
     realize,
-    transversality_at_base,
 )
 from .dn_ring import (
     ConnectionList,

@@ -26,7 +26,6 @@ from .errors import (
     BadIndex,
     BadParity,
     BoundaryRoot,
-    BudgetExceeded,
     LeftDomain,
     NoConvergence,
     SearchExhausted,
@@ -51,7 +50,7 @@ _INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError,
                  ZeroWeight, BadIndex, BadParity)
 _NUMERIC_ERRORS = (SingularIB, ZeroAmplitude, SearchExhausted, NoConvergence,
                    LeftDomain, SingularJacobian, SingularB, BoundaryRoot,
-                   TooManyRoots, BudgetExceeded)
+                   TooManyRoots)
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -39,27 +39,17 @@ class ZeroAmplitude(SpectraForgeError):
         super().__init__(f"base amplitude {k} is {value:.3e}, too close to zero")
 
 
-class BudgetExceeded(SpectraForgeError):
-    """An exhaustive enumeration would exceed its hard budget."""
-
-
 class SearchExhausted(SpectraForgeError):
     """The dense-torus delay sweep ran out of budget for one delay index.
 
     ``index`` is the 0-based delay column, the first one that found no hit
-    within the budget.  ``best_distance`` (radians) is the exact minimum
-    over every grid point of the budget, not a bound, of the angular
-    error that column could have:
-
-    * when the sweep chooses the orthants (``realize``, or
-      ``delay_candidates`` with a weight table), columns fill in order, so
-      ``index`` is the number of independent orthants found, and
-      ``best_distance`` is the smallest quarter-turn distance of a grid
-      point whose orthant, as column ``index``, lies outside their span
-      (infinite if there is none).  For one group it is at least the
-      epsilon asked for, and a smaller epsilon runs out the same way;
-    * for a fixed base (``delay_candidates`` with a base point) it is that
-      column's own smallest distance, at least the epsilon asked for.
+    within the budget.  Columns fill in order, so it is also the number of
+    independent orthants found.  ``best_distance`` (radians) is exact, not
+    a bound: the smallest quarter-turn distance, over every grid point of
+    the budget, of a point whose orthant, as column ``index``, lies
+    outside their span (infinite if there is none).  For one group it is
+    at least the epsilon asked for, and a smaller epsilon runs out the
+    same way.
     """
 
     def __init__(self, index: int, best_distance: float):

@@ -26,6 +26,7 @@ The constructive path mirrors the existence proof:
     that corner's orthant, and :func:`realize` takes the first n
     orthants the line reaches whose weighted sign columns are
     independent: they form the base, and their visits the start delays.
+    A single frequency needs no sweep: the base angle over w is exact.
     One sweep along the line serves every column: a cheap gate (every
     angle w_i*tau within epsilon of a quarter turn, read off the grid
     index for the largest frequency and off a multiply and a floor for
@@ -50,7 +51,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
     LeftDomain,
     NoConvergence,
     SearchExhausted,
@@ -72,12 +72,10 @@ __all__ = [
     "cal_I_B",
     "det_cal_I_B_lemma",
     "base_point",
-    "independence_diagnostic",
     "delay_candidates",
     "newton_refine",
     "realize",
     "continue_realization",
-    "transversality_at_base",
     "result_factors",
     "circ_dist",
 ]
@@ -96,7 +94,8 @@ class FrequencyTarget:
     ``groups[j]`` holds the frequencies assigned to factor j.  Exact
     duplicates anywhere in the flattened vector are rejected up front since
     they trivially violate rational independence; anything subtler is the
-    caller's responsibility (see :func:`independence_diagnostic`).
+    caller's responsibility, since floating-point inputs can never certify
+    it (:func:`base_point` refuses targets whose base amplitudes vanish).
     """
 
     groups: tuple[tuple[float, ...], ...]
@@ -417,46 +416,6 @@ def _default_weights(weights: WeightTable | None, target: FrequencyTarget) -> We
 
 
 # ---------------------------------------------------------------------------
-# Rational-relation diagnostic
-
-
-def independence_diagnostic(
-    omegas: Sequence[float], max_coeff: int = 10, tol: float = 1e-9
-) -> list[tuple[int, ...]]:
-    """Integer relations |c . omega| < tol * |omega| with |c_i| <= max_coeff.
-
-    Warn-only by design: floating-point inputs can never certify rational
-    independence, so an empty list means nothing was detected at this
-    budget.  The full grid has (2*max_coeff + 1)^n points and is refused
-    beyond 1e8.
-    """
-    if max_coeff < 1:
-        raise ValueError("max_coeff must be >= 1")
-    w = np.asarray(list(omegas), dtype=float)
-    n = w.size
-    radix = 2 * max_coeff + 1
-    total = radix**n
-    if total > 10**8:
-        raise BudgetExceeded(f"grid of {total} integer vectors exceeds 1e8")
-    threshold = tol * float(np.linalg.norm(w))
-    hits: list[tuple[int, ...]] = []
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        coeffs = np.empty((idx.size, n), dtype=np.int64)
-        rem = idx
-        for pos in range(n - 1, -1, -1):
-            rem, digit = np.divmod(rem, radix)
-            coeffs[:, pos] = digit - max_coeff
-        vals = np.abs(coeffs @ w)
-        for h in np.nonzero(vals < threshold)[0]:
-            c = tuple(int(x) for x in coeffs[h])
-            if any(c):
-                hits.append(c)
-    return hits
-
-
-# ---------------------------------------------------------------------------
 # Dense-torus delay search
 
 
@@ -603,40 +562,6 @@ def _sweep(omega: np.ndarray, budget: int, reach, visit) -> bool:
     return False
 
 
-def _column_search(omega: np.ndarray, angles: np.ndarray, epsilon: float,
-                   budget: int) -> np.ndarray:
-    """Each fixed angle column's first hit, sharpened; see
-    :func:`delay_candidates`."""
-    n = omega.size
-    half = angles == 0.5 * np.pi
-    step = _grid_step(omega)
-    found = {}
-
-    def visitor(best):  # best: open column -> smallest exact distance so far
-        def visit(grid, d_half, d_3half):
-            for k in list(best):
-                dist = np.where(half[:, k, None], d_half, d_3half).max(axis=0)
-                hits = np.nonzero(dist < epsilon)[0]
-                if hits.size:
-                    found[k] = _sharpened(omega, angles[:, k], float(grid[hits[0]]), step, epsilon)
-                    del best[k]
-                else:
-                    best[k] = min(best[k], float(dist.min(initial=np.inf)))
-            return not best
-        return visit
-
-    best = dict.fromkeys(range(n), np.inf)
-    if not _sweep(omega, budget, lambda: epsilon, visitor(best)):
-        index = min(best)
-        # gated at its running best, starting from the first sweep's best, a
-        # true distance, so that a point at exactly that distance, which the
-        # gate's strict < drops, is still counted
-        exact = {index: best[index]}
-        _sweep(omega, budget, lambda: exact[index], visitor(exact))
-        raise SearchExhausted(index, exact[index])
-    return np.array([found[k] for k in range(n)])
-
-
 class _Span:
     """Orthonormal basis of accepted columns and their volume relative to
     Hadamard's bound, the product of each column's share outside the span
@@ -718,11 +643,12 @@ def _outside_distance(omega: np.ndarray, brows: np.ndarray, span: _Span, budget:
 
 def delay_candidates(
     target: FrequencyTarget,
-    base: BasePoint | WeightTable,
+    weights: WeightTable,
     epsilon: float,
     budget: int = 10_000_000,
 ) -> np.ndarray:
-    """Start delays within epsilon of n quarter-turn columns, one per column.
+    """Start delays within epsilon of n independent quarter-turn orthants,
+    one per column, in the order the torus line reaches them.
 
     One sweep over the grid tau = i*step, i = 1..budget, step =
     2*pi/(64*max(omega)), serves every column: a step this fine cannot
@@ -742,23 +668,16 @@ def delay_candidates(
 
     The offset less that slack is a lower bound on every exact column
     distance, so the gate passes a proven superset of the hits, and the
-    exact test decides (see :func:`_sweep`).  Each chosen hit is then
-    sharpened by a local scan (:func:`_refine_candidate`).
+    exact test decides (see :func:`_sweep`).
 
-    With a :class:`BasePoint`, column k waits for the base's own angles,
-    and the result is each column's first hit.  When the budget runs out,
-    SearchExhausted names the first column without a hit, with its exact
-    best distance over the budget: that one column is swept a second time
-    with the gate at its own running best.
-
-    With a :class:`WeightTable` the sweep chooses the orthants: hits are
-    taken in grid order, the first of each orthant only, and the orthant
-    with signs s becomes the next column k when the weighted column
-    b[:, k] * s (weights repeated over each group's rows) keeps the columns
-    so far independent by the Hadamard-relative test of
-    :func:`base_point`.  For one group this greedy basis has the
-    smallest possible largest delay.  The sign of row i in column k is
-    +1 where w_i*tau_k is nearer 3*pi/2 and -1 where nearer pi/2, so the
+    Hits are taken in grid order, the first of each orthant only, and the
+    orthant with signs s becomes the next column k when the weighted
+    column b[:, k] * s (weights repeated over each group's rows) keeps the
+    columns so far independent by the Hadamard-relative test of
+    :func:`base_point`.  For one group this greedy basis has the smallest
+    possible largest delay.  Each chosen hit is sharpened by a local scan
+    (:func:`_refine_candidate`).  The sign of row i in column k is +1
+    where w_i*tau_k is nearer 3*pi/2 and -1 where nearer pi/2, so the
     delays name their base.  When the budget runs out, SearchExhausted
     gives the number of columns found and the smallest quarter-turn
     distance over the budget of a grid point whose orthant, as the next
@@ -768,22 +687,14 @@ def delay_candidates(
     if not (0.0 < epsilon < 0.5 * np.pi):
         raise ValueError("epsilon must lie in (0, pi/2)")
     budget = _count(budget, "budget")
+    _check_shapes(weights, target)
+    weights.require_nonzero()
     omega = target.flat
-    if isinstance(base, WeightTable):
-        _check_shapes(base, target)
-        base.require_nonzero()
-        brows = np.repeat(base.b, target.sizes, axis=0)
-        taus, span = _orthant_search(omega, brows, epsilon, budget)
-        if len(taus) < omega.size:
-            raise SearchExhausted(len(taus), _outside_distance(omega, brows, span, budget))
-        return np.array(taus)
-    angles = base.target_angles
-    if not np.all((angles == 0.5 * np.pi) | (angles == 1.5 * np.pi)):
-        raise ValueError("target angles must all be pi/2 or 3*pi/2")
-    if omega.size == 1:
-        # one angle: exact smallest positive solution
-        return np.array([float(angles[0, 0]) / float(omega[0])])
-    return _column_search(omega, angles, epsilon, budget)
+    brows = np.repeat(weights.b, target.sizes, axis=0)
+    taus, span = _orthant_search(omega, brows, epsilon, budget)
+    if len(taus) < omega.size:
+        raise SearchExhausted(len(taus), _outside_distance(omega, brows, span, budget))
+    return np.array(taus)
 
 
 def achieved_windows(target: FrequencyTarget, base: BasePoint, taus: np.ndarray) -> np.ndarray:
@@ -905,8 +816,8 @@ def newton_refine(
     steps raises NoConvergence with the final residual.  The step from the
     first iterate below tol is the last, kept if it lowers the residual: it
     takes the result to the rounding floor whatever tol is.  Without
-    ``search_window`` the result records the final delays' angular errors
-    against the angles of the paper's base.
+    ``search_window`` the result records zeros, as
+    :meth:`RealizationResult.from_dict` does for files that lack it.
     """
     weights = _default_weights(weights, target)
     _check_shapes(weights, target)
@@ -938,7 +849,7 @@ def newton_refine(
     if not norm < tol:
         raise NoConvergence(norm, f"Newton: residual {norm:.3e} after {iterations} iterations")
     if search_window is None:
-        search_window = achieved_windows(target, base_point(target, weights), taus)
+        search_window = np.zeros(n)
     return RealizationResult(
         taus=taus,
         coeffs=coeffs,
@@ -980,13 +891,13 @@ def realize(
     (tau/c, c a, c omega)) and mapped back afterwards.  :func:`base_point`
     at the paper's index-vector signs is the precondition (SingularIB,
     ZeroAmplitude).  For n >= 2 each rung's sweep chooses the base itself:
-    :func:`delay_candidates` with the weight table takes n independent
-    quarter-turn orthants in the order the torus line reaches them, and
-    the path starts from those hits and the base they name; if it fails,
-    the rung tries once more with the last orthant replaced (see
-    :func:`_starts`).  For n = 1 the closed form tau = 3*pi/(2w), a = w
-    stands.  If no rung lands and passes the recheck, the last rung's
-    error is raised with a message that names every rung's failure.
+    :func:`delay_candidates` takes n independent quarter-turn orthants in
+    the order the torus line reaches them, and the path starts from those
+    hits and the base they name; if it fails, the rung tries once more
+    with the last orthant replaced (see :func:`_starts`).  For n = 1 the
+    closed form tau = 3*pi/(2w), a = w stands.  If no rung lands and
+    passes the recheck, the last rung's error is raised with a message
+    that names every rung's failure.
 
     For one group the columns b_k * s are independent exactly when the
     sign vectors s are, so once a sweep runs out with best distance d,
@@ -1042,15 +953,17 @@ def realize(
 def _starts(scaled: FrequencyTarget, weights: WeightTable, paper: BasePoint, eps: float,
             budget: int):
     """The (label, base, start delays) a rung tries in turn.  For n = 1 the
-    paper's base and its closed form.  Otherwise the sweep's orthants,
-    and, if their path fails, the same sweep passing over the last
-    orthant chosen: the first n - 1 stay and the next independent orthant
-    the line reaches replaces it.  A path through two merging delays,
+    paper's base and its exact delay, the base angle over the frequency,
+    with no sweep.  Otherwise the sweep's orthants, and, if their path
+    fails, the same sweep passing over the last orthant chosen: the first
+    n - 1 stay and the next independent orthant the line reaches replaces
+    it.  A path through two merging delays,
     the usual failure, then often lands, at delays far below the next
     rung's or the paper base's.  If the budget holds no such orthant the
     rung ends with the first path's failure."""
     if scaled.n == 1:
-        yield f"eps {eps}", paper, delay_candidates(scaled, paper, eps, budget)
+        tau = float(paper.target_angles[0, 0]) / float(scaled.flat[0])
+        yield f"eps {eps}", paper, np.array([tau])
         return
     taus0 = delay_candidates(scaled, weights, eps, budget)
     base = _orthant_base(scaled, weights, taus0)
@@ -1097,43 +1010,3 @@ def continue_realization(
     residual = _verified_residual(refined.taus, refined.coeffs, new_target, weights)
     return replace(refined, residual=residual)
 
-
-# ---------------------------------------------------------------------------
-# Transversality diagnostic
-
-
-def transversality_at_base(
-    target: FrequencyTarget, weights: WeightTable | None = None
-) -> float:
-    """Closed-form transversality determinant at the base point.
-
-    Nonzero exactly when the realized-solution surface crosses the torus
-    flow there; its magnitude is only a conditioning diagnostic.  For a
-    single group this reduces to
-
-        prod(omega) * (a_1 ... a_{n-1}) / a_n^{n-1} * det(cal_I(n)).
-    """
-    weights = _default_weights(weights, target)
-    base = base_point(target, weights)
-    n, r = target.n, target.r
-    if n == 1:
-        return float(target.flat[0])
-    mu = target.prefix
-    sizes = target.sizes
-    amps = base.amplitudes
-    b = weights.b
-
-    lead = np.array([amps[mu[j + 1] - 1] * b[j, mu[j + 1] - 1] for j in range(r)])
-    prefactor = (-1.0) ** (n - 1) * float(np.prod(target.flat)) * float(np.prod(amps[: n - 1]))
-    denom = float(np.prod(lead ** np.array(sizes, dtype=float)))
-    sign_last_block = (-1.0) ** (sizes[-1] - 1)
-
-    mat = base.calIB.copy()
-    for j in range(r):
-        col = np.full(sizes[j], lead[j])
-        if j == r - 1 and sizes[j] > 1:
-            # last group: the rewritten column keeps that block's sign flips
-            col = lead[j] * np.where(np.arange(sizes[j]) == 0, 1.0, -1.0)
-        mat[mu[j]: mu[j + 1], n - 1] = col
-    value = prefactor / denom * sign_last_block * float(np.linalg.det(mat))
-    return value

@@ -5,8 +5,11 @@ compensated/high-precision summation for factor values, dense matrix
 assembly plus LAPACK determinants for ring systems, mpmath determinants
 and integer congruences for reduced leading-weight matrices,
 eigendecompositions for factor weights, finite differences for
-derivatives, a plain per-column delay sweep that reduces every phase and
-measures its hits' angular errors column by column, a scan of every grid
+derivatives, the paper's closed-form transversality determinant next to
+one assembled from its blocks, a meet-in-the-middle search for small
+integer relations, a plain per-column delay sweep that reduces every
+phase and measures its hits' angular errors column by column (it gives
+the start delays of a fixed base point), a scan of every grid
 point for the sweep's choice of orthants with singular values for
 independence, a
 contour evaluation that takes one complex exponential per node and term
@@ -18,6 +21,7 @@ cell at a time instead of starting from one certified grid.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import mpmath as mp
@@ -121,6 +125,40 @@ def circulant_eigenvalues(n: int, diag: float, by_distance: dict[int, float]) ->
     return np.sort(np.linalg.eigvalsh(mat))
 
 
+def transversality_at_base(target: FrequencyTarget, weights: WeightTable | None = None) -> float:
+    """The paper's closed-form transversality determinant at the base point.
+
+    Nonzero exactly when the realized-solution surface crosses the torus
+    flow there; its magnitude is only a conditioning diagnostic.  For a
+    single group this reduces to
+
+        prod(omega) * (a_1 ... a_{n-1}) / a_n^{n-1} * det(cal_I(n)).
+    """
+    weights = WeightTable.ones(target.n, target.r) if weights is None else weights
+    base = base_point(target, weights)
+    n, r = target.n, target.r
+    if n == 1:
+        return float(target.flat[0])
+    mu = target.prefix
+    sizes = target.sizes
+    amps = base.amplitudes
+    b = weights.b
+
+    lead = np.array([amps[mu[j + 1] - 1] * b[j, mu[j + 1] - 1] for j in range(r)])
+    prefactor = (-1.0) ** (n - 1) * float(np.prod(target.flat)) * float(np.prod(amps[: n - 1]))
+    denom = float(np.prod(lead ** np.array(sizes, dtype=float)))
+    sign_last_block = (-1.0) ** (sizes[-1] - 1)
+
+    mat = base.calIB.copy()
+    for j in range(r):
+        col = np.full(sizes[j], lead[j])
+        if j == r - 1 and sizes[j] > 1:
+            # last group: the rewritten column keeps that block's sign flips
+            col = lead[j] * np.where(np.arange(sizes[j]) == 0, 1.0, -1.0)
+        mat[mu[j]: mu[j + 1], n - 1] = col
+    return prefactor / denom * sign_last_block * float(np.linalg.det(mat))
+
+
 def direct_transversality(target: FrequencyTarget, weights: WeightTable) -> float:
     """Transversality determinant assembled column-by-column from the
     explicit implicit-derivative blocks, independent of the closed form."""
@@ -147,6 +185,41 @@ def direct_transversality(target: FrequencyTarget, weights: WeightTable) -> floa
             alpha[rows, k] = coeff * diag * wj
         alpha[rows, n - 1] = wj
     return float(np.linalg.det(alpha))
+
+
+def integer_relations(omegas, max_coeff: int = 10, tol: float = 1e-9) -> list[tuple[int, ...]]:
+    """Integer relations |c . omega| < tol * |omega|, c != 0, |c_i| <= max_coeff,
+    in lexicographic order: the hits of the full (2 max_coeff + 1)^n grid.
+
+    Meets in the middle: the sums of the last n - n//2 coefficients are
+    sorted once, and each sum of the first n//2 is binary-searched against
+    them in a window padded for the rounding of the split sums; every pair
+    found is then measured as one dot product, as the grid measures it.
+    Floating-point inputs can never certify rational independence, so an
+    empty list means only that nothing was found at this bound.
+    """
+    w = np.asarray(list(omegas), dtype=float)
+    n, h = w.size, w.size // 2
+    threshold = tol * float(np.linalg.norm(w))
+
+    def half(k):
+        rows = list(itertools.product(range(-max_coeff, max_coeff + 1), repeat=k))
+        return np.array(rows, dtype=np.int64).reshape(len(rows), k)
+
+    left, right = half(h), half(n - h)
+    left_sums, right_sums = left @ w[:h], right @ w[h:]
+    order = np.argsort(right_sums, kind="stable")
+    ordered = right_sums[order]
+    pad = threshold + 8.0 * n * max_coeff * float(np.abs(w).sum()) * np.finfo(float).eps
+    lo = np.searchsorted(ordered, -left_sums - pad, "left")
+    hi = np.searchsorted(ordered, -left_sums + pad, "right")
+    pairs = [(i, int(j)) for i in range(left_sums.size) for j in order[lo[i]:hi[i]]]
+    if not pairs:
+        return []
+    i, j = np.array(pairs).T
+    coeffs = np.concatenate([left[i], right[j]], axis=1)
+    keep = (np.abs(coeffs @ w) < threshold) & np.any(coeffs != 0, axis=1)
+    return sorted(tuple(int(x) for x in c) for c in coeffs[keep])
 
 
 def random_partition(rng: np.random.Generator, nmax: int = 8):
@@ -203,7 +276,7 @@ def sweep_column_reference(omega, col, epsilon, step, budget, index):
     phase reduced and compared with the column's angles; the first hit is
     sharpened by the same local scan as the library's."""
     best = np.inf
-    chunk = 1 << 16
+    chunk = 1 << 12
     done = 0
     while done < budget:
         count = min(chunk, budget - done)

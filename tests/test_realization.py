@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectra_forge.errors import (
@@ -26,20 +26,20 @@ from spectra_forge.realization import (
     continue_realization,
     delay_candidates,
     det_cal_I_B_lemma,
-    independence_diagnostic,
     index_vectors,
     newton_refine,
     realize,
     result_factors,
-    transversality_at_base,
 )
 from oracles import (
     achieved_windows,
     delay_candidates_reference,
     direct_transversality,
     grid_scan_delay,
+    integer_relations,
     orthant_search_reference,
     random_partition,
+    transversality_at_base,
 )
 
 PI = math.pi
@@ -182,7 +182,7 @@ def test_base_point_amplitudes_nonzero_for_independent_looking_targets():
         omegas = np.sort(rng.uniform(0.3, 5.0, size=n))
         if np.min(np.diff(omegas), initial=np.inf) < 1e-3:
             continue
-        if independence_diagnostic(omegas, max_coeff=10, tol=1e-9):
+        if integer_relations(omegas, max_coeff=10, tol=1e-9):
             continue
         found += 1
         target = FrequencyTarget((tuple(omegas),))
@@ -191,49 +191,55 @@ def test_base_point_amplitudes_nonzero_for_independent_looking_targets():
 
 
 # ---------------------------------------------------------------------------
-# independence diagnostic
+# integer relations (the test oracle that screens targets)
 
 
 def test_independence_detects_integer_relation():
-    hits = independence_diagnostic([1.0, 2.0], max_coeff=3, tol=1e-9)
+    hits = integer_relations([1.0, 2.0], max_coeff=3, tol=1e-9)
     assert (2, -1) in hits
 
 
 def test_independence_silent_on_sqrt2():
-    assert independence_diagnostic([1.0, SQRT2], max_coeff=10, tol=1e-9) == []
+    assert integer_relations([1.0, SQRT2], max_coeff=10, tol=1e-9) == []
 
 
 def test_independence_detects_duplicates():
-    assert (1, -1) in independence_diagnostic([1.0, 1.0], max_coeff=2, tol=1e-9)
+    assert (1, -1) in integer_relations([1.0, 1.0], max_coeff=2, tol=1e-9)
 
 
-def test_independence_budget():
-    from spectra_forge.errors import BudgetExceeded
+def test_integer_relations_match_brute_force_grid():
+    # the meet-in-the-middle search returns the full grid's relations, in
+    # its order, also at loose tolerances where many sums sit near the
+    # threshold
+    import itertools
 
-    with pytest.raises(BudgetExceeded):
-        independence_diagnostic([1.0] * 9, max_coeff=10, tol=1e-9)
+    rng = np.random.default_rng(5)
+    cases = [((1.0, 2.0), 3), ((1.0, 1.0), 2), ((1.0, SQRT2), 4), ((0.7,), 4),
+             ((1.0, SQRT2, 1.0 + SQRT2), 4), ((0.5, 1.5, 2.0), 2)]
+    cases += [(tuple(rng.uniform(0.3, 5.0, int(rng.integers(1, 4)))), int(rng.integers(1, 5)))
+              for _ in range(30)]
+    for omegas, max_coeff in cases:
+        w = np.array(omegas)
+        grid = np.array(list(itertools.product(range(-max_coeff, max_coeff + 1), repeat=w.size)))
+        for tol in (1e-9, 1e-3, 0.05):
+            value = np.abs(grid @ w)
+            hits = [tuple(int(x) for x in c) for c in grid[value < tol * np.linalg.norm(w)] if any(c)]
+            assert integer_relations(omegas, max_coeff, tol) == hits
 
 
 # ---------------------------------------------------------------------------
 # delay search
 
 
-def test_delay_search_single_frequency_exact():
-    target = FrequencyTarget(((1.0,),))
-    base = base_point(target)
-    taus = delay_candidates(target, base, epsilon=0.3)
-    assert taus.tolist() == [3 * PI / 2]
-
-    target2 = FrequencyTarget(((2.0,),))
-    taus2 = delay_candidates(target2, base_point(target2), epsilon=0.3)
-    assert taus2.tolist() == [3 * PI / 4]
-
-
 def test_delay_search_two_frequencies_meets_tolerance():
     target = FrequencyTarget(((1.0, SQRT2),))
-    base = base_point(target)
     eps = 0.25
-    taus = delay_candidates(target, base, epsilon=eps)
+    taus = delay_candidates(target, WeightTable.ones(2), epsilon=eps)
+    # the orthants the sweep chose, as the full scan chooses them
+    signs, expected = orthant_search_reference(target.flat, np.ones((2, 2)), eps, 10_000_000)
+    assert taus.tolist() == expected
+    base = dataclasses.replace(base_point(target), sign_matrix=signs,
+                               target_angles=np.where(signs > 0, 1.5 * PI, 0.5 * PI))
     windows = achieved_windows(target, base, taus)
     assert np.all(taus > 0)
     assert np.all(windows < eps)
@@ -246,15 +252,15 @@ def test_delay_search_two_frequencies_meets_tolerance():
 
 
 def test_delay_search_budget_exhaustion():
+    # a budget inside the first chunk: no orthant within 0.05 rad in 200
+    # grid points, and the best distance is the true minimum over the
+    # budget, as the full scan sees it
     target = FrequencyTarget(((1.0, SQRT2, math.sqrt(3.0)),))
-    base = base_point(target)
     with pytest.raises(SearchExhausted) as err:
-        delay_candidates(target, base, epsilon=0.05, budget=200)
-    assert err.value.best_distance > 0.0
-    # the column's true minimum over the budget, as the per-column sweep sees it
+        delay_candidates(target, WeightTable.ones(3), epsilon=0.05, budget=200)
     with pytest.raises(SearchExhausted) as ref:
-        delay_candidates_reference(target.flat, base.target_angles, 0.05, 200)
-    assert err.value.index == ref.value.index
+        orthant_search_reference(target.flat, np.ones((3, 3)), 0.05, 200)
+    assert err.value.index == ref.value.index == 0
     assert err.value.best_distance == ref.value.best_distance
     assert 0.05 <= err.value.best_distance < math.inf
 
@@ -263,29 +269,16 @@ def test_delay_search_budget_exhaustion():
 @pytest.mark.parametrize("n, eps", [(3, 0.05), (4, 0.1), (5, 0.3)])
 def test_delay_search_exhaustion_on_chunk_boundaries(n, eps, budget):
     # chunks of 1024, 2048 and 4096 points end at 1024, 3072 and 7168: the
-    # second sweep of the reported column covers the same grid, last chunk
-    # included, and finds the exact minimum
+    # second sweep, gated at its running best, covers the same grid, last
+    # chunk included, and finds the exact minimum (for n = 4 and 5 it
+    # moves at the 3072 chunk end)
     target = FrequencyTarget((PRIME_ROOTS[:n],))
-    base = base_point(target)
     with pytest.raises(SearchExhausted) as ref:
-        delay_candidates_reference(target.flat, base.target_angles, eps, budget)
+        orthant_search_reference(target.flat, np.ones((n, n)), eps, budget)
     with pytest.raises(SearchExhausted) as err:
-        delay_candidates(target, base, eps, budget)
+        delay_candidates(target, WeightTable.ones(n), eps, budget)
     assert err.value.index == ref.value.index
     assert err.value.best_distance == ref.value.best_distance
-
-
-def test_delay_search_reports_the_first_open_column():
-    # (1, sqrt 2) at eps 0.1: column 0 hits within 1024 points, so column 1
-    # is reported, with its exact best distance
-    target = FrequencyTarget(((1.0, SQRT2),))
-    base = base_point(target)
-    with pytest.raises(SearchExhausted) as err:
-        delay_candidates(target, base, 0.1, 1024)
-    with pytest.raises(SearchExhausted) as ref:
-        delay_candidates_reference(target.flat, base.target_angles, 0.1, 1024)
-    assert (err.value.index, err.value.best_distance) == (1, ref.value.best_distance)
-    assert ref.value.index == 1
 
 
 @pytest.mark.parametrize("eps", [0.4, 0.8])
@@ -303,46 +296,17 @@ def test_successful_delay_search_gates_at_epsilon(monkeypatch, eps):
     monkeypatch.setattr(realization, "_quarter_turn_survivors", spy)
     for n in range(2, 7):
         target = FrequencyTarget((PRIME_ROOTS[:n],)).scaled(1.0 / PRIME_ROOTS[n - 1])
-        delay_candidates(target, base_point(target), epsilon=eps)
+        delay_candidates(target, WeightTable.ones(n), epsilon=eps)
     assert len(reaches) > 5 and set(reaches) == {eps}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_delay_search_matches_reference_on_prime_ladder(n):
+    # at eps 0.4, a rung realize reaches only when 0.8 to 1.4 fail
     omegas = tuple(math.sqrt(p) for p in (1, 2, 3, 5, 7, 11)[:n])
     target = FrequencyTarget((omegas,)).scaled(1.0 / omegas[-1])
-    base = base_point(target)
-    expected = delay_candidates_reference(target.flat, base.target_angles, 0.4, 10_000_000)
-    assert delay_candidates(target, base, epsilon=0.4).tolist() == expected
-
-
-@given(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=2, max_value=5),
-    st.sampled_from([0.1, 0.2, 0.3, 0.4]),
-    st.integers(min_value=200, max_value=20_000),
-)
-@settings(max_examples=60, deadline=None)
-def test_delay_search_matches_per_column_reference(seed, n, eps, budget):
-    rng = np.random.default_rng(seed)
-    omega = rng.uniform(0.2, 5.0, n)
-    r = int(rng.integers(1, min(n, 3) + 1))
-    cuts = [0, *sorted(rng.choice(np.arange(1, n), r - 1, replace=False)), n]
-    target = FrequencyTarget(tuple(tuple(omega[a:b]) for a, b in zip(cuts, cuts[1:])))
-    weights = WeightTable(rng.uniform(0.3, 2.0, (r, n)) * rng.choice([-1.0, 1.0], (r, n)))
-    try:
-        base = base_point(target, weights)
-    except (SingularIB, ZeroAmplitude):
-        assume(False)
-    try:
-        expected = delay_candidates_reference(target.flat, base.target_angles, eps, budget)
-    except SearchExhausted as ref:
-        with pytest.raises(SearchExhausted) as err:
-            delay_candidates(target, base, eps, budget)
-        assert err.value.index == ref.index
-        assert err.value.best_distance == ref.best_distance
-        return
-    assert delay_candidates(target, base, eps, budget).tolist() == expected
+    _, expected = orthant_search_reference(target.flat, np.ones((n, n)), 0.4, 10_000_000)
+    assert delay_candidates(target, WeightTable.ones(n), epsilon=0.4).tolist() == expected
 
 
 @given(
@@ -470,23 +434,15 @@ def test_orthant_search_exhaustion_matches_full_scan():
         assert (err.value.best_distance >= eps) == (target.r == 1)
 
 
-def test_delay_search_rejects_non_quarter_turn_angles():
-    target = FrequencyTarget(((1.0, SQRT2),))
-    base = base_point(target)
-    shifted = dataclasses.replace(base, target_angles=base.target_angles + 0.1)
-    with pytest.raises(ValueError, match="pi/2"):
-        delay_candidates(target, shifted, epsilon=0.3)
-
-
 def test_delay_search_epsilon_domain():
     target = FrequencyTarget(((1.0, SQRT2),))
-    base = base_point(target)
+    weights = WeightTable.ones(2)
     with pytest.raises(ValueError):
-        delay_candidates(target, base, epsilon=2.0)
+        delay_candidates(target, weights, epsilon=2.0)
     with pytest.raises(ValueError):
-        delay_candidates(target, base, epsilon=0.3, budget=0)
+        delay_candidates(target, weights, epsilon=0.3, budget=0)
     with pytest.raises(ValueError, match="budget"):
-        delay_candidates(target, base, epsilon=0.3, budget=2.5)
+        delay_candidates(target, weights, epsilon=0.3, budget=2.5)
 
 
 def test_circ_dist_wraps():
@@ -563,7 +519,7 @@ def test_newton_zero_iterations_at_exact_solution():
 def test_newton_converges_from_search_candidate():
     target = FrequencyTarget(((1.0, SQRT2),))
     base = base_point(target)
-    taus0 = delay_candidates(target, base, epsilon=0.2)
+    taus0 = delay_candidates_reference(target.flat, base.target_angles, 0.2, 10_000_000)
     res = newton_refine(taus0, base.amplitudes, target, tol=1e-10)
     assert res.residual < 1e-10
     assert np.all(res.taus > 0)
@@ -576,7 +532,8 @@ def test_newton_takes_full_steps():
     # residual with a central-difference Jacobian, and the same last step
     target = FrequencyTarget(((1.0, SQRT2),))
     base = base_point(target)
-    x = np.concatenate([delay_candidates(target, base, epsilon=0.2), base.amplitudes])
+    taus0 = delay_candidates_reference(target.flat, base.target_angles, 0.2, 10_000_000)
+    x = np.concatenate([taus0, base.amplitudes])
     omega = target.flat
 
     def real_f(v):
@@ -595,8 +552,7 @@ def test_newton_takes_full_steps():
     last = newton_step(x)
     if np.abs(real_f(last)).max() < np.abs(real_f(x)).max():
         x, steps = last, steps + 1
-    res = newton_refine(
-        delay_candidates(target, base, epsilon=0.2), base.amplitudes, target, tol=1e-10)
+    res = newton_refine(taus0, base.amplitudes, target, tol=1e-10)
     assert res.newton_iterations == steps
     assert np.allclose(np.concatenate([res.taus, res.coeffs]), x, rtol=1e-9, atol=1e-9)
 
@@ -605,6 +561,19 @@ def test_newton_duplicate_delays_singular_jacobian():
     target = FrequencyTarget(((1.0, SQRT2),))
     with pytest.raises(SingularJacobian):
         newton_refine([2.0, 2.0], [1.0, 1.0], target)
+
+
+def test_newton_without_search_window_records_zeros():
+    # the scalar (1, sqrt 2) realization read as two one-frequency factors
+    # with unit weights: the paper's base matrix of that table is singular,
+    # and Newton, which has already landed, still returns
+    res = realize(FrequencyTarget(((1.0, SQRT2),)))
+    target, weights = FrequencyTarget(((1.0,), (SQRT2,))), WeightTable(np.ones((2, 2)))
+    with pytest.raises(SingularIB):
+        base_point(target, weights)
+    again = newton_refine(res.taus, res.coeffs, target, weights)
+    assert again.residual < 1e-15
+    assert again.search_window.tolist() == [0.0, 0.0]
 
 
 def test_newton_jacobian_matches_finite_differences():
@@ -643,6 +612,29 @@ def test_realize_single_frequency_closed_form():
     assert res.residual < 1e-12
     assert res.taus == pytest.approx([3 * PI / 2], rel=1e-12)
     assert res.coeffs == pytest.approx([1.0], rel=1e-12)
+
+
+# float.hex of (taus[0], coeffs[0], residual) for one frequency w; the
+# search window is 0.0.  The delay is the closed form 3*pi/2 over the
+# scaled frequency, mapped back
+SINGLE_FREQUENCY_BITS = {
+    0.3: ("0x1.f6a7a2955385ep+3", "0x1.3333333333333p-2", "0x1.fc4ab28be3f3fp-55"),
+    0.7: ("0x1.aed8d47ffe72cp+2", "0x1.6666666666666p-1", "0x1.2880e826efa3ap-53"),
+    1.0: ("0x1.2d97c7f3321d2p+2", "0x1.0000000000000p+0", "0x1.a79394c9e8a0ap-53"),
+    SQRT2: ("0x1.aa844a84c1455p+1", "0x1.6a09e667f3bcdp+0", "0x1.2b8388e82ab21p-52"),
+    2.0: ("0x1.2d97c7f3321d2p+1", "0x1.0000000000000p+1", "0x1.a79394c9e8a0ap-52"),
+    3.7: ("0x1.460bdf14c08e4p+0", "0x1.d999999999999p+1", "0x1.7d0f93f5abc6fp-49"),
+    11.0: ("0x1.b6ae3a1bebcd4p-2", "0x1.6000000000000p+3", "0x1.2335764acfee7p-49"),
+}
+
+
+def test_realize_single_frequency_bits():
+    for w, (tau, coeff, residual) in SINGLE_FREQUENCY_BITS.items():
+        res = realize(FrequencyTarget(((w,),)))
+        assert [x.hex() for x in res.taus.tolist()] == [tau]
+        assert [x.hex() for x in res.coeffs.tolist()] == [coeff]
+        assert res.residual.hex() == residual
+        assert res.search_window.tolist() == [0.0]
 
 
 def test_realize_three_frequencies():
@@ -690,7 +682,8 @@ def test_continuation_start_solves_the_shifted_system():
             base = base_point(target, weights)
         except (SingularIB, ZeroAmplitude):
             continue
-        taus0 = delay_candidates(target, base, epsilon=0.8)
+        taus0 = np.array(delay_candidates_reference(target.flat, base.target_angles, 0.8,
+                                                    10_000_000))
         d0 = _phase_offsets(target.flat, base.target_angles, taus0)
         assert np.all(np.abs(d0) < 0.8)
         rows, _ = _system(target, weights)[0](taus0, base.amplitudes, d0)
