@@ -19,7 +19,7 @@ The constructive path mirrors the existence proof:
     real matrix of weighted sign columns, so whenever those columns are
     independent the base amplitudes follow from one linear solve.  The
     paper's block sign pattern (the index vectors) is one such choice;
-    :func:`base_point` builds it, as the precondition.
+    :func:`base_point` builds it, as the near-rational precondition.
 2.  A dense-torus sweep.  Because the flattened frequency vector has no
     rational relation, the line t -> t*omega fills the angle torus
     densely.  A visit to within epsilon of a quarter-turn corner names
@@ -889,14 +889,16 @@ def realize(
     Frequencies are rescaled so max(omega) = 1 during the solve (the
     defining equations are exactly covariant under (tau, a, omega) ->
     (tau/c, c a, c omega)) and mapped back afterwards.  :func:`base_point`
-    at the paper's index-vector signs is the precondition (SingularIB,
-    ZeroAmplitude).  For n >= 2 each rung's sweep chooses the base itself:
-    :func:`delay_candidates` takes n independent quarter-turn orthants in
-    the order the torus line reaches them, and the path starts from those
-    hits and the base they name; if it fails, the rung tries once more
-    with the last orthant replaced (see :func:`_starts`).  For n = 1 the
-    closed form tau = 3*pi/(2w), a = w stands.  If no rung lands and
-    passes the recheck, the last rung's error is raised with a message
+    at the paper's index-vector signs is a precondition only through
+    ZeroAmplitude, which refuses a near-rational target whenever that base
+    is nonsingular; a singular paper base (SingularIB, possible only for
+    n >= 2) refuses nothing.  For n >= 2 each rung's sweep chooses the
+    base itself: :func:`delay_candidates` takes n independent quarter-turn
+    orthants in the order the torus line reaches them, and the path starts
+    from those hits and the base they name; if it fails, the rung tries
+    once more with the last orthant replaced (see :func:`_starts`).  For
+    n = 1 the closed form tau = 3*pi/(2w), a = w stands.  If no rung lands
+    and passes the recheck, the last rung's error is raised with a message
     that names every rung's failure.
 
     For one group the columns b_k * s are independent exactly when the
@@ -913,7 +915,12 @@ def realize(
 
     scale = float(target.flat.max())
     scaled = target.scaled(1.0 / scale)
-    paper = base_point(scaled, weights)
+    try:
+        paper = base_point(scaled, weights)
+    except SingularIB:
+        # only n = 1 starts from the paper's base, and with its one weight
+        # nonzero that base is never singular
+        paper = None
     failures = []
     spent = None  # a one-group sweep's SearchExhausted, which bounds later rungs
     for eps in config.epsilon_schedule:
@@ -950,7 +957,7 @@ def realize(
     raise last
 
 
-def _starts(scaled: FrequencyTarget, weights: WeightTable, paper: BasePoint, eps: float,
+def _starts(scaled: FrequencyTarget, weights: WeightTable, paper: BasePoint | None, eps: float,
             budget: int):
     """The (label, base, start delays) a rung tries in turn.  For n = 1 the
     paper's base and its exact delay, the base angle over the frequency,

@@ -41,13 +41,12 @@ upper boxes are certified: the factor's coefficients are real, so D(conj
 z) = conj D(z), and each box around -i*omega, its exact mirror in floating
 point, holds the mirrored roots; its check is the upper one mirrored.
 
-Every path is axis-parallel, so the kernel :func:`_line_values` builds one
-table exp(-x tau) over the x nodes of each horizontal line and one table
-exp(-i y tau) over the y nodes of each vertical line, times one factor per
-line for its level; every entry is the same product exp(-x tau) *
-cis(-y tau) that a complex exponential of -z*tau forms.  Bisection
-midpoints go through :func:`quasipoly.evaluate_many` and
-:func:`quasipoly.evaluate_derivative_many`.  Every sum over the delay
+Every node the certifier touches, the starting nodes of all lines and
+every bisection midpoint alike, goes through one kernel,
+:func:`_node_values`: one table exp(-z tau) over the batch, and D and D'
+from it in one call of :func:`quasipoly._term_sums`, the very floats that
+:func:`quasipoly.evaluate_many` and
+:func:`quasipoly.evaluate_derivative_many` give.  Every sum over the delay
 terms, of D, D' and the bounds alike, is one call of
 :func:`quasipoly._term_sums`, whose rounding does not depend on the
 batch, so a node's values are the same bits whichever lines or regions
@@ -58,14 +57,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import BoundaryRoot, NoConvergence, TooManyRoots
 from .quasipoly import ScalarFactor, _term_arrays, _term_sums, evaluate, evaluate_derivative
-from .quasipoly import evaluate_derivative_many, evaluate_many
+# unused here, but the benchmark's tracer wraps them as attributes of this module
+from .quasipoly import evaluate_derivative_many, evaluate_many  # noqa: F401
 from .realization import FrequencyTarget, RealizationResult, WeightTable, result_factors
 
 __all__ = [
@@ -126,41 +126,18 @@ class Region:
         }
 
 
-def _line_values(factor: ScalarFactor, h_levels=(), h_nodes=(), v_levels=(), v_nodes=()):
-    """(z, D, D') on the horizontal lines h_nodes[i] + i*h_levels[i], then
-    on the vertical lines v_levels[i] + i*v_nodes[i], as arrays with one
-    row per line; every line has the same number of nodes, and h_nodes or
-    v_nodes may be a single row that all lines of its kind share.
-
-    A horizontal line takes the table exp(-x tau) over its nodes times the
-    one factor cis(-y tau) of its level, a vertical line the table
-    cis(-y tau) over its nodes times exp(-x tau) of its level, and D = z -
-    sum_k E_k a_k b_k and D' = 1 + sum_k E_k a_k b_k tau_k come from the
-    one table E in one call of :func:`quasipoly._term_sums`.  Both
-    tables are complex exponentials of purely real or purely imaginary
-    arguments, so each entry of E is the same float as the complex
-    exp(-z*tau) of the direct evaluation (numpy's real exp can differ from
-    it in the last bit).  Overflow gives non-finite values, which the
-    callers report.
-    """
+def _node_values(factor: ScalarFactor, z: np.ndarray):
+    """D and D' at the nodes z, from one table exp(-z tau) and one call of
+    :func:`quasipoly._term_sums`: D = z - sum_k E_k a_k b_k and D' = 1 +
+    sum_k E_k a_k b_k tau_k.  Each is bit for bit what
+    :func:`quasipoly.evaluate_many` and
+    :func:`quasipoly.evaluate_derivative_many` give, whatever else is in
+    the batch.  Overflow gives non-finite values, which the callers
+    report."""
     ab, taus = _term_arrays(factor)
-    z, e = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(h_levels):
-            levels = np.asarray(h_levels, dtype=float)[:, None]
-            nodes = np.asarray(h_nodes, dtype=float)
-            z.append(nodes + 1j * levels)
-            modulus = np.exp(nodes[..., None] * -taus + 0j)
-            e.append(modulus * np.exp(-1j * (levels * taus))[:, None, :])
-        if len(v_levels):
-            levels = np.asarray(v_levels, dtype=float)[:, None]
-            nodes = np.asarray(v_nodes, dtype=float)
-            z.append(levels + 1j * nodes)
-            angle = np.exp(-1j * (nodes[..., None] * taus))
-            e.append(np.exp(-levels * taus + 0j)[:, None, :] * angle)
-        z, e = np.concatenate(z), np.concatenate(e)
-        sums = _term_sums(e, np.stack((ab, ab * taus)))
-        return z, z - sums[0], 1.0 + sums[1]
+        sums = _term_sums(np.exp(-np.multiply.outer(z, taus)), np.stack((ab, ab * taus)))
+        return z - sums[0], 1.0 + sums[1]
 
 
 class _Touch(BoundaryRoot):
@@ -199,45 +176,50 @@ def _certified(za, zb, bounds_a, bounds_b):
     return h * np.minimum(1.0 + slope, ders + 0.5 * h * curve) < margin
 
 
-def _certify(factor: ScalarFactor, h_levels, h_nodes, v_levels, v_nodes, threshold, resolution):
-    """Certified paths along the lines of :func:`_line_values`, one per
-    line; the horizontal and the vertical lines may differ in their number
-    of nodes.
-
-    Each path comes back as (t, D, turn): its nodes t along the line (x on
-    a horizontal line, y on a vertical one) in increasing order, the values
-    D there, and the certified change of arg D over each segment.  The
-    threshold of :func:`_bounds` and the resolution are given per line.
-    Besides the errors of :func:`_bounds`, raises BoundaryRoot when a
-    segment shorter than its line's resolution stays uncertified.  Every
-    value has the same bits whatever else is in the batch (see
-    :func:`quasipoly._term_sums`), so each line's path is bit for bit the
-    one a batch of that line alone gives.
-    """
-    if np.shape(h_nodes)[-1] == np.shape(v_nodes)[-1] or not (len(h_levels) and len(v_levels)):
-        blocks = [_line_values(factor, h_levels, h_nodes, v_levels, v_nodes)]
-    else:
-        blocks = [
-            _line_values(factor, h_levels, h_nodes), _line_values(factor, (), (), v_levels, v_nodes)
-        ]
-    # the nodes of all lines in one flat array, line by line
-    z, vals, ders = (np.concatenate([block[k].ravel() for block in blocks]) for k in range(3))
-    lengths = [block[0].shape[1] for block in blocks for _ in range(len(block[0]))]
+@lru_cache(maxsize=256)
+def _line_layout(lengths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """For lines of lengths[i] nodes laid out one after another: the line
+    of each node, whether each segment joins two nodes of one line, and
+    the index one past each line's last node."""
     line = np.repeat(np.arange(len(lengths)), lengths)
+    inner = line[:-1] == line[1:]
+    for a in (line, inner):
+        a.setflags(write=False)  # shared by every caller
+    return line, inner, np.cumsum(lengths).tolist()
+
+
+def _certify(factor: ScalarFactor, z, place, lengths: tuple[int, ...], threshold, resolution):
+    """Certified paths along axis-parallel lines, one per line.
+
+    z holds the starting nodes of all lines, line by line, lengths[i] of
+    them on line i, and place their positions along their lines (x on a
+    horizontal line, y on a vertical one), increasing along each line.
+    Each path comes back as (t, D, turn): its nodes t along the line in
+    increasing order, the values D there, and the certified change of arg
+    D over each segment.  The threshold of :func:`_bounds` and the
+    resolution are given per line.  Besides the errors of :func:`_bounds`,
+    raises BoundaryRoot when a segment shorter than its line's resolution
+    stays uncertified.  Uncertified segments are bisected, those of all
+    lines in one batch per level.  Every value comes from
+    :func:`_node_values`, with the same bits whatever else is in the batch,
+    so each line's path is bit for bit the one a batch of that line alone
+    gives.
+    """
+    vals, ders = _node_values(factor, z)
+    line, inner, ends = _line_layout(lengths)
     ab, taus = _term_arrays(factor)
     size = np.abs(ab)
     weights = np.stack((size, size * taus, size * taus**2))
     threshold = np.asarray(threshold, dtype=float)
-    resolution = np.asarray(resolution, dtype=float)
     bounds = _bounds(taus, weights, z, vals, ders, threshold[line])
-    place = np.where(line < len(h_levels), z.real, z.imag)
-    bad = ~_certified(z[:-1], z[1:], bounds[:, :-1], bounds[:, 1:]) & (line[:-1] == line[1:])
+    bad = ~_certified(z[:-1], z[1:], bounds[:, :-1], bounds[:, 1:]) & inner
     if bad.any():
         # every node made, as (line, position along it, D); the certified
         # segments of a line join its nodes in order
-        rows, place, found = [line], [place], [vals]
+        resolution = np.asarray(resolution, dtype=float)
+        rows, places, found = [line], [place], [vals]
         open_rows = line[:-1][bad]
-        za, zb = z[:-1][bad], z[1:][bad]
+        za, zb, ta, tb = z[:-1][bad], z[1:][bad], place[:-1][bad], place[1:][bad]
         bounds_a, bounds_b = bounds[:, :-1][:, bad], bounds[:, 1:][:, bad]
         while open_rows.size:
             h = np.abs(zb - za)
@@ -248,24 +230,25 @@ def _certify(factor: ScalarFactor, h_levels, h_nodes, v_levels, v_nodes, thresho
                     f"no certificate for a segment of {h[k]:.3e} at {complex(za[k]):.6g}: "
                     "a root lies within a few node spacings of the contour"
                 )
-            zm = 0.5 * (za + zb)
-            with np.errstate(over="ignore", invalid="ignore"):
-                dm, pm = evaluate_many(factor, zm), evaluate_derivative_many(factor, zm)
+            zm, tm = 0.5 * (za + zb), 0.5 * (ta + tb)
+            dm, pm = _node_values(factor, zm)
             bounds_m = _bounds(taus, weights, zm, dm, pm, threshold[open_rows])
             rows.append(open_rows)
-            place.append(np.where(open_rows < len(h_levels), zm.real, zm.imag))
+            places.append(tm)
             found.append(dm)
             za, zb = np.concatenate((za, zm)), np.concatenate((zm, zb))
+            ta, tb = np.concatenate((ta, tm)), np.concatenate((tm, tb))
             bounds_a = np.concatenate((bounds_a, bounds_m), axis=1)
             bounds_b = np.concatenate((bounds_m, bounds_b), axis=1)
             bad = ~_certified(za, zb, bounds_a, bounds_b)
             open_rows = np.concatenate((open_rows, open_rows))[bad]
-            za, zb, bounds_a, bounds_b = za[bad], zb[bad], bounds_a[:, bad], bounds_b[:, bad]
+            za, zb, ta, tb = za[bad], zb[bad], ta[bad], tb[bad]
+            bounds_a, bounds_b = bounds_a[:, bad], bounds_b[:, bad]
         line = np.concatenate(rows)
-        order = np.lexsort((np.concatenate(place), line))
-        place, vals = np.concatenate(place)[order], np.concatenate(found)[order]
+        order = np.lexsort((np.concatenate(places), line))
+        place, vals = np.concatenate(places)[order], np.concatenate(found)[order]
+        ends = np.cumsum(np.bincount(line)).tolist()
     turn = np.angle(vals[1:] / vals[:-1])
-    ends = np.cumsum(np.bincount(line)).tolist()
     return [(place[i:j], vals[i:j], turn[i : j - 1]) for i, j in zip([0] + ends, ends)]
 
 
@@ -327,18 +310,21 @@ def _certified_counts(factor: ScalarFactor, regions):
     bound = factor.coefficient_bound()
     for dilated in (False, True):
         corners = np.array([(r.re_min, r.im_min, r.re_max, r.im_max) for r in regions])
-        lo, hi = corners[:, :2], corners[:, 2:]
-        # per region, the x and the y nodes of its edges and their levels
-        nodes = _nodes(np.stack((lo, 0.5 * (lo + hi), hi), axis=-1), (_HALF, _HALF))
-        levels = np.stack((lo, hi), axis=-1)
-        threshold = np.array([_BOUNDARY_REL * _scale(bound, r) for r in regions])
-        resolution = _DILATE * (hi - lo).max(axis=1)
-        owner = np.arange(4 * len(regions)) // 2 % len(regions)
-        h, v = owner[: 2 * len(regions)], owner[2 * len(regions) :]
+        lo, hi = corners[:, :2, None], corners[:, 2:, None]
+        # per region, the x and the y nodes of its edges
+        nodes = _nodes(np.concatenate((lo, 0.5 * (lo + hi), hi), axis=-1), (_HALF, _HALF))
+        # per region, its edges bottom, top, left and right, node by node
+        x = np.empty((len(regions), 4, nodes.shape[-1]))
+        y = np.empty_like(x)
+        x[:, :2], x[:, 2], x[:, 3] = nodes[:, None, 0], lo[:, 0], hi[:, 0]
+        y[:, 0], y[:, 1], y[:, 2:] = lo[:, 1], hi[:, 1], nodes[:, None, 1]
+        place = np.concatenate((x[:, :2], y[:, 2:]), axis=1)
+        threshold = np.repeat([_BOUNDARY_REL * _scale(bound, r) for r in regions], 4)
+        resolution = np.repeat(_DILATE * (hi - lo).max(axis=(1, 2)), 4)
         try:
             paths = _certify(
-                factor, levels[:, 1].ravel(), nodes[h, 0], levels[:, 0].ravel(), nodes[v, 1],
-                threshold[owner], resolution[owner],
+                factor, (x + 1j * y).ravel(), place.ravel(), (x.shape[-1],) * (4 * len(regions)),
+                threshold, resolution,
             )
         except _Touch as exc:
             if len(regions) > 1:
@@ -347,8 +333,7 @@ def _certified_counts(factor: ScalarFactor, regions):
                 raise BoundaryRoot(f"{exc} even after dilation") from None
             regions = [regions[0].dilated(_DILATE)]
             continue
-        v = 2 * len(regions)
-        sides = zip(paths[0:v:2], paths[1:v:2], paths[v::2], paths[v + 1 :: 2])
+        sides = [tuple(paths[i : i + 4]) for i in range(0, len(paths), 4)]
         return [(_winding(*edges), region, edges) for region, edges in zip(regions, sides)]
 
 
@@ -430,12 +415,16 @@ def _grid(factor: ScalarFactor, xs, ys, threshold: float, resolution: float, edg
     """
     inner = slice(None) if edges is None else slice(1, -1)
     h_levels, v_levels = ys[inner], xs[inner]
-    lines = len(h_levels) + len(v_levels)
+    h_nodes = _nodes(xs, (_HALF,) * (len(xs) - 1))
+    v_nodes = _nodes(ys, (_HALF,) * (len(ys) - 1))
+    # the horizontal lines, then the vertical ones, node by node
+    h_place, v_place = np.tile(h_nodes, len(h_levels)), np.tile(v_nodes, len(v_levels))
+    x = np.concatenate((h_place, np.repeat(v_levels, len(v_nodes))))
+    y = np.concatenate((np.repeat(h_levels, len(h_nodes)), v_place))
+    lengths = (len(h_nodes),) * len(h_levels) + (len(v_nodes),) * len(v_levels)
     paths = _certify(
-        factor,
-        h_levels, _nodes(xs, (_HALF,) * (len(xs) - 1)),
-        v_levels, _nodes(ys, (_HALF,) * (len(ys) - 1)),
-        np.full(lines, threshold), np.full(lines, resolution),
+        factor, x + 1j * y, np.concatenate((h_place, v_place)), lengths,
+        np.full(len(lengths), threshold), np.full(len(lengths), resolution),
     )
     rows, cols = paths[: len(h_levels)], paths[len(h_levels) :]
     if edges is not None:
@@ -639,16 +628,16 @@ def _isolation_halfwidth(target: FrequencyTarget, max_delay: float) -> float:
     omega), naming the cause.
     """
     # +-omega in increasing order from -min(omega) on: every gap among them
-    omegas = np.sort(target.flat)
-    ladder = np.concatenate((-omegas[:1], omegas))
-    gaps = np.diff(ladder)
-    k = int(np.argmin(gaps))
-    delta = min(0.05, 0.5 * float(gaps[k]))
+    omegas = sorted(target.flat.tolist())
+    ladder = [-omegas[0]] + omegas
+    gaps = [high - low for low, high in zip(ladder, ladder[1:])]
+    k = gaps.index(min(gaps))
+    delta = min(0.05, 0.5 * gaps[k])
     if max_delay > 0:
-        delta = min(delta, 0.5 * np.pi / max_delay)
-    flat = omegas[omegas - delta == omegas + delta].tolist()
+        delta = min(delta, 0.5 * math.pi / max_delay)
+    flat = [w for w in omegas if w - delta == w + delta]
     if flat:
-        low, high = ladder[k : k + 2].tolist()
+        low, high = ladder[k : k + 2]
         cause = (
             f"the targets {low!r}i and {high!r}i are only {high - low:.3g} apart"
             if delta == 0.5 * gaps[k]
@@ -658,7 +647,7 @@ def _isolation_halfwidth(target: FrequencyTarget, max_delay: float) -> float:
             f"no isolation box fits around {flat[0]!r}i: its half-width {delta:.3g} is below "
             f"the float spacing there, because {cause}"
         )
-    return float(delta)
+    return delta
 
 
 def _isolation_counts(factor: ScalarFactor, boxes) -> list:
@@ -775,23 +764,16 @@ def verify_realization(
                 except NoConvergence as exc:
                     ok = False
                     note = f"polish failed: {exc}"
-            check = TargetCheck(
-                factor=j,
-                omega=omega,
-                sign=1,
-                residual=residual,
-                local_count=count,
-                polished=polished,
-                polish_offset=offset,
-                passed=ok,
-                note=note,
-            )
+            mirrored = None
             if polished is not None:
                 # conj(polished) with a zero real part as -0.0: 1j * -omega
                 # is -0.0 - omega*1j, and a polish that takes no step
                 # returns it unchanged
-                polished = complex(-(0.0 - polished.real), -polished.imag)
-            checks += [check, replace(check, sign=-1, polished=polished)]
+                mirrored = complex(-(0.0 - polished.real), -polished.imag)
+            checks += [
+                TargetCheck(j, omega, 1, residual, count, polished, offset, ok, note),
+                TargetCheck(j, omega, -1, residual, count, mirrored, offset, ok, note),
+            ]
     overall = all(c.passed for c in checks)
     return SpectrumReport(
         targets=tuple(checks),

@@ -377,6 +377,12 @@ def contour_values_reference(factor, region, per_edge: int):
     return z, evaluate_many(factor, z), evaluate_derivative_many(factor, z)
 
 
+def node_values_reference(factor, z):
+    """(D, D') at the nodes z, one complex exponential table each, in place
+    of the spectrum kernel's one table for both."""
+    return evaluate_many(factor, z), evaluate_derivative_many(factor, z)
+
+
 def line_values_reference(factor, h_levels=(), h_nodes=(), v_levels=(), v_nodes=()):
     """(z, D, D') with one row per line, the horizontal lines h_nodes[i] +
     i*h_levels[i] first, then the vertical lines v_levels[i] + i*v_nodes[i],
@@ -388,7 +394,7 @@ def line_values_reference(factor, h_levels=(), h_nodes=(), v_levels=(), v_nodes=
     )
     z = np.array([xs + 1j * y for y, xs in zip(h_levels, h_nodes)]
                  + [x + 1j * ys for x, ys in zip(v_levels, v_nodes)])
-    return z, evaluate_many(factor, z), evaluate_derivative_many(factor, z)
+    return (z, *node_values_reference(factor, z))
 
 
 def count_roots_trapezoid(factor, region, per_edge: int = 256, max_per_edge: int = 1 << 20) -> int:
@@ -457,10 +463,10 @@ def _split_reference(factor, region, edges, frac: float, threshold: float):
     xm = x0 + frac * (x1 - x0)
     ym = y0 + frac * (y1 - y0)
     resolution = 1e-6 * max(x1 - x0, y1 - y0)
+    xs, ys = _nodes_reference(x0, xm, x1), _nodes_reference(y0, ym, y1)
     across, up = spectrum._certify(
-        factor, (ym,), _nodes_reference(x0, xm, x1)[None],
-        (xm,), _nodes_reference(y0, ym, y1)[None],
-        (threshold, threshold), (resolution, resolution),
+        factor, np.concatenate((xs + 1j * ym, xm + 1j * ys)), np.concatenate((xs, ys)),
+        (len(xs), len(ys)), (threshold, threshold), (resolution, resolution),
     )
     bottom, top, left, right = edges
     b0, b1 = _split_path_reference(bottom, xm, up[1][0])

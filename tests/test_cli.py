@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -525,3 +529,22 @@ def test_realize_output_has_no_base_or_seed(capsys, scalar_problem):
     assert code == 0
     assert "base" not in doc["result"]
     assert "seed" not in doc["config"]
+
+
+def test_import_loads_only_the_standard_library_and_numpy():
+    # every fresh process, the console script included, pays for each
+    # import: scipy, mpmath or matplotlib must not come in with the package
+    code = (
+        "import sys\n"
+        "before = {m.split('.')[0] for m in sys.modules}\n"
+        "import spectra_forge\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in sys.modules} - before)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    loaded = done.stdout.split()
+    assert "spectra_forge" in loaded
+    foreign = [m for m in loaded if m not in sys.stdlib_module_names | {"numpy", "spectra_forge"}]
+    assert foreign == []

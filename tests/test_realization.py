@@ -659,6 +659,25 @@ def test_realize_two_factor_table():
     assert residual_on_targets(f1, [SQRT2]) < 1e-9
 
 
+@pytest.mark.parametrize("groups, b", [
+    (((1.0,), (SQRT2,)), [[1.0, 1.0], [1.0, 1.0]]),
+    (((1.0,), (SQRT2,)), [[1.0, 2.0], [1.0, 2.0]]),
+    (((1.0,), (SQRT2,)), [[1.0, -1.0], [-1.0, 1.0]]),
+    (((1.0, math.sqrt(3.0)), (SQRT2,)), [[2.0, 1.0, 1.0], [2.0, 1.0, 1.0]]),
+])
+def test_realize_tables_whose_paper_base_is_singular(groups, b):
+    # the paper's base of each table is singular, but for n >= 2 the sweep
+    # chooses its own independent base, so the table realizes and verifies
+    from spectra_forge.spectrum import verify_realization
+
+    target, weights = FrequencyTarget(groups), WeightTable(np.array(b))
+    with pytest.raises(SingularIB):
+        base_point(target, weights)
+    res = realize(target, weights)
+    assert res.residual < 1e-9
+    assert verify_realization(res, target, weights).passed
+
+
 def test_realize_conjugate_roots_come_free():
     target = FrequencyTarget(((1.0, SQRT2),))
     res = realize(target)

@@ -10,7 +10,12 @@ import oracles
 from spectra_forge import spectrum
 from spectra_forge.dn_ring import realize_ring, ring_weight_table
 from spectra_forge.errors import BoundaryRoot, NoConvergence, TooManyRoots
-from spectra_forge.quasipoly import ScalarFactor, evaluate, evaluate_derivative_many
+from spectra_forge.quasipoly import (
+    ScalarFactor,
+    evaluate,
+    evaluate_derivative_many,
+    evaluate_many,
+)
 from spectra_forge.realization import (
     FrequencyTarget,
     RealizationResult,
@@ -97,8 +102,6 @@ def test_count_region_validation():
 
 def _boundary_is_safe(f, region, samples=512):
     """Newton-distance screen: no root hugging the rectangle boundary."""
-    from spectra_forge.quasipoly import evaluate_derivative_many, evaluate_many
-
     xs = np.linspace(region.re_min, region.re_max, samples)
     ys = np.linspace(region.im_min, region.im_max, samples)
     z = np.concatenate(
@@ -184,6 +187,13 @@ def _term_sizes(factor, z):
     return np.exp(-np.multiply.outer(z.real, taus)) * ab, taus
 
 
+def _kernel_on_lines(factor, *lines, **named):
+    """(z, D, D') from the node kernel on the nodes that
+    oracles.line_values_reference lays out for the same lines."""
+    z = oracles.line_values_reference(factor, *lines, **named)[0]
+    return (z, *spectrum._node_values(factor, z))
+
+
 def _assert_matches_reference(got, ref, factor):
     z, vals, ders = got
     zr, vr, dr = ref
@@ -191,8 +201,7 @@ def _assert_matches_reference(got, ref, factor):
     size, taus = _term_sizes(factor, z)
     assert np.all(np.abs(vals - vr) <= 4 * EPS * (np.abs(z) + size.sum(-1)))
     assert np.all(np.abs(ders - dr) <= 4 * EPS * (1.0 + (size * taus).sum(-1)))
-    # with a C library whose complex exp is exp(x) * cis(y), as glibc's is,
-    # the tables hold the reference's very floats: same counts, same roots
+    # one table for D and D' holds the very floats of the reference's two
     np.testing.assert_array_equal(vals, vr)
     np.testing.assert_array_equal(ders, dr)
 
@@ -213,7 +222,7 @@ def test_contour_kernel_matches_reference_and_mp(case):
     xs = np.linspace(region.re_min, region.re_max, per_edge + 1)
     ys = np.linspace(region.im_min, region.im_max, per_edge + 1)
     edges = ((region.im_min, region.im_max), (xs, xs), (region.re_min, region.re_max), (ys, ys))
-    z, vals, ders = spectrum._line_values(factor, *edges)
+    z, vals, ders = _kernel_on_lines(factor, *edges)
     ref = oracles.line_values_reference(factor, *edges)
     _assert_matches_reference((z, vals, ders), ref, factor)
     # against 50 digits the rounding of the phase y*tau itself adds
@@ -223,27 +232,45 @@ def test_contour_kernel_matches_reference_and_mp(case):
     for k in np.ndindex(z.shape):
         assert abs(vals[k] - oracles.eval_factor_mp(terms, complex(z[k]))) <= tol_d[k]
         assert abs(ders[k] - oracles.eval_derivative_mp(terms, complex(z[k]))) <= tol_p[k]
-    # a cut line uses one of the two tables
+    # a cut line alone
     centre = region.center
     for line in ({"h_levels": (centre.imag,), "h_nodes": (xs,)},
                  {"v_levels": (centre.real,), "v_nodes": (ys,)}):
         _assert_matches_reference(
-            spectrum._line_values(factor, **line),
-            oracles.line_values_reference(factor, **line),
-            factor,
+            _kernel_on_lines(factor, **line), oracles.line_values_reference(factor, **line), factor
         )
     # a batch gives each line its own nodes, as verify_realization's
     # isolation boxes do, and each row equals the line evaluated alone
     lower = (centre.imag + region.im_min) / 2
     batch = ((region.im_min, lower), (xs, (xs + centre.real) / 2), (region.re_max, centre.real),
              (ys, (ys + lower) / 2))
-    got = spectrum._line_values(factor, *batch)
+    got = _kernel_on_lines(factor, *batch)
     _assert_matches_reference(got, oracles.line_values_reference(factor, *batch), factor)
     for row, line in enumerate(({"h_levels": (lower,), "h_nodes": ((xs + centre.real) / 2,)},
                                 {"v_levels": (centre.real,), "v_nodes": ((ys + lower) / 2,)})):
-        alone = spectrum._line_values(factor, **line)
+        alone = _kernel_on_lines(factor, **line)
         for part, single in zip(got, alone):
             np.testing.assert_array_equal(part[2 * row + 1], single[0])
+
+
+def test_node_values_match_evaluate_many_in_any_batch():
+    # the bisection evaluates whatever midpoints are open, in batches of
+    # any size: every node must get the same bits in any of them
+    rng = np.random.default_rng(17)
+    factors = [random_factor(rng) for _ in range(4)] + [DENSE_THREE, DENSE_FOUR]
+    z = rng.uniform(-0.05, 0.3, 240) + 1j * rng.uniform(-40.0, 40.0, 240)
+    for factor in factors:
+        vals, ders = spectrum._node_values(factor, z)
+        np.testing.assert_array_equal(vals, evaluate_many(factor, z))
+        np.testing.assert_array_equal(ders, evaluate_derivative_many(factor, z))
+        for part in (slice(0, 1), slice(7, 8), slice(3, 40), slice(None, None, 7),
+                     rng.permutation(240)[:31]):
+            got = spectrum._node_values(factor, z[part])
+            np.testing.assert_array_equal(got[0], vals[part])
+            np.testing.assert_array_equal(got[1], ders[part])
+        got = spectrum._node_values(factor, z.reshape(12, 4, 5))
+        np.testing.assert_array_equal(got[0], vals.reshape(12, 4, 5))
+        np.testing.assert_array_equal(got[1], ders.reshape(12, 4, 5))
 
 
 def _census_like_cases(seed, count):
@@ -298,7 +325,7 @@ def test_count_and_locate_match_reference_kernel(monkeypatch):
 
     fast = run()
     assert all(isinstance(loc, list) and len(loc) == n >= 1 for n, loc in fast)
-    monkeypatch.setattr(spectrum, "_line_values", oracles.line_values_reference)
+    monkeypatch.setattr(spectrum, "_node_values", oracles.node_values_reference)
     assert run() == fast
 
 
