@@ -5,9 +5,10 @@ JSON, writes one JSON document (stdout by default), and exits with
 
     0   success
     1   input problem (bad usage, unreadable file, bad schema, zero weight,
-        bad index)
+        bad index, bad parity)
     2   numeric failure (no convergence, singular system, failed check)
-    3   theory-precondition refusal (even-cell ring degeneracy)
+    3   theory-precondition refusal (even-cell ring with vanishing factor
+        weights)
 
 Identical inputs produce byte-identical output; all tolerances and budgets
 come from the problem file's "config" block unless overridden by flags.
@@ -147,8 +148,10 @@ def _cmd_ring(args) -> tuple[int, dict]:
     if not isinstance(payload, dict):
         raise ValueError("problem file needs a 'payload' object")
     n = int(payload["n"])
-    if n % 2 == 0:
-        degeneracies = dn_ring.detect_even_degeneracy(n)
+    # an even ring is refused for its vanishing weights when it has any
+    # (n = 0 mod 4); otherwise realize_ring refuses its parity (BadParity)
+    degeneracies = dn_ring.detect_even_degeneracy(n) if n % 2 == 0 and n >= 4 else []
+    if degeneracies:
         raise _Refusal(
             {
                 "schema": SCHEMA,

@@ -34,9 +34,9 @@ other cell with roots is cut in four, reusing its certified edges, so a
 split certifies only its two cut lines, first at 0.53 of the width and
 height.  :func:`verify_realization` certifies that every prescribed
 +-i*omega of a realization really is an isolated root of its factor.  It
-counts the isolation boxes around +i*omega of all targets of a factor in
-one batch of paths, and the boxes it has to halve in one batch per halving
-level; it counts boxes one by one only when a batch fails.  Only these
+counts the isolation boxes around +i*omega of all targets of all factors
+in one batch of paths, and the boxes it has to halve in one batch per
+halving level; it counts boxes one by one only when a batch fails.  Only these
 upper boxes are certified: the factor's coefficients are real, so D(conj
 z) = conj D(z), and each box around -i*omega, its exact mirror in floating
 point, holds the mirrored roots; its check is the upper one mirrored.
@@ -46,12 +46,16 @@ every bisection midpoint alike, goes through one kernel,
 :func:`_node_values`: one table exp(-z tau) over the batch, and D and D'
 from it in one call of :func:`quasipoly._term_sums`, the very floats that
 :func:`quasipoly.evaluate_many` and
-:func:`quasipoly.evaluate_derivative_many` give.  Every sum over the delay
-terms, of D, D' and the bounds alike, is one call of
-:func:`quasipoly._term_sums`, whose rounding does not depend on the
-batch, so a node's values are the same bits whichever lines or regions
-share its batch, and a batch of regions counts each one exactly as it
-would be counted alone.
+:func:`quasipoly.evaluate_derivative_many` give.  The lines of one batch
+may belong to several factors that share their delays, as the factors of
+a realization do (they differ only in their weights): the call then sums
+the stacked weight rows of every factor, and each node reads its own
+factor's row; with one factor nothing is picked.  Every sum over the
+delay terms, of D, D' and the bounds alike, is one call of
+:func:`quasipoly._term_sums`, whose rounding depends neither on the batch
+of nodes nor on the other weight rows, so a node's values are the same
+bits whichever lines, regions or factors share its batch, and a batch of
+regions counts each one exactly as it would be counted alone.
 """
 from __future__ import annotations
 
@@ -126,31 +130,46 @@ class Region:
         }
 
 
-def _node_values(factor: ScalarFactor, z: np.ndarray):
+def _shared_terms(factors) -> tuple[np.ndarray, np.ndarray]:
+    """The delays tau_k the factors share, and their products a_k b_k, one
+    row per factor.  Raises ValueError when the delays differ."""
+    arrays = [_term_arrays(f) for f in factors]
+    taus = arrays[0][1]
+    if any(not np.array_equal(t, taus) for _, t in arrays[1:]):
+        raise ValueError("factors certified in one batch must share their delays")
+    return taus, np.array([ab for ab, _ in arrays])
+
+
+def _node_values(taus, ab, z: np.ndarray, row=None):
     """D and D' at the nodes z, from one table exp(-z tau) and one call of
-    :func:`quasipoly._term_sums`: D = z - sum_k E_k a_k b_k and D' = 1 +
-    sum_k E_k a_k b_k tau_k.  Each is bit for bit what
-    :func:`quasipoly.evaluate_many` and
-    :func:`quasipoly.evaluate_derivative_many` give, whatever else is in
-    the batch.  Overflow gives non-finite values, which the callers
-    report."""
-    ab, taus = _term_arrays(factor)
+    :func:`quasipoly._term_sums` over the rows a_k b_k and a_k b_k tau_k of
+    every factor (see :func:`_shared_terms`): D = z - sum_k E_k a_k b_k and
+    D' = 1 + sum_k E_k a_k b_k tau_k.  Node i takes the rows of the factor
+    row[i]; with one factor row is not used and nothing is picked.  Each is
+    bit for bit what :func:`quasipoly.evaluate_many` and
+    :func:`quasipoly.evaluate_derivative_many` give for that factor,
+    whatever else is in the batch.  Overflow gives non-finite values, which
+    the callers report."""
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = _term_sums(np.exp(-np.multiply.outer(z, taus)), np.stack((ab, ab * taus)))
-        return z - sums[0], 1.0 + sums[1]
+        sums = _term_sums(np.exp(-np.multiply.outer(z, taus)), np.concatenate((ab, ab * taus)))
+        if len(ab) == 1:
+            return z - sums[0], 1.0 + sums[1]
+        at = np.arange(z.size)
+        return z - sums[row, at], 1.0 + sums[len(ab) + row, at]
 
 
 class _Touch(BoundaryRoot):
     """A node of a path has |D| at or below the boundary threshold."""
 
 
-def _bounds(taus, weights, z, vals, ders, threshold):
+def _bounds(taus, weights, z, vals, ders, threshold, row=None):
     """Per node z, where D is vals and D' is ders, the rows |D| less its
     rounding floor f, |D'| plus its rounding floor, and the slope and
     curvature sums sum_k |a_k b_k| tau_k^(1, 2) exp(-x tau_k); weights has
-    the rows |a_k b_k| tau_k^(0, 1, 2).  Raises NoConvergence when D
-    overflowed and _Touch when |D| <= threshold (broadcast against the
-    nodes) somewhere."""
+    the rows |a_k b_k| tau_k^(0, 1, 2), each a block of one row per factor,
+    and node i takes those of the factor row[i] (row is not used with one
+    factor).  Raises NoConvergence when D overflowed and _Touch when |D| <=
+    threshold (broadcast against the nodes) somewhere."""
     size = np.abs(vals)
     if not np.isfinite(size.max()):
         raise NoConvergence(float("nan"), "factor overflowed on the contour")
@@ -159,7 +178,10 @@ def _bounds(taus, weights, z, vals, ders, threshold):
         raise _Touch(f"|D| = {size[touch].min():.3e} on the contour")
     with np.errstate(over="ignore", invalid="ignore"):
         decay = np.exp(-np.multiply.outer(z.real, taus))
-        total, slope, curve = _term_sums(decay, weights)
+        sums = _term_sums(decay, weights)
+        if len(weights) > 3:
+            sums = sums.reshape(3, -1, z.size)[:, row, np.arange(z.size)]
+        total, slope, curve = sums
         radius = np.abs(z)
         floor = 4.0 * _EPS * (radius * (1.0 + slope) + len(taus) * total)
         slope_floor = 4.0 * _EPS * (1.0 + len(taus) * slope + radius * curve)
@@ -188,13 +210,16 @@ def _line_layout(lengths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list
     return line, inner, np.cumsum(lengths).tolist()
 
 
-def _certify(factor: ScalarFactor, z, place, lengths: tuple[int, ...], threshold, resolution):
+def _certify(factors, z, place, lengths: tuple[int, ...], threshold, resolution, owner=None):
     """Certified paths along axis-parallel lines, one per line.
 
     z holds the starting nodes of all lines, line by line, lengths[i] of
     them on line i, and place their positions along their lines (x on a
     horizontal line, y on a vertical one), increasing along each line.
-    Each path comes back as (t, D, turn): its nodes t along the line in
+    Line i is a path of D for the factor factors[owner[i]]; the factors
+    share their delays, and owner, an array, is None when there is one
+    factor.  Each
+    path comes back as (t, D, turn): its nodes t along the line in
     increasing order, the values D there, and the certified change of arg
     D over each segment.  The threshold of :func:`_bounds` and the
     resolution are given per line.  Besides the errors of :func:`_bounds`,
@@ -205,13 +230,14 @@ def _certify(factor: ScalarFactor, z, place, lengths: tuple[int, ...], threshold
     so each line's path is bit for bit the one a batch of that line alone
     gives.
     """
-    vals, ders = _node_values(factor, z)
+    taus, ab = _shared_terms(factors)
     line, inner, ends = _line_layout(lengths)
-    ab, taus = _term_arrays(factor)
+    own = None if owner is None else owner[line]
+    vals, ders = _node_values(taus, ab, z, own)
     size = np.abs(ab)
-    weights = np.stack((size, size * taus, size * taus**2))
+    weights = np.concatenate((size, size * taus, size * taus**2))
     threshold = np.asarray(threshold, dtype=float)
-    bounds = _bounds(taus, weights, z, vals, ders, threshold[line])
+    bounds = _bounds(taus, weights, z, vals, ders, threshold[line], own)
     bad = ~_certified(z[:-1], z[1:], bounds[:, :-1], bounds[:, 1:]) & inner
     if bad.any():
         # every node made, as (line, position along it, D); the certified
@@ -231,8 +257,9 @@ def _certify(factor: ScalarFactor, z, place, lengths: tuple[int, ...], threshold
                     "a root lies within a few node spacings of the contour"
                 )
             zm, tm = 0.5 * (za + zb), 0.5 * (ta + tb)
-            dm, pm = _node_values(factor, zm)
-            bounds_m = _bounds(taus, weights, zm, dm, pm, threshold[open_rows])
+            own = None if owner is None else owner[open_rows]
+            dm, pm = _node_values(taus, ab, zm, own)
+            bounds_m = _bounds(taus, weights, zm, dm, pm, threshold[open_rows], own)
             rows.append(open_rows)
             places.append(tm)
             found.append(dm)
@@ -300,14 +327,17 @@ def _winding(bottom, top, left, right) -> int:
     return _count(bottom[2].sum() + right[2].sum() - top[2].sum() - left[2].sum())
 
 
-def _certified_counts(factor: ScalarFactor, regions):
-    """(count, region, edges) per region: the winding number with the
-    certified edges (bottom, top, left, right) it came from.  All regions
-    are certified in one batch of paths, and every region comes out bit for
-    bit as if counted alone, because no value depends on the batch (see
-    :func:`_certify`).  A lone region whose contour touches a root is
-    dilated once and retried; a batch raises instead."""
-    bound = factor.coefficient_bound()
+def _batch_counts(factors, regions, owner=None):
+    """(count, region, edges) per region: the winding number, of D for the
+    factor factors[owner[i]] around regions[i], with the certified edges
+    (bottom, top, left, right) it came from; owner is None when there is
+    one factor.  All regions are certified in one batch of paths, and every
+    region comes out bit for bit as if counted alone, because no value
+    depends on the batch (see :func:`_certify`).  A lone region whose
+    contour touches a root is dilated once and retried; a batch raises
+    instead."""
+    bound = [f.coefficient_bound() for f in factors]
+    own = [0] * len(regions) if owner is None else owner
     for dilated in (False, True):
         corners = np.array([(r.re_min, r.im_min, r.re_max, r.im_max) for r in regions])
         lo, hi = corners[:, :2, None], corners[:, 2:, None]
@@ -319,12 +349,12 @@ def _certified_counts(factor: ScalarFactor, regions):
         x[:, :2], x[:, 2], x[:, 3] = nodes[:, None, 0], lo[:, 0], hi[:, 0]
         y[:, 0], y[:, 1], y[:, 2:] = lo[:, 1], hi[:, 1], nodes[:, None, 1]
         place = np.concatenate((x[:, :2], y[:, 2:]), axis=1)
-        threshold = np.repeat([_BOUNDARY_REL * _scale(bound, r) for r in regions], 4)
+        threshold = np.repeat([_BOUNDARY_REL * _scale(bound[j], r) for j, r in zip(own, regions)], 4)
         resolution = np.repeat(_DILATE * (hi - lo).max(axis=(1, 2)), 4)
         try:
             paths = _certify(
-                factor, (x + 1j * y).ravel(), place.ravel(), (x.shape[-1],) * (4 * len(regions)),
-                threshold, resolution,
+                factors, (x + 1j * y).ravel(), place.ravel(), (x.shape[-1],) * (4 * len(regions)),
+                threshold, resolution, None if owner is None else np.repeat(owner, 4),
             )
         except _Touch as exc:
             if len(regions) > 1:
@@ -335,6 +365,11 @@ def _certified_counts(factor: ScalarFactor, regions):
             continue
         sides = [tuple(paths[i : i + 4]) for i in range(0, len(paths), 4)]
         return [(_winding(*edges), region, edges) for region, edges in zip(regions, sides)]
+
+
+def _certified_counts(factor: ScalarFactor, regions):
+    """:func:`_batch_counts` of the regions, all for the one factor."""
+    return _batch_counts((factor,), regions)
 
 
 def count_roots(factor: ScalarFactor, region: Region) -> int:
@@ -423,7 +458,7 @@ def _grid(factor: ScalarFactor, xs, ys, threshold: float, resolution: float, edg
     y = np.concatenate((np.repeat(h_levels, len(h_nodes)), v_place))
     lengths = (len(h_nodes),) * len(h_levels) + (len(v_nodes),) * len(v_levels)
     paths = _certify(
-        factor, x + 1j * y, np.concatenate((h_place, v_place)), lengths,
+        (factor,), x + 1j * y, np.concatenate((h_place, v_place)), lengths,
         np.full(len(lengths), threshold), np.full(len(lengths), resolution),
     )
     rows, cols = paths[: len(h_levels)], paths[len(h_levels) :]
@@ -650,20 +685,21 @@ def _isolation_halfwidth(target: FrequencyTarget, max_delay: float) -> float:
     return delta
 
 
-def _isolation_counts(factor: ScalarFactor, boxes) -> list:
-    """What :func:`_certified_counts` gives for each box on its own, or the
-    BoundaryRoot or NoConvergence it raises: all boxes in one batch, which
-    counts each box as it would be counted alone, and one by one when the
-    batch fails, since a batch raises for all its boxes at once."""
+def _isolation_counts(factors, owner, boxes) -> list:
+    """What :func:`_certified_counts` gives for each box on its own, for
+    the factor factors[owner[i]], or the BoundaryRoot or NoConvergence it
+    raises: the boxes of every factor in one batch, which counts each box
+    as it would be counted alone, and one by one when the batch fails,
+    since a batch raises for all its boxes at once."""
     try:
-        return _certified_counts(factor, boxes)
+        return _batch_counts(factors, boxes, owner if len(factors) > 1 else None)
     except (BoundaryRoot, NoConvergence) as exc:
         if len(boxes) == 1:
             return [exc]
     found = []
-    for box in boxes:
+    for j, box in zip(owner, boxes):
         try:
-            found.append(_certified_counts(factor, [box])[0])
+            found.append(_certified_counts(factors[j], [box])[0])
         except (BoundaryRoot, NoConvergence) as exc:
             found.append(exc)
     return found
@@ -684,10 +720,10 @@ def verify_realization(
     be exactly one.  Numeric
     failures mark the target failed instead of raising.  A box that holds
     more than one root is halved, up to 11 times, until it holds one.  The
-    boxes of a factor's targets are counted in one batch per halving
-    level; when a batch fails (a box touches a root, overflows or names an
-    edge root), each of its boxes is counted on its own, so the report is
-    the same as from counts one box at a time.
+    boxes of the targets of every factor are counted in one batch per call
+    and per halving level; when a batch fails (a box touches a root,
+    overflows or names an edge root), each of its boxes is counted on its
+    own, so the report is the same as from counts one box at a time.
 
     Only the boxes around +i*omega are counted, and only +i*omega is
     polished.  The factor has real coefficients, so D(conj z) = conj D(z),
@@ -710,70 +746,73 @@ def verify_realization(
         raise ValueError("result, target, and weights have mismatched dimensions")
     factors = result_factors(result, weights)
     delta = _isolation_halfwidth(target, float(np.max(result.taus)))
-    checks: list[TargetCheck] = []
-    roots_counted = 0
+    # every target +i*omega, factor by factor
+    owner = [j for j, group in enumerate(target.groups) for _ in group]
+    omegas = [omega for group in target.groups for omega in group]
+    # unlucky clustering: a neighbouring root may sit inside the nominal
+    # box, so boxes that hold more than one root are halved until exactly
+    # one remains; each level is one batch of the boxes of every factor
+    counts = [0] * len(omegas)
+    boxes: list = [None] * len(omegas)
+    errors: list = [None] * len(omegas)
     min_abs = np.inf
     panels = 0
-    for j, group in enumerate(target.groups):
+    pending = list(range(len(omegas)))
+    d = delta
+    for _ in range(12):
+        for i in pending:
+            boxes[i] = Region(-d, d, omegas[i] - d, omegas[i] + d)
+        found = _isolation_counts(factors, [owner[i] for i in pending], [boxes[i] for i in pending])
+        for i, got in zip(pending, found):
+            if isinstance(got, Exception):
+                errors[i] = got
+                continue
+            counts[i], _, edges = got
+            values = np.concatenate([vals for _, vals, _ in edges])
+            min_abs = min(min_abs, float(np.abs(values).min()))
+            panels = max(panels, *(len(turn) for _, _, turn in edges))
+        pending = [i for i in pending if errors[i] is None and counts[i] > 1]
+        if not pending:
+            break
+        d *= 0.5
+    checks: list[TargetCheck] = []
+    roots_counted = 0
+    for j, omega, count, box, error in zip(owner, omegas, counts, boxes, errors):
         factor = factors[j]
-        bound = factor.coefficient_bound()
-        # unlucky clustering: a neighbouring root may sit inside the
-        # nominal box, so boxes that hold more than one root are halved
-        # until exactly one remains; each level is one batch of boxes
-        counts = [0] * len(group)
-        boxes: list = [None] * len(group)
-        errors: list = [None] * len(group)
-        pending = list(range(len(group)))
-        d = delta
-        for _ in range(12):
-            for i in pending:
-                boxes[i] = Region(-d, d, group[i] - d, group[i] + d)
-            for i, got in zip(pending, _isolation_counts(factor, [boxes[i] for i in pending])):
-                if isinstance(got, Exception):
-                    errors[i] = got
-                    continue
-                counts[i], _, edges = got
-                values = np.concatenate([vals for _, vals, _ in edges])
-                min_abs = min(min_abs, float(np.abs(values).min()))
-                panels = max(panels, *(len(turn) for _, _, turn in edges))
-            pending = [i for i in pending if errors[i] is None and counts[i] > 1]
-            if not pending:
-                break
-            d *= 0.5
-        for omega, count, box, error in zip(group, counts, boxes, errors):
-            residual = abs(evaluate(factor, 1j * omega))
-            note = ""
-            polished = None
-            offset = None
-            ok = residual < tol
-            if error is not None:
+        residual = abs(evaluate(factor, 1j * omega))
+        note = ""
+        polished = None
+        offset = None
+        ok = residual < tol
+        if error is not None:
+            ok = False
+            note = f"count failed: {error}"
+        else:
+            roots_counted += 2 * count
+            if count != 1:
                 ok = False
-                note = f"count failed: {error}"
-            else:
-                roots_counted += 2 * count
-                if count != 1:
+                note = f"isolation box holds {count} roots"
+        if ok:
+            try:
+                scale = _scale(factor.coefficient_bound(), box)
+                polished = polish_root(factor, 1j * omega, 1e-12 * scale)
+                offset = abs(polished - 1j * omega)
+                if offset > max(tol, 1e-8):
                     ok = False
-                    note = f"isolation box holds {count} roots"
-            if ok:
-                try:
-                    polished = polish_root(factor, 1j * omega, 1e-12 * _scale(bound, box))
-                    offset = abs(polished - 1j * omega)
-                    if offset > max(tol, 1e-8):
-                        ok = False
-                        note = f"polished root drifted {offset:.3e} from target"
-                except NoConvergence as exc:
-                    ok = False
-                    note = f"polish failed: {exc}"
-            mirrored = None
-            if polished is not None:
-                # conj(polished) with a zero real part as -0.0: 1j * -omega
-                # is -0.0 - omega*1j, and a polish that takes no step
-                # returns it unchanged
-                mirrored = complex(-(0.0 - polished.real), -polished.imag)
-            checks += [
-                TargetCheck(j, omega, 1, residual, count, polished, offset, ok, note),
-                TargetCheck(j, omega, -1, residual, count, mirrored, offset, ok, note),
-            ]
+                    note = f"polished root drifted {offset:.3e} from target"
+            except NoConvergence as exc:
+                ok = False
+                note = f"polish failed: {exc}"
+        mirrored = None
+        if polished is not None:
+            # conj(polished) with a zero real part as -0.0: 1j * -omega
+            # is -0.0 - omega*1j, and a polish that takes no step
+            # returns it unchanged
+            mirrored = complex(-(0.0 - polished.real), -polished.imag)
+        checks += [
+            TargetCheck(j, omega, 1, residual, count, polished, offset, ok, note),
+            TargetCheck(j, omega, -1, residual, count, mirrored, offset, ok, note),
+        ]
     overall = all(c.passed for c in checks)
     return SpectrumReport(
         targets=tuple(checks),

@@ -29,7 +29,7 @@ import numpy as np
 
 from spectra_forge import spectrum
 from spectra_forge.errors import BoundaryRoot, NoConvergence, SearchExhausted, TooManyRoots
-from spectra_forge.quasipoly import evaluate_derivative_many, evaluate_many
+from spectra_forge.quasipoly import ScalarFactor, evaluate_derivative_many, evaluate_many
 from spectra_forge.realization import FrequencyTarget, WeightTable, base_point, index_vectors
 
 
@@ -377,10 +377,21 @@ def contour_values_reference(factor, region, per_edge: int):
     return z, evaluate_many(factor, z), evaluate_derivative_many(factor, z)
 
 
-def node_values_reference(factor, z):
-    """(D, D') at the nodes z, one complex exponential table each, in place
-    of the spectrum kernel's one table for both."""
-    return evaluate_many(factor, z), evaluate_derivative_many(factor, z)
+def node_values_reference(taus, ab, z, row=None):
+    """(D, D') at the nodes z, in place of the spectrum kernel's one table
+    for both and for every factor: each factor lam - sum_k ab[j, k]
+    exp(-lam taus[k]) on its own, one complex exponential table each for D
+    and D' and for every factor, and node i takes the factor row[i] (the
+    one factor when ab has one row)."""
+    taus = taus.tolist()
+    factors = [ScalarFactor(tuple(zip(products, [1.0] * len(taus), taus)))
+               for products in ab.tolist()]
+    vals = np.array([evaluate_many(f, z) for f in factors])
+    ders = np.array([evaluate_derivative_many(f, z) for f in factors])
+    if len(factors) == 1:
+        return vals[0], ders[0]
+    at = np.arange(z.size)
+    return vals[row, at], ders[row, at]
 
 
 def line_values_reference(factor, h_levels=(), h_nodes=(), v_levels=(), v_nodes=()):
@@ -394,7 +405,7 @@ def line_values_reference(factor, h_levels=(), h_nodes=(), v_levels=(), v_nodes=
     )
     z = np.array([xs + 1j * y for y, xs in zip(h_levels, h_nodes)]
                  + [x + 1j * ys for x, ys in zip(v_levels, v_nodes)])
-    return (z, *node_values_reference(factor, z))
+    return z, evaluate_many(factor, z), evaluate_derivative_many(factor, z)
 
 
 def count_roots_trapezoid(factor, region, per_edge: int = 256, max_per_edge: int = 1 << 20) -> int:
@@ -465,7 +476,7 @@ def _split_reference(factor, region, edges, frac: float, threshold: float):
     resolution = 1e-6 * max(x1 - x0, y1 - y0)
     xs, ys = _nodes_reference(x0, xm, x1), _nodes_reference(y0, ym, y1)
     across, up = spectrum._certify(
-        factor, np.concatenate((xs + 1j * ym, xm + 1j * ys)), np.concatenate((xs, ys)),
+        (factor,), np.concatenate((xs + 1j * ym, xm + 1j * ys)), np.concatenate((xs, ys)),
         (len(xs), len(ys)), (threshold, threshold), (resolution, resolution),
     )
     bottom, top, left, right = edges

@@ -192,6 +192,33 @@ def test_ring_even_cell_count_refused(capsys, tmp_path):
     assert [2, 3] in doc["error"]["degeneracies"]
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+def test_even_ring_refusal_names_its_cause(capsys, tmp_path, n):
+    # n = 0 (mod 4) has vanishing factor weights and is refused for them;
+    # n = 2 (mod 4) has none, so the refusal is its parity, as bmat's is
+    path = write_json(
+        tmp_path / f"ring{n}.json",
+        {
+            "mode": "ring",
+            "payload": {
+                "n": n,
+                "indices": [0, 1],
+                "groups": [[1.0], [SQRT2]],
+                "layout": {"internal": 1, "couplings": {"2": 1}},
+            },
+        },
+    )
+    code, doc = run(capsys, ["ring", "--input", path])
+    if n % 4:
+        assert code == 1
+        assert doc["error"]["type"] == "BadParity"
+        assert f"cell count {n} must be odd" in doc["error"]["message"]
+    else:
+        assert code == 3
+        assert doc["error"]["type"] == "EvenDegeneracy"
+        assert doc["error"]["degeneracies"]
+
+
 def test_ring_singular_selection(capsys, tmp_path):
     path = write_json(
         tmp_path / "ring9.json",

@@ -202,6 +202,23 @@ def test_term_sums_do_not_depend_on_the_batch(case):
         assert _bits(value) == _bits(batch[:, i])
     for row in range(3):
         assert _bits(_term_sums(table, weights[row : row + 1])[0]) == _bits(batch[row])
+    # the weight rows of several factors stacked over one table, as the
+    # certifier stacks the factors that share delays: each row has the
+    # bits it has alone, and in any batch of nodes
+    taus = np.array([t.tau for t in factor.terms])
+    ab = np.array([t.a * t.b for t in factor.terms]) * rng.uniform(-2.0, 2.0, (3, m))
+    ab[1, : m // 2] = 0.0
+    for table, weights in (
+        (np.exp(-np.multiply.outer(z, taus)), np.concatenate((ab, ab * taus))),
+        (table, np.concatenate((np.abs(ab), np.abs(ab) * taus, np.abs(ab) * taus**2))),
+    ):
+        batch = _term_sums(table, weights)
+        for row in range(len(weights)):
+            for part, at in ((weights[row : row + 1], 0), (weights[: row + 1], row),
+                             (weights[row:], 0), (weights[[row, 0]], 0)):
+                assert _bits(_term_sums(table, part)[at]) == _bits(batch[row])
+        for value in _layouts(lambda rows: _term_sums(rows, weights), table, i, j):
+            assert _bits(value) == _bits(batch[:, i])
 
 
 def test_factor_validation():

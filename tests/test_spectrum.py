@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -191,7 +192,7 @@ def _kernel_on_lines(factor, *lines, **named):
     """(z, D, D') from the node kernel on the nodes that
     oracles.line_values_reference lays out for the same lines."""
     z = oracles.line_values_reference(factor, *lines, **named)[0]
-    return (z, *spectrum._node_values(factor, z))
+    return (z, *spectrum._node_values(*spectrum._shared_terms([factor]), z))
 
 
 def _assert_matches_reference(got, ref, factor):
@@ -253,6 +254,11 @@ def test_contour_kernel_matches_reference_and_mp(case):
             np.testing.assert_array_equal(part[2 * row + 1], single[0])
 
 
+def _weight_rows(factor, rows):
+    """The factor's delays and coefficients under each row of weights."""
+    return [ScalarFactor(tuple((t.a, b, t.tau) for t, b in zip(factor.terms, row))) for row in rows]
+
+
 def test_node_values_match_evaluate_many_in_any_batch():
     # the bisection evaluates whatever midpoints are open, in batches of
     # any size: every node must get the same bits in any of them
@@ -260,17 +266,40 @@ def test_node_values_match_evaluate_many_in_any_batch():
     factors = [random_factor(rng) for _ in range(4)] + [DENSE_THREE, DENSE_FOUR]
     z = rng.uniform(-0.05, 0.3, 240) + 1j * rng.uniform(-40.0, 40.0, 240)
     for factor in factors:
-        vals, ders = spectrum._node_values(factor, z)
+        terms = spectrum._shared_terms([factor])
+        vals, ders = spectrum._node_values(*terms, z)
         np.testing.assert_array_equal(vals, evaluate_many(factor, z))
         np.testing.assert_array_equal(ders, evaluate_derivative_many(factor, z))
         for part in (slice(0, 1), slice(7, 8), slice(3, 40), slice(None, None, 7),
                      rng.permutation(240)[:31]):
-            got = spectrum._node_values(factor, z[part])
+            got = spectrum._node_values(*terms, z[part])
             np.testing.assert_array_equal(got[0], vals[part])
             np.testing.assert_array_equal(got[1], ders[part])
-        got = spectrum._node_values(factor, z.reshape(12, 4, 5))
+        got = spectrum._node_values(*terms, z.reshape(12, 4, 5))
         np.testing.assert_array_equal(got[0], vals.reshape(12, 4, 5))
         np.testing.assert_array_equal(got[1], ders.reshape(12, 4, 5))
+        # the same delays and coefficients under 2 to 4 rows of weights, a
+        # zero weight among them, as the factors of a ring share them: each
+        # node, whichever factor it belongs to, has the bits of that factor
+        # alone
+        m = len(factor.terms)
+        weights = rng.uniform(-2.0, 2.0, (int(rng.integers(2, 5)), m))
+        weights[-1, 0] = 0.0
+        rows = _weight_rows(factor, weights)
+        terms = spectrum._shared_terms(rows)
+        owner = rng.integers(0, len(rows), z.size)
+        alone = [(evaluate_many(f, z), evaluate_derivative_many(f, z)) for f in rows]
+        vals, ders = spectrum._node_values(*terms, z, owner)
+        for j, (want_vals, want_ders) in enumerate(alone):
+            mine = owner == j
+            np.testing.assert_array_equal(vals[mine], want_vals[mine])
+            np.testing.assert_array_equal(ders[mine], want_ders[mine])
+        for part in (slice(0, 1), slice(3, 40), rng.permutation(240)[:31]):
+            got = spectrum._node_values(*terms, z[part], owner[part])
+            np.testing.assert_array_equal(got[0], vals[part])
+            np.testing.assert_array_equal(got[1], ders[part])
+    with pytest.raises(ValueError, match="share their delays"):
+        spectrum._shared_terms([DENSE_THREE, DENSE_FOUR])
 
 
 def _census_like_cases(seed, count):
@@ -694,6 +723,27 @@ def _pair_case():
     )
 
 
+def _box_by_box(counted):
+    """A stand-in for spectrum._batch_counts (given as counted) that counts
+    each region alone for its own factor, as _certified_counts(factor,
+    [region]) does."""
+
+    def each(factors, regions, owner=None):
+        owner = [0] * len(regions) if owner is None else owner
+        return [counted((factors[j],), [region])[0] for j, region in zip(owner, regions)]
+
+    return each
+
+
+def _assert_same_counts(batch, alone):
+    """Two lists of (count, region, edges), the edges bit for bit."""
+    assert len(batch) == len(alone)
+    for got, want in zip(batch, alone):
+        assert got[:2] == want[:2]
+        for path, single in zip(got[2], want[2]):
+            assert [a.tobytes() for a in path] == [a.tobytes() for a in single]
+
+
 def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
     # the touching case: a batch of the boxes around +-i and +-3i touches a
     # root, and each box is counted on its own, those around +-i after a
@@ -714,14 +764,14 @@ def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
     split = (realize(target, weights), target, weights)
     cases = [(realized_three[1], realized_three[0], None), touching, pair, split]
 
-    counted = spectrum._certified_counts
+    counted = spectrum._batch_counts
     calls = []
 
-    def recorded(factor, regions):
+    def recorded(factors, regions, owner=None):
         calls[-1].append(len(regions))
-        return counted(factor, regions)
+        return counted(factors, regions, owner)
 
-    monkeypatch.setattr(spectrum, "_certified_counts", recorded)
+    monkeypatch.setattr(spectrum, "_batch_counts", recorded)
     batched = []
     for case in cases:
         calls.append([])
@@ -729,8 +779,9 @@ def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
     # only the boxes around +i w are counted: the box around i of the pair
     # case is halved three times, and the box around -i is its mirror
     assert calls[2] == [2, 1, 1, 1]
-    monkeypatch.setattr(spectrum, "_certified_counts",
-                        lambda factor, regions: [counted(factor, [r])[0] for r in regions])
+    # the split's two factors share one batch
+    assert calls[3] == [2]
+    monkeypatch.setattr(spectrum, "_batch_counts", _box_by_box(counted))
     assert [verify_realization(*case) for case in cases] == batched
     assert batched[0].passed and batched[2].targets[0].passed and batched[3].passed
     assert [t.local_count for t in batched[1].targets] == [1, 1, 0, 0]
@@ -749,16 +800,113 @@ def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
         boxes = [Region(c.real - w, c.real + w, c.imag - h, c.imag + h)
                  for c, (w, h) in zip(centres, half)]
         try:
-            batch = counted(factor, boxes)
+            batch = counted((factor,), boxes)
         except (BoundaryRoot, NoConvergence):
             continue
-        for got, box in zip(batch, boxes):
-            count, region, edges = counted(factor, [box])[0]
-            assert got[:2] == (count, region)
-            for path, alone in zip(got[2], edges):
-                assert [a.tobytes() for a in path] == [a.tobytes() for a in alone]
+        _assert_same_counts(batch, [counted((factor,), [box])[0] for box in boxes])
         compared += 1
     assert compared >= 30
+
+
+def _ring_cases():
+    """The ring problems of the benchmark's ring_design workload, each as
+    (result, target, weights)."""
+    r2, r3, r5 = (math.sqrt(x) for x in (2.0, 3.0, 5.0))
+    problems = (
+        (3, (0, 1), ((1.0,), (r2,)), {"internal": 1, "couplings": {2: 1}}),
+        (5, (1, 2), ((1.0,), (r2,)), {"couplings": {2: 1, 3: 1}}),
+        (7, (1, 2, 3), ((1.0,), (r2,), (r3,)), {"couplings": {2: 1, 3: 1, 4: 1}}),
+        (3, (1,), ((1.0, r2),), {"couplings": {2: 2}}),
+        (3, (0,), ((1.0, r2),), {"internal": 2}),
+        (5, (0, 1, 2), ((1.0,), (r2,), (r3,)), {"internal": 1, "couplings": {2: 1, 3: 1}}),
+        (5, (0, 2), ((1.0, r3), (r2,)), {"internal": 2, "couplings": {3: 1}}),
+        (5, (1, 2), ((1.0, r2), (r3, r5)), {"couplings": {2: 2, 3: 2}}),
+        (7, (0, 1), ((1.0, r2), (r3, r5)), {"internal": 2, "couplings": {2: 2}}),
+        (7, (2, 3), ((r2, r3), (r5,)), {"internal": 1, "couplings": {3: 1, 4: 1}}),
+        (11, (1, 3), ((1.0, r2), (r3,)), {"couplings": {2: 2, 4: 1}}),
+        (11, (0, 2, 5), ((1.0,), (r2,), (r3,)), {"internal": 1, "couplings": {3: 1, 6: 1}}),
+        (11, (1, 4), ((1.0, r2), (r3, r5)), {"internal": 1, "couplings": {2: 2, 5: 1}}),
+    )
+    cases = []
+    for n, indices, groups, layout in problems:
+        target = FrequencyTarget(groups)
+        weights, _ = ring_weight_table(n, indices, target.sizes, layout)
+        _, result = realize_ring(n, indices, groups, layout)
+        cases.append((result, target, weights))
+    return cases
+
+
+def test_cross_factor_batch_matches_factor_by_factor(monkeypatch):
+    # verify_realization counts the boxes of all factors in one batch; the
+    # report must be, bit for bit, the one from counting each box alone
+    # with _certified_counts(factor, [box])
+    target = FrequencyTarget(((1.0,), (SQRT2,)))
+    weights = WeightTable(np.array([[1.0, 2.0], [1.0, -1.0]]))
+    cases = _ring_cases() + [(realize(target, weights), target, weights)]
+    rng = np.random.default_rng(41)
+    for rows in (2, 3, 2, 3, 2, 3):
+        # random delays, coefficients and weight tables: most targets fail,
+        # but every box is counted
+        n = int(rng.integers(rows, rows + 3))
+        omegas = np.sort(rng.uniform(0.5, 3.0, n)).tolist()
+        cuts = sorted(rng.choice(np.arange(1, n), rows - 1, replace=False).tolist())
+        groups = tuple(tuple(g) for g in np.split(np.array(omegas), cuts))
+        table = WeightTable(rng.uniform(-2.0, 2.0, (rows, n)))
+        result = _plain_result(rng.uniform(0.2, 6.0, n).tolist(), rng.uniform(-1.5, 1.5, n).tolist())
+        cases.append((result, FrequencyTarget(groups), table))
+    cases += [_touching_case(), _pair_case()]
+
+    counted = spectrum._batch_counts
+    calls = []
+
+    def recorded(factors, regions, owner=None):
+        calls[-1].append((len(factors), len(regions)))
+        return counted(factors, regions, owner)
+
+    monkeypatch.setattr(spectrum, "_batch_counts", recorded)
+    batched = []
+    for case in cases:
+        calls.append([])
+        batched.append(verify_realization(*case))
+    monkeypatch.setattr(spectrum, "_batch_counts", _box_by_box(counted))
+    alone = [verify_realization(*case) for case in cases]
+    # and from the reference kernel, which evaluates each factor on its own
+    monkeypatch.setattr(spectrum, "_batch_counts", counted)
+    monkeypatch.setattr(spectrum, "_node_values", oracles.node_values_reference)
+    reference = [verify_realization(*case) for case in cases]
+    for got, want, ref in zip(batched, alone, reference):
+        assert got == want == ref
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict()) == json.dumps(ref.to_dict())
+    # every ring and the split pass, each in one batch of all its factors'
+    # boxes around +i omega
+    for (result, target, _), report, made in zip(cases[:14], batched, calls):
+        assert report.passed
+        assert made == [(target.r, target.n)]
+    assert any(not report.passed for report in batched[14:20])
+    # the halving levels of the pair case take one box each
+    assert calls[-1] == [(1, 2), (1, 1), (1, 1), (1, 1)]
+
+    # random 2- and 3-row weight tables over shared delays and
+    # coefficients, eight boxes each, any box owned by any row: a batch
+    # that succeeds counts every box as its own factor alone does
+    compared = 0
+    for _ in range(30):
+        m = int(rng.integers(2, 8))
+        base = ScalarFactor(tuple(zip(rng.uniform(-1.5, 1.5, m).tolist(), (1.0,) * m,
+                                      rng.uniform(0.0, 12.0, m).tolist())))
+        factors = _weight_rows(base, rng.uniform(-2.0, 2.0, (int(rng.integers(2, 4)), m)))
+        owner = rng.integers(0, len(factors), 8).tolist()
+        centres = rng.uniform(-0.3, 0.3, 8) + 1j * rng.uniform(-4.0, 4.0, 8)
+        half = rng.uniform(0.02, 0.4, (8, 2))
+        boxes = [Region(c.real - w, c.real + w, c.imag - h, c.imag + h)
+                 for c, (w, h) in zip(centres, half)]
+        try:
+            batch = counted(factors, boxes, owner)
+        except (BoundaryRoot, NoConvergence):
+            continue
+        _assert_same_counts(batch, [counted((factors[j],), [box])[0] for j, box in zip(owner, boxes)])
+        compared += 1
+    assert compared >= 20
 
 
 def _lower_check(factor, j, omega, delta, tol=1e-8):
@@ -810,15 +958,15 @@ def test_lower_targets_mirror_their_own_count_and_polish(monkeypatch, realized_t
         _pair_case(),
         _touching_case(),
     ]
-    counted = spectrum._certified_counts
+    counted = spectrum._batch_counts
     boxes = []
 
-    def recorded(factor, regions):
+    def recorded(factors, regions, owner=None):
         boxes.extend(regions)
-        return counted(factor, regions)
+        return counted(factors, regions, owner)
 
     with monkeypatch.context() as patch:
-        patch.setattr(spectrum, "_certified_counts", recorded)
+        patch.setattr(spectrum, "_batch_counts", recorded)
         reports = [verify_realization(*case) for case in cases]
     assert boxes and all(box.im_max > 0 for box in boxes)
     mirrored = 0
@@ -843,10 +991,10 @@ def test_near_duplicate_frequencies_are_named_before_counting(monkeypatch):
     target = FrequencyTarget(((1.0, 3.0), (above,)))
     result = _plain_result([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
 
-    def never(factor, regions):
+    def never(factors, regions, owner=None):
         raise AssertionError("counted a box")
 
-    monkeypatch.setattr(spectrum, "_certified_counts", never)
+    monkeypatch.setattr(spectrum, "_batch_counts", never)
     with pytest.raises(ValueError) as info:
         verify_realization(result, target)
     message = str(info.value)
