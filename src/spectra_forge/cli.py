@@ -5,7 +5,7 @@ JSON, writes one JSON document (stdout by default), and exits with
 
     0   success
     1   input problem (bad usage, unreadable file, bad schema, zero weight,
-        bad index, bad parity)
+        bad index, bad parity, a spectrum region with a non-finite bound)
     2   numeric failure (no convergence, singular system, failed check)
     3   theory-precondition refusal (even-cell ring with vanishing factor
         weights)

@@ -36,6 +36,7 @@ from .realization import (
     RealizationResult,
     RealizeConfig,
     WeightTable,
+    _singular_det,
     realize,
 )
 
@@ -324,9 +325,7 @@ def singular_selection(n: int, indices: Sequence[int]) -> bool:
     norms), for B from :func:`build_B` in the eigen-consistent convention
     2.  :func:`realize_ring` refuses these selections with
     :class:`SingularB`, and the CLI's bmat reports them as singular."""
-    reduced = build_B(n, indices, convention=2.0)
-    hadamard = float(np.prod(np.linalg.norm(reduced, axis=0)))
-    return abs(float(np.linalg.det(reduced))) <= 1e-12 * max(hadamard, 1e-300)
+    return _singular_det(build_B(n, indices, convention=2.0)) is not None
 
 
 def detect_even_degeneracy(n: int) -> list[tuple[int, int]]:

@@ -81,6 +81,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+# a square matrix whose |det| is at most this share of Hadamard's bound,
+# the product of its column norms, is singular
+_SINGULAR_REL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +137,6 @@ class FrequencyTarget:
     @property
     def flat(self) -> np.ndarray:
         return np.array([w for g in self.groups for w in g], dtype=float)
-
-    @property
-    def row_group(self) -> np.ndarray:
-        """Group index of each flattened row."""
-        return np.repeat(np.arange(self.r), self.sizes)
 
     def scaled(self, c: float) -> "FrequencyTarget":
         return FrequencyTarget(tuple(tuple(c * w for w in g) for g in self.groups))
@@ -383,12 +381,19 @@ def base_point(target: FrequencyTarget, weights: WeightTable | None = None) -> B
     return _solved_base(target, cal_I_B(weights, target), _block_signs(target))
 
 
+def _singular_det(mat: np.ndarray) -> float | None:
+    """The determinant of the square matrix mat when it is singular, |det|
+    <= _SINGULAR_REL times Hadamard's bound; None when it is not."""
+    hadamard = float(np.prod(np.linalg.norm(mat, axis=0)))
+    det = float(np.linalg.det(mat))
+    return det if abs(det) <= _SINGULAR_REL * max(hadamard, 1e-300) else None
+
+
 def _solved_base(target: FrequencyTarget, mat: np.ndarray, signs: np.ndarray) -> BasePoint:
     """The base point of the stacked matrix mat, whose sign pattern is
     signs; raises as :func:`base_point` describes."""
-    hadamard = float(np.prod(np.linalg.norm(mat, axis=0)))
-    det = float(np.linalg.det(mat))
-    if abs(det) <= 1e-12 * max(hadamard, 1e-300):
+    det = _singular_det(mat)
+    if det is not None:
         raise SingularIB(f"stacked weight matrix is singular (det {det:.3e})")
     omega = target.flat
     amps = np.linalg.solve(mat, omega)
@@ -579,13 +584,13 @@ class _Span:
         return rest, np.linalg.norm(rest, axis=0) / np.linalg.norm(cols, axis=0)
 
     def extends(self, cols: np.ndarray) -> np.ndarray:
-        """Per column: would it keep the volume above 1e-12?"""
-        return self.volume * self._shares(cols)[1] > 1e-12
+        """Per column: would it keep the volume above _SINGULAR_REL?"""
+        return self.volume * self._shares(cols)[1] > _SINGULAR_REL
 
     def add(self, col: np.ndarray) -> bool:
-        """Accept col if it keeps the volume above 1e-12."""
+        """Accept col if it keeps the volume above _SINGULAR_REL."""
         rest, share = self._shares(col[:, None])
-        if not self.volume * share[0] > 1e-12:
+        if not self.volume * share[0] > _SINGULAR_REL:
             return False
         self.volume *= float(share[0])
         self.basis = np.column_stack([self.basis, rest / np.linalg.norm(rest)])

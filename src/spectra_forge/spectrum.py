@@ -48,14 +48,16 @@ from it in one call of :func:`quasipoly._term_sums`, the very floats that
 :func:`quasipoly.evaluate_many` and
 :func:`quasipoly.evaluate_derivative_many` give.  The lines of one batch
 may belong to several factors that share their delays, as the factors of
-a realization do (they differ only in their weights): the call then sums
-the stacked weight rows of every factor, and each node reads its own
-factor's row; with one factor nothing is picked.  Every sum over the
-delay terms, of D, D' and the bounds alike, is one call of
-:func:`quasipoly._term_sums`, whose rounding depends neither on the batch
-of nodes nor on the other weight rows, so a node's values are the same
-bits whichever lines, regions or factors share its batch, and a batch of
-regions counts each one exactly as it would be counted alone.
+a realization do (they differ only in their weights): the call sums the
+stacked weight rows of every factor, and each node reads its own factor's
+row, which is row 0 when there is one factor.  One factor and many take
+the same path, through :func:`_batch_counts` and :func:`_certify`, every
+line and node naming its factor.  Every sum over the delay terms, of D,
+D' and the bounds alike, is one call of :func:`quasipoly._term_sums`,
+whose rounding depends neither on the batch of nodes nor on the other
+weight rows, so a node's values are the same bits whichever lines,
+regions or factors share its batch, and a batch of regions counts each
+one exactly as it would be counted alone.
 """
 from __future__ import annotations
 
@@ -92,7 +94,8 @@ _HALF = _SEGMENTS // 2
 
 @dataclass(frozen=True)
 class Region:
-    """Axis-aligned open rectangle in the complex plane."""
+    """Axis-aligned open rectangle in the complex plane, with finite
+    bounds, width and height."""
 
     re_min: float
     re_max: float
@@ -100,6 +103,9 @@ class Region:
     im_max: float
 
     def __post_init__(self):
+        # a non-finite bound makes its side non-finite too
+        if not (math.isfinite(self.re_max - self.re_min) and math.isfinite(self.im_max - self.im_min)):
+            raise ValueError(f"region bounds, width and height must be finite, got {self.to_dict()}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("region must have positive width and height")
 
@@ -140,36 +146,42 @@ def _shared_terms(factors) -> tuple[np.ndarray, np.ndarray]:
     return taus, np.array([ab for ab, _ in arrays])
 
 
-def _node_values(taus, ab, z: np.ndarray, row=None):
+def _own_rows(sums, blocks: int, row: np.ndarray) -> np.ndarray:
+    """The rows of sums that the nodes own: sums holds blocks blocks of one
+    row per factor, each over the nodes, and node i reads the row row[i] of
+    every block.  Returns one row per block, shaped like row."""
+    size = row.size
+    return sums.reshape(blocks, -1).take(row * size + np.arange(size).reshape(row.shape), axis=1)
+
+
+def _node_values(taus, ab, z: np.ndarray, row: np.ndarray):
     """D and D' at the nodes z, from one table exp(-z tau) and one call of
     :func:`quasipoly._term_sums` over the rows a_k b_k and a_k b_k tau_k of
     every factor (see :func:`_shared_terms`): D = z - sum_k E_k a_k b_k and
-    D' = 1 + sum_k E_k a_k b_k tau_k.  Node i takes the rows of the factor
-    row[i]; with one factor row is not used and nothing is picked.  Each is
-    bit for bit what :func:`quasipoly.evaluate_many` and
+    D' = 1 + sum_k E_k a_k b_k tau_k, node z[i] taking the rows of its
+    factor row[i] (row has the shape of z, all zeros with one factor).
+    Each is bit for bit what :func:`quasipoly.evaluate_many` and
     :func:`quasipoly.evaluate_derivative_many` give for that factor,
     whatever else is in the batch.  Overflow gives non-finite values, which
     the callers report."""
     with np.errstate(over="ignore", invalid="ignore"):
         sums = _term_sums(np.exp(-np.multiply.outer(z, taus)), np.concatenate((ab, ab * taus)))
-        if len(ab) == 1:
-            return z - sums[0], 1.0 + sums[1]
-        at = np.arange(z.size)
-        return z - sums[row, at], 1.0 + sums[len(ab) + row, at]
+        vals, ders = _own_rows(sums, 2, row)
+        return z - vals, 1.0 + ders
 
 
 class _Touch(BoundaryRoot):
     """A node of a path has |D| at or below the boundary threshold."""
 
 
-def _bounds(taus, weights, z, vals, ders, threshold, row=None):
+def _bounds(taus, weights, z, vals, ders, threshold, row):
     """Per node z, where D is vals and D' is ders, the rows |D| less its
     rounding floor f, |D'| plus its rounding floor, and the slope and
     curvature sums sum_k |a_k b_k| tau_k^(1, 2) exp(-x tau_k); weights has
     the rows |a_k b_k| tau_k^(0, 1, 2), each a block of one row per factor,
-    and node i takes those of the factor row[i] (row is not used with one
-    factor).  Raises NoConvergence when D overflowed and _Touch when |D| <=
-    threshold (broadcast against the nodes) somewhere."""
+    and node i takes those of its factor row[i].  Raises NoConvergence when
+    D overflowed and _Touch when |D| <= threshold (broadcast against the
+    nodes) somewhere."""
     size = np.abs(vals)
     if not np.isfinite(size.max()):
         raise NoConvergence(float("nan"), "factor overflowed on the contour")
@@ -178,10 +190,7 @@ def _bounds(taus, weights, z, vals, ders, threshold, row=None):
         raise _Touch(f"|D| = {size[touch].min():.3e} on the contour")
     with np.errstate(over="ignore", invalid="ignore"):
         decay = np.exp(-np.multiply.outer(z.real, taus))
-        sums = _term_sums(decay, weights)
-        if len(weights) > 3:
-            sums = sums.reshape(3, -1, z.size)[:, row, np.arange(z.size)]
-        total, slope, curve = sums
+        total, slope, curve = _own_rows(_term_sums(decay, weights), 3, row)
         radius = np.abs(z)
         floor = 4.0 * _EPS * (radius * (1.0 + slope) + len(taus) * total)
         slope_floor = 4.0 * _EPS * (1.0 + len(taus) * slope + radius * curve)
@@ -210,29 +219,27 @@ def _line_layout(lengths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list
     return line, inner, np.cumsum(lengths).tolist()
 
 
-def _certify(factors, z, place, lengths: tuple[int, ...], threshold, resolution, owner=None):
+def _certify(factors, owner: np.ndarray, z, place, lengths: tuple[int, ...], threshold, resolution):
     """Certified paths along axis-parallel lines, one per line.
 
-    z holds the starting nodes of all lines, line by line, lengths[i] of
-    them on line i, and place their positions along their lines (x on a
-    horizontal line, y on a vertical one), increasing along each line.
     Line i is a path of D for the factor factors[owner[i]]; the factors
-    share their delays, and owner, an array, is None when there is one
-    factor.  Each
-    path comes back as (t, D, turn): its nodes t along the line in
-    increasing order, the values D there, and the certified change of arg
-    D over each segment.  The threshold of :func:`_bounds` and the
-    resolution are given per line.  Besides the errors of :func:`_bounds`,
-    raises BoundaryRoot when a segment shorter than its line's resolution
-    stays uncertified.  Uncertified segments are bisected, those of all
-    lines in one batch per level.  Every value comes from
-    :func:`_node_values`, with the same bits whatever else is in the batch,
-    so each line's path is bit for bit the one a batch of that line alone
-    gives.
+    share their delays, and owner is all zeros when there is one.  z holds
+    the starting nodes of all lines, line by line, lengths[i] of them on
+    line i, and place their positions along their lines (x on a horizontal
+    line, y on a vertical one), increasing along each line.  Each path
+    comes back as (t, D, turn): its nodes t along the line in increasing
+    order, the values D there, and the certified change of arg D over each
+    segment.  The threshold of :func:`_bounds` and the resolution are given
+    per line.  Besides the errors of :func:`_bounds`, raises BoundaryRoot
+    when a segment shorter than its line's resolution stays uncertified.
+    Uncertified segments are bisected, those of all lines in one batch per
+    level.  Every value comes from :func:`_node_values`, with the same bits
+    whatever else is in the batch, so each line's path is bit for bit the
+    one a batch of that line alone gives.
     """
     taus, ab = _shared_terms(factors)
     line, inner, ends = _line_layout(lengths)
-    own = None if owner is None else owner[line]
+    own = owner[line]
     vals, ders = _node_values(taus, ab, z, own)
     size = np.abs(ab)
     weights = np.concatenate((size, size * taus, size * taus**2))
@@ -257,7 +264,7 @@ def _certify(factors, z, place, lengths: tuple[int, ...], threshold, resolution,
                     "a root lies within a few node spacings of the contour"
                 )
             zm, tm = 0.5 * (za + zb), 0.5 * (ta + tb)
-            own = None if owner is None else owner[open_rows]
+            own = owner[open_rows]
             dm, pm = _node_values(taus, ab, zm, own)
             bounds_m = _bounds(taus, weights, zm, dm, pm, threshold[open_rows], own)
             rows.append(open_rows)
@@ -327,17 +334,16 @@ def _winding(bottom, top, left, right) -> int:
     return _count(bottom[2].sum() + right[2].sum() - top[2].sum() - left[2].sum())
 
 
-def _batch_counts(factors, regions, owner=None):
+def _batch_counts(factors, owner, regions):
     """(count, region, edges) per region: the winding number, of D for the
     factor factors[owner[i]] around regions[i], with the certified edges
-    (bottom, top, left, right) it came from; owner is None when there is
-    one factor.  All regions are certified in one batch of paths, and every
-    region comes out bit for bit as if counted alone, because no value
-    depends on the batch (see :func:`_certify`).  A lone region whose
+    (bottom, top, left, right) it came from; owner is all zeros when there
+    is one factor.  All regions are certified in one batch of paths, and
+    every region comes out bit for bit as if counted alone, because no
+    value depends on the batch (see :func:`_certify`).  A lone region whose
     contour touches a root is dilated once and retried; a batch raises
     instead."""
     bound = [f.coefficient_bound() for f in factors]
-    own = [0] * len(regions) if owner is None else owner
     for dilated in (False, True):
         corners = np.array([(r.re_min, r.im_min, r.re_max, r.im_max) for r in regions])
         lo, hi = corners[:, :2, None], corners[:, 2:, None]
@@ -349,12 +355,12 @@ def _batch_counts(factors, regions, owner=None):
         x[:, :2], x[:, 2], x[:, 3] = nodes[:, None, 0], lo[:, 0], hi[:, 0]
         y[:, 0], y[:, 1], y[:, 2:] = lo[:, 1], hi[:, 1], nodes[:, None, 1]
         place = np.concatenate((x[:, :2], y[:, 2:]), axis=1)
-        threshold = np.repeat([_BOUNDARY_REL * _scale(bound[j], r) for j, r in zip(own, regions)], 4)
+        threshold = np.repeat([_BOUNDARY_REL * _scale(bound[j], r) for j, r in zip(owner, regions)], 4)
         resolution = np.repeat(_DILATE * (hi - lo).max(axis=(1, 2)), 4)
         try:
             paths = _certify(
-                factors, (x + 1j * y).ravel(), place.ravel(), (x.shape[-1],) * (4 * len(regions)),
-                threshold, resolution, None if owner is None else np.repeat(owner, 4),
+                factors, np.repeat(owner, 4), (x + 1j * y).ravel(), place.ravel(),
+                (x.shape[-1],) * (4 * len(regions)), threshold, resolution,
             )
         except _Touch as exc:
             if len(regions) > 1:
@@ -365,11 +371,6 @@ def _batch_counts(factors, regions, owner=None):
             continue
         sides = [tuple(paths[i : i + 4]) for i in range(0, len(paths), 4)]
         return [(_winding(*edges), region, edges) for region, edges in zip(regions, sides)]
-
-
-def _certified_counts(factor: ScalarFactor, regions):
-    """:func:`_batch_counts` of the regions, all for the one factor."""
-    return _batch_counts((factor,), regions)
 
 
 def count_roots(factor: ScalarFactor, region: Region) -> int:
@@ -385,7 +386,7 @@ def count_roots(factor: ScalarFactor, region: Region) -> int:
     certified sum is not within 1e-6 of an integer.  Factor multiplicity is
     not applied.
     """
-    return _certified_counts(factor, [region])[0][0]
+    return _batch_counts((factor,), [0], [region])[0][0]
 
 
 def polish_root(factor: ScalarFactor, lambda0: complex, tol: float = 1e-12) -> complex:
@@ -458,8 +459,8 @@ def _grid(factor: ScalarFactor, xs, ys, threshold: float, resolution: float, edg
     y = np.concatenate((np.repeat(h_levels, len(h_nodes)), v_place))
     lengths = (len(h_nodes),) * len(h_levels) + (len(v_nodes),) * len(v_levels)
     paths = _certify(
-        (factor,), x + 1j * y, np.concatenate((h_place, v_place)), lengths,
-        np.full(len(lengths), threshold), np.full(len(lengths), resolution),
+        (factor,), np.zeros(len(lengths), int), x + 1j * y, np.concatenate((h_place, v_place)),
+        lengths, np.full(len(lengths), threshold), np.full(len(lengths), resolution),
     )
     rows, cols = paths[: len(h_levels)], paths[len(h_levels) :]
     if edges is not None:
@@ -505,7 +506,7 @@ def _grid_shape(factor: ScalarFactor, region: Region, max_roots: int) -> tuple[i
     height = region.im_max - region.im_min
     delay = max((t.tau for t in factor.terms), default=0.0)
     cells = max(min(2.0 * height * delay / (2.0 * np.pi), 2.0 * max_roots), 2.0)
-    kx = min(max(round(math.sqrt(cells * width / height)), 1), round(cells))
+    kx = max(round(min(math.sqrt(cells * width / height), cells)), 1)
     return kx, max(round(cells / kx), 1)
 
 
@@ -542,7 +543,7 @@ def locate_roots(
             factor, _cuts(x0, x1, kx), _cuts(y0, y1, ky), threshold, _DILATE * max(x1 - x0, y1 - y0)
         )
     except (BoundaryRoot, NoConvergence):
-        total, cell, edges = _certified_counts(factor, [region])[0]
+        total, cell, edges = _batch_counts((factor,), [0], [region])[0]
         stack = [(cell, edges, total)] if total else []
     total = sum(count for _, _, count in stack)
     if total == 0:
@@ -686,20 +687,20 @@ def _isolation_halfwidth(target: FrequencyTarget, max_delay: float) -> float:
 
 
 def _isolation_counts(factors, owner, boxes) -> list:
-    """What :func:`_certified_counts` gives for each box on its own, for
-    the factor factors[owner[i]], or the BoundaryRoot or NoConvergence it
+    """What :func:`_batch_counts` gives for each box on its own, for the
+    factor factors[owner[i]], or the BoundaryRoot or NoConvergence it
     raises: the boxes of every factor in one batch, which counts each box
     as it would be counted alone, and one by one when the batch fails,
     since a batch raises for all its boxes at once."""
     try:
-        return _batch_counts(factors, boxes, owner if len(factors) > 1 else None)
+        return _batch_counts(factors, owner, boxes)
     except (BoundaryRoot, NoConvergence) as exc:
         if len(boxes) == 1:
             return [exc]
     found = []
     for j, box in zip(owner, boxes):
         try:
-            found.append(_certified_counts(factors[j], [box])[0])
+            found.append(_batch_counts(factors, [j], [box])[0])
         except (BoundaryRoot, NoConvergence) as exc:
             found.append(exc)
     return found

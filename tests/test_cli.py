@@ -321,6 +321,7 @@ def test_spectrum_subcommand(capsys, tmp_path):
         ("-1,1", "-8,8", 64),  # a conjugate-symmetric band of roots
         ("-0.5,0.5", "0,2", 64),  # a real root on the bottom edge: BoundaryRoot
         ("-1,1", "-8,8", 2),  # TooManyRoots
+        ("-1e300,1e300", "0,1e-300", 64),  # a width over height that overflows
     ],
 )
 def test_spectrum_count_is_the_certified_count(capsys, tmp_path, re, im, max_roots):
@@ -371,6 +372,24 @@ def test_spectrum_bad_interval_is_input_error(capsys, tmp_path):
     )
     code, doc = run(capsys, ["spectrum", "--input", path, "--re=-1", "--im", "0,1"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "re, im", [("-inf,inf", "0,1"), ("-1,1", "-inf,1"), ("-1,inf", "0,1"), ("-1e308,1e308", "0,1")]
+)
+def test_spectrum_non_finite_regions_are_input_error(capsys, tmp_path, re, im):
+    # an infinite side, or a width that overflows, can be neither cut
+    # into a grid nor certified: the region is refused as input
+    path = write_json(
+        tmp_path / "factor.json",
+        {"terms": [{"a": 1.0, "b": 1.0, "tau": 3 * math.pi / 2}], "multiplicity": 1},
+    )
+    code, doc = run(capsys, ["spectrum", "--input", path, f"--re={re}", f"--im={im}"])
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+    assert "finite" in doc["error"]["message"]
+    with pytest.raises(ValueError, match="finite"):
+        Region(*(float(v) for v in re.split(",") + im.split(",")))
 
 
 def test_verify_accepts_bare_result_dict(capsys, tmp_path, scalar_problem):

@@ -192,7 +192,7 @@ def _kernel_on_lines(factor, *lines, **named):
     """(z, D, D') from the node kernel on the nodes that
     oracles.line_values_reference lays out for the same lines."""
     z = oracles.line_values_reference(factor, *lines, **named)[0]
-    return (z, *spectrum._node_values(*spectrum._shared_terms([factor]), z))
+    return (z, *spectrum._node_values(*spectrum._shared_terms([factor]), z, np.zeros(z.shape, int)))
 
 
 def _assert_matches_reference(got, ref, factor):
@@ -267,15 +267,16 @@ def test_node_values_match_evaluate_many_in_any_batch():
     z = rng.uniform(-0.05, 0.3, 240) + 1j * rng.uniform(-40.0, 40.0, 240)
     for factor in factors:
         terms = spectrum._shared_terms([factor])
-        vals, ders = spectrum._node_values(*terms, z)
+        first = np.zeros(z.shape, int)  # one factor: every node reads row 0
+        vals, ders = spectrum._node_values(*terms, z, first)
         np.testing.assert_array_equal(vals, evaluate_many(factor, z))
         np.testing.assert_array_equal(ders, evaluate_derivative_many(factor, z))
         for part in (slice(0, 1), slice(7, 8), slice(3, 40), slice(None, None, 7),
                      rng.permutation(240)[:31]):
-            got = spectrum._node_values(*terms, z[part])
+            got = spectrum._node_values(*terms, z[part], first[part])
             np.testing.assert_array_equal(got[0], vals[part])
             np.testing.assert_array_equal(got[1], ders[part])
-        got = spectrum._node_values(*terms, z.reshape(12, 4, 5))
+        got = spectrum._node_values(*terms, z.reshape(12, 4, 5), first.reshape(12, 4, 5))
         np.testing.assert_array_equal(got[0], vals.reshape(12, 4, 5))
         np.testing.assert_array_equal(got[1], ders.reshape(12, 4, 5))
         # the same delays and coefficients under 2 to 4 rows of weights, a
@@ -298,6 +299,9 @@ def test_node_values_match_evaluate_many_in_any_batch():
             got = spectrum._node_values(*terms, z[part], owner[part])
             np.testing.assert_array_equal(got[0], vals[part])
             np.testing.assert_array_equal(got[1], ders[part])
+        got = spectrum._node_values(*terms, z.reshape(12, 4, 5), owner.reshape(12, 4, 5))
+        np.testing.assert_array_equal(got[0], vals.reshape(12, 4, 5))
+        np.testing.assert_array_equal(got[1], ders.reshape(12, 4, 5))
     with pytest.raises(ValueError, match="share their delays"):
         spectrum._shared_terms([DENSE_THREE, DENSE_FOUR])
 
@@ -362,6 +366,12 @@ def test_count_and_locate_match_reference_kernel(monkeypatch):
 # certified count
 
 
+def _alone(factor, region):
+    """(count, region, edges) of the region counted on its own, for the one
+    factor: the batch entry with every line on row 0."""
+    return spectrum._batch_counts((factor,), [0], [region])[0]
+
+
 def _near_root_box(w, j, clear, half):
     """lam - w exp(-lam tau), tau = (3 pi/2 + 2 pi j)/w, and a box of half
     width half * c whose bottom edge passes c = clear * 1e-8 * (1 + 2w) /
@@ -403,7 +413,7 @@ def test_certified_segments_are_honest(case):
     image stays away from 0."""
     factor, region = case
     try:
-        _, region, edges = spectrum._certified_counts(factor, [region])[0]
+        _, region, edges = _alone(factor, region)
     except (BoundaryRoot, NoConvergence):
         return
     terms = [(t.a, t.b, t.tau) for t in factor.terms]
@@ -431,7 +441,7 @@ def test_certified_segments_are_honest(case):
 def test_certified_count_matches_trapezoid_oracle():
     cases = _census_like_cases(7, 16) + _family_cases(8, (0, 1, 3, 10, 40, 100, 500, 1000, 2000))
     for factor, region in cases:
-        count, _, (bottom, top, left, right) = spectrum._certified_counts(factor, [region])[0]
+        count, _, (bottom, top, left, right) = _alone(factor, region)
         winding = (bottom[2].sum() + right[2].sum() - top[2].sum() - left[2].sum()) / (2 * PI)
         assert abs(winding - count) < 1e-9
         assert count == count_roots(factor, region) == oracles.count_roots_trapezoid(factor, region)
@@ -560,7 +570,7 @@ def test_grid_cells_hold_what_they_count_alone():
         x0, x1, y0, y1 = region.re_min, region.re_max, region.im_min, region.im_max
         threshold = 1e-8 * spectrum._scale(factor.coefficient_bound(), region)
         resolution = 1e-6 * max(x1 - x0, y1 - y0)
-        total, _, edges = spectrum._certified_counts(factor, [region])[0]
+        total, _, edges = _alone(factor, region)
         grid = spectrum._grid(factor, spectrum._cuts(x0, x1, 2), spectrum._cuts(y0, y1, 5),
                               threshold, resolution)
         xs, ys = [x0, x0 + 0.41 * (x1 - x0), x1], [y0, y0 + 0.41 * (y1 - y0), y1]
@@ -725,12 +735,10 @@ def _pair_case():
 
 def _box_by_box(counted):
     """A stand-in for spectrum._batch_counts (given as counted) that counts
-    each region alone for its own factor, as _certified_counts(factor,
-    [region]) does."""
+    each region alone for its own factor, as _alone(factor, region) does."""
 
-    def each(factors, regions, owner=None):
-        owner = [0] * len(regions) if owner is None else owner
-        return [counted((factors[j],), [region])[0] for j, region in zip(owner, regions)]
+    def each(factors, owner, regions):
+        return [counted((factors[j],), [0], [region])[0] for j, region in zip(owner, regions)]
 
     return each
 
@@ -752,7 +760,7 @@ def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
     factor = result_factors(touching[0], WeightTable.ones(2))[0]
     boxes = [Region(-0.05, 0.05, w - 0.05, w + 0.05) for w in (1.0, -1.0, 3.0, -3.0)]
     with pytest.raises(BoundaryRoot):
-        spectrum._certified_counts(factor, boxes)
+        spectrum._batch_counts((factor,), [0] * len(boxes), boxes)
     assert count_roots(factor, boxes[0]) == 1
     # the pair case: the box around i is halved three times
     pair = _pair_case()
@@ -767,9 +775,9 @@ def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
     counted = spectrum._batch_counts
     calls = []
 
-    def recorded(factors, regions, owner=None):
+    def recorded(factors, owner, regions):
         calls[-1].append(len(regions))
-        return counted(factors, regions, owner)
+        return counted(factors, owner, regions)
 
     monkeypatch.setattr(spectrum, "_batch_counts", recorded)
     batched = []
@@ -800,10 +808,10 @@ def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
         boxes = [Region(c.real - w, c.real + w, c.imag - h, c.imag + h)
                  for c, (w, h) in zip(centres, half)]
         try:
-            batch = counted((factor,), boxes)
+            batch = counted((factor,), [0] * len(boxes), boxes)
         except (BoundaryRoot, NoConvergence):
             continue
-        _assert_same_counts(batch, [counted((factor,), [box])[0] for box in boxes])
+        _assert_same_counts(batch, [counted((factor,), [0], [box])[0] for box in boxes])
         compared += 1
     assert compared >= 30
 
@@ -839,7 +847,7 @@ def _ring_cases():
 def test_cross_factor_batch_matches_factor_by_factor(monkeypatch):
     # verify_realization counts the boxes of all factors in one batch; the
     # report must be, bit for bit, the one from counting each box alone
-    # with _certified_counts(factor, [box])
+    # with _alone(factor, box)
     target = FrequencyTarget(((1.0,), (SQRT2,)))
     weights = WeightTable(np.array([[1.0, 2.0], [1.0, -1.0]]))
     cases = _ring_cases() + [(realize(target, weights), target, weights)]
@@ -859,9 +867,9 @@ def test_cross_factor_batch_matches_factor_by_factor(monkeypatch):
     counted = spectrum._batch_counts
     calls = []
 
-    def recorded(factors, regions, owner=None):
+    def recorded(factors, owner, regions):
         calls[-1].append((len(factors), len(regions)))
-        return counted(factors, regions, owner)
+        return counted(factors, owner, regions)
 
     monkeypatch.setattr(spectrum, "_batch_counts", recorded)
     batched = []
@@ -901,10 +909,11 @@ def test_cross_factor_batch_matches_factor_by_factor(monkeypatch):
         boxes = [Region(c.real - w, c.real + w, c.imag - h, c.imag + h)
                  for c, (w, h) in zip(centres, half)]
         try:
-            batch = counted(factors, boxes, owner)
+            batch = counted(factors, owner, boxes)
         except (BoundaryRoot, NoConvergence):
             continue
-        _assert_same_counts(batch, [counted((factors[j],), [box])[0] for j, box in zip(owner, boxes)])
+        _assert_same_counts(batch, [counted((factors[j],), [0], [box])[0]
+                                    for j, box in zip(owner, boxes)])
         compared += 1
     assert compared >= 20
 
@@ -918,7 +927,7 @@ def _lower_check(factor, j, omega, delta, tol=1e-8):
     for _ in range(12):
         box = Region(-d, d, -omega - d, -omega + d)
         try:
-            count = spectrum._certified_counts(factor, [box])[0][0]
+            count = _alone(factor, box)[0]
         except (BoundaryRoot, NoConvergence) as exc:
             error = exc
             break
@@ -961,9 +970,9 @@ def test_lower_targets_mirror_their_own_count_and_polish(monkeypatch, realized_t
     counted = spectrum._batch_counts
     boxes = []
 
-    def recorded(factors, regions, owner=None):
+    def recorded(factors, owner, regions):
         boxes.extend(regions)
-        return counted(factors, regions, owner)
+        return counted(factors, owner, regions)
 
     with monkeypatch.context() as patch:
         patch.setattr(spectrum, "_batch_counts", recorded)
@@ -991,7 +1000,7 @@ def test_near_duplicate_frequencies_are_named_before_counting(monkeypatch):
     target = FrequencyTarget(((1.0, 3.0), (above,)))
     result = _plain_result([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
 
-    def never(factors, regions, owner=None):
+    def never(factors, owner, regions):
         raise AssertionError("counted a box")
 
     monkeypatch.setattr(spectrum, "_batch_counts", never)
