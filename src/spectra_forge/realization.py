@@ -37,7 +37,8 @@ The constructive path mirrors the existence proof:
     base amplitudes solve at s = 0 and that is the real one at s = 1.
     Pseudo-arclength continuation traces it to s = 1 and a plain Newton
     lands; each epsilon, large ones (small delays) first, gives a path,
-    and a second one if the first fails.
+    and if it fails a second one, from the same sweep resumed past the
+    last orthant.
 
 All matrices here are small (n rarely above 15), so plain LAPACK via numpy
 is used for determinants and solves.
@@ -318,17 +319,10 @@ def cal_I(m: int) -> np.ndarray:
 
 def _block_signs(target: FrequencyTarget) -> np.ndarray:
     """Sign pattern of the stacked matrix: +1 outside a group's own column
-    range; inside it, row l and local column c carry +1 iff l + c < group
-    size (0-based), reproducing the sign-vector columns blockwise."""
-    n = target.n
-    signs = np.ones((n, n))
-    mu = target.prefix
-    for j, lj in enumerate(target.sizes):
-        r0, c0 = mu[j], mu[j]
-        for l in range(lj):
-            for c in range(lj):
-                if l + c >= lj:
-                    signs[r0 + l, c0 + c] = -1.0
+    range, and the group's sign vectors, :func:`cal_I`, inside it."""
+    signs = np.ones((target.n, target.n))
+    for mu, lj in zip(target.prefix, target.sizes):
+        signs[mu:mu + lj, mu:mu + lj] = cal_I(lj)
     return signs
 
 
@@ -404,14 +398,6 @@ def _solved_base(target: FrequencyTarget, mat: np.ndarray, signs: np.ndarray) ->
         raise ZeroAmplitude(k + 1, float(amps[k]))
     angles = np.where(signs > 0, 1.5 * np.pi, 0.5 * np.pi)
     return BasePoint(mat, amps, signs, angles)
-
-
-def _orthant_base(target: FrequencyTarget, weights: WeightTable, taus: np.ndarray) -> BasePoint:
-    """The base point whose column k holds the quarter turns nearest the
-    angles w*tau_k: sign +1 where 3*pi/2 is nearer, -1 where pi/2 is."""
-    phase = np.mod(np.multiply.outer(target.flat, taus), _TWO_PI)
-    signs = np.where(circ_dist(phase, 1.5 * np.pi) < circ_dist(phase, 0.5 * np.pi), 1.0, -1.0)
-    return _solved_base(target, np.repeat(weights.b, target.sizes, axis=0) * signs, signs)
 
 
 def _default_weights(weights: WeightTable | None, target: FrequencyTarget) -> WeightTable:
@@ -541,16 +527,17 @@ def _grid_step(omega: np.ndarray) -> float:
     return _TWO_PI / (64.0 * float(omega.max()))
 
 
-def _sweep(omega: np.ndarray, budget: int, reach, visit) -> bool:
+def _sweep(omega: np.ndarray, budget: int, reach):
     """Walk the grid tau = i*step, i = 1..budget, step = 2*pi/(64*max(omega)),
-    until visit returns True (then return True) or the budget runs out.
+    yielding (grid, d_half, d_3half) for each chunk.
 
     Chunks start at 1024 points and double up to 65536.  Each is gated by
-    :func:`_quarter_turn_survivors` at reach(), and its survivors get one
-    phase table mod 2*pi; visit(grid, d_half, d_3half) receives them with
-    every row's distance to pi/2 and to 3*pi/2.  A quarter-turn column's
-    distance is then an elementwise pick from the two and a maximum over
-    rows, which is the arithmetic of :func:`_column_distance`, bit for bit.
+    :func:`_quarter_turn_survivors` at reach(), read as the chunk starts,
+    and its survivors, grid, get one phase table mod 2*pi: d_half and
+    d_3half hold every row's distance to pi/2 and to 3*pi/2.  A
+    quarter-turn column's distance is then an elementwise pick from the
+    two and a maximum over rows, which is the arithmetic of
+    :func:`_column_distance`, bit for bit.
     """
     step = _grid_step(omega)
     done, chunk = 0, 1 << 10
@@ -560,22 +547,37 @@ def _sweep(omega: np.ndarray, budget: int, reach, visit) -> bool:
         # one row per frequency, so that a column's worst row is an
         # elementwise maximum over n rows
         phase = np.mod(np.multiply.outer(omega, grid), _TWO_PI)
-        if visit(grid, circ_dist(phase, 0.5 * np.pi), circ_dist(phase, 1.5 * np.pi)):
-            return True
+        yield grid, circ_dist(phase, 0.5 * np.pi), circ_dist(phase, 1.5 * np.pi)
         done += count
         chunk = min(2 * chunk, 1 << 16)
-    return False
 
 
+def _orthant_hits(omega: np.ndarray, epsilon: float, budget: int):
+    """The first hit of each orthant within epsilon, in grid order, as
+    (tau, signs): signs[i] is +1 where w_i*tau is nearer 3*pi/2 and -1
+    where it is nearer pi/2."""
+    seen = set()
+    for grid, d_half, d_3half in _sweep(omega, budget, lambda: epsilon):
+        hits = np.nonzero(np.minimum(d_half, d_3half).max(axis=0) < epsilon)[0]
+        upper = d_3half[:, hits] < d_half[:, hits]  # the rows nearer 3*pi/2
+        # a new orthant can only start where the hits' orthant changes
+        starts = np.r_[True, np.any(upper[:, 1:] != upper[:, :-1], axis=0)][:hits.size]
+        for j in np.nonzero(starts)[0]:
+            key = upper[:, j].tobytes()
+            if key not in seen:
+                seen.add(key)
+                yield float(grid[hits[j]]), np.where(upper[:, j], 1.0, -1.0)
+
+
+@dataclass(frozen=True)
 class _Span:
     """Orthonormal basis of accepted columns and their volume relative to
     Hadamard's bound, the product of each column's share outside the span
     of those before it; that product is |det| / prod |column| once the
     basis is square, the test :func:`base_point` applies."""
 
-    def __init__(self, n: int):
-        self.basis = np.zeros((n, 0))
-        self.volume = 1.0
+    basis: np.ndarray
+    volume: float = 1.0
 
     def _shares(self, cols: np.ndarray):
         """Each column's part outside the span, and its share of the column's norm."""
@@ -587,63 +589,62 @@ class _Span:
         """Per column: would it keep the volume above _SINGULAR_REL?"""
         return self.volume * self._shares(cols)[1] > _SINGULAR_REL
 
-    def add(self, col: np.ndarray) -> bool:
-        """Accept col if it keeps the volume above _SINGULAR_REL."""
+    def plus(self, col: np.ndarray) -> "_Span | None":
+        """The span with col accepted, or None if col would not keep the
+        volume above _SINGULAR_REL."""
         rest, share = self._shares(col[:, None])
         if not self.volume * share[0] > _SINGULAR_REL:
-            return False
-        self.volume *= float(share[0])
-        self.basis = np.column_stack([self.basis, rest / np.linalg.norm(rest)])
-        return True
+            return None
+        return _Span(np.column_stack([self.basis, rest / np.linalg.norm(rest)]),
+                     self.volume * float(share[0]))
 
 
-def _orthant_search(omega: np.ndarray, brows: np.ndarray, epsilon: float, budget: int,
-                    skip: np.ndarray | None = None) -> tuple[list[float], _Span]:
-    """The sweep's choice of orthants (see :func:`delay_candidates`),
-    passing over the orthant whose rows nearer 3*pi/2 are ``skip``: the
-    delays found, n of them unless the budget ran out, and their span."""
-    n = omega.size
-    step = _grid_step(omega)
-    span, taus = _Span(n), []
-    seen = set() if skip is None else {np.asarray(skip, dtype=bool).tobytes()}
+def _span_of(chosen: list, n: int) -> _Span:
+    """The span of the columns chosen so far."""
+    return chosen[-1][2] if chosen else _Span(np.zeros((n, 0)))
 
-    def visit(grid, d_half, d_3half):
-        hits = np.nonzero(np.minimum(d_half, d_3half).max(axis=0) < epsilon)[0]
-        upper = d_3half[:, hits] < d_half[:, hits]  # the rows nearer 3*pi/2
-        # a new orthant can only start where the hits' orthant changes
-        starts = np.r_[True, np.any(upper[:, 1:] != upper[:, :-1], axis=0)][:hits.size]
-        for j in np.nonzero(starts)[0]:
-            key = upper[:, j].tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            if span.add(brows[:, len(taus)] * np.where(upper[:, j], 1.0, -1.0)):
-                angles = np.where(upper[:, j], 1.5 * np.pi, 0.5 * np.pi)
-                taus.append(_sharpened(omega, angles, float(grid[hits[j]]), step, epsilon))
-                if len(taus) == n:
-                    return True
-        return False
 
-    _sweep(omega, budget, lambda: epsilon, visit)
-    return taus, span
+def _basis(omega: np.ndarray, brows: np.ndarray, epsilon: float, hits, chosen: list) -> list:
+    """The columns chosen, one (tau, signs, span) each, extended greedily
+    from the orthant hits until there are n or the hits run out (see
+    :func:`delay_candidates`); span is that of the columns up to its own."""
+    n, step = omega.size, _grid_step(omega)
+    span = _span_of(chosen, n)
+    for tau, signs in hits:
+        wider = span.plus(brows[:, len(chosen)] * signs)
+        if wider is not None:
+            angles = np.where(signs > 0, 1.5 * np.pi, 0.5 * np.pi)
+            span = wider
+            chosen = chosen + [(_sharpened(omega, angles, tau, step, epsilon), signs, span)]
+            if len(chosen) == n:
+                break
+    return chosen
 
 
 def _outside_distance(omega: np.ndarray, brows: np.ndarray, span: _Span, budget: int) -> float:
     """Smallest quarter-turn distance over the budget of a grid point whose
     orthant, as column k = span size, lies outside the span: a sweep
     whose gate starts open and closes to the running best."""
-    k, best = span.basis.shape[1], [np.inf]
-
-    def visit(grid, d_half, d_3half):
+    k, best = span.basis.shape[1], np.inf
+    for grid, d_half, d_3half in _sweep(omega, budget, lambda: best):
         dist = np.minimum(d_half, d_3half).max(axis=0)
-        near = np.nonzero(dist < best[0])[0]
+        near = np.nonzero(dist < best)[0]
         signs = np.where(d_3half[:, near] < d_half[:, near], 1.0, -1.0)
         outside = span.extends(brows[:, k, None] * signs)
-        best[0] = min(best[0], float(dist[near][outside].min(initial=np.inf)))
-        return False
+        best = min(best, float(dist[near][outside].min(initial=np.inf)))
+    return best
 
-    _sweep(omega, budget, lambda: best[0], visit)
-    return best[0]
+
+def _first_basis(omega: np.ndarray, brows: np.ndarray, epsilon: float, budget: int):
+    """The stream of orthant hits within epsilon and the n columns
+    :func:`_basis` takes from its start; SearchExhausted if the budget
+    holds fewer (see :func:`delay_candidates`)."""
+    hits = _orthant_hits(omega, epsilon, budget)
+    chosen = _basis(omega, brows, epsilon, hits, [])
+    if len(chosen) < omega.size:
+        span = _span_of(chosen, omega.size)
+        raise SearchExhausted(len(chosen), _outside_distance(omega, brows, span, budget))
+    return hits, chosen
 
 
 def delay_candidates(
@@ -675,15 +676,18 @@ def delay_candidates(
     distance, so the gate passes a proven superset of the hits, and the
     exact test decides (see :func:`_sweep`).
 
-    Hits are taken in grid order, the first of each orthant only, and the
-    orthant with signs s becomes the next column k when the weighted
-    column b[:, k] * s (weights repeated over each group's rows) keeps the
-    columns so far independent by the Hadamard-relative test of
-    :func:`base_point`.  For one group this greedy basis has the smallest
-    possible largest delay.  Each chosen hit is sharpened by a local scan
-    (:func:`_refine_candidate`).  The sign of row i in column k is +1
-    where w_i*tau_k is nearer 3*pi/2 and -1 where nearer pi/2, so the
-    delays name their base.  When the budget runs out, SearchExhausted
+    The sweep yields a stream of hits in grid order, the first of each
+    orthant only (:func:`_orthant_hits`), and the orthant with signs s
+    becomes the next column k when the weighted column b[:, k] * s
+    (weights repeated over each group's rows) keeps the columns so far
+    independent by the Hadamard-relative test of :func:`base_point`.  For
+    one group this greedy basis has the smallest possible largest delay.
+    Each chosen hit is sharpened by a local scan (:func:`_refine_candidate`).
+    The sign of row i in column k is +1 where w_i*tau_k is nearer 3*pi/2
+    and -1 where nearer pi/2; :func:`realize` keeps the signs with the
+    delays to build its base, and keeps the stream to resume it for a
+    rung's second path (see :func:`_starts`), so it takes the same columns
+    without calling this function.  When the budget runs out, SearchExhausted
     gives the number of columns found and the smallest quarter-turn
     distance over the budget of a grid point whose orthant, as the next
     column, lies outside their span, from a second sweep gated at its
@@ -694,12 +698,9 @@ def delay_candidates(
     budget = _count(budget, "budget")
     _check_shapes(weights, target)
     weights.require_nonzero()
-    omega = target.flat
     brows = np.repeat(weights.b, target.sizes, axis=0)
-    taus, span = _orthant_search(omega, brows, epsilon, budget)
-    if len(taus) < omega.size:
-        raise SearchExhausted(len(taus), _outside_distance(omega, brows, span, budget))
-    return np.array(taus)
+    _, chosen = _first_basis(target.flat, brows, epsilon, budget)
+    return np.array([tau for tau, _, _ in chosen])
 
 
 def achieved_windows(target: FrequencyTarget, base: BasePoint, taus: np.ndarray) -> np.ndarray:
@@ -812,7 +813,6 @@ def newton_refine(
     weights: WeightTable | None = None,
     tol: float = 1e-10,
     max_iter: int = 50,
-    search_window: np.ndarray | None = None,
 ) -> RealizationResult:
     """Plain Newton on the 2n-real realization system.
 
@@ -820,9 +820,10 @@ def newton_refine(
     Jacobian raises SingularJacobian, and missing tol within max_iter
     steps raises NoConvergence with the final residual.  The step from the
     first iterate below tol is the last, kept if it lowers the residual: it
-    takes the result to the rounding floor whatever tol is.  Without
-    ``search_window`` the result records zeros, as
-    :meth:`RealizationResult.from_dict` does for files that lack it.
+    takes the result to the rounding floor whatever tol is.  The result's
+    ``search_window`` is zeros, as :meth:`RealizationResult.from_dict`
+    reads files that lack it; :func:`realize` and
+    :func:`continue_realization` record their own.
     """
     weights = _default_weights(weights, target)
     _check_shapes(weights, target)
@@ -853,14 +854,12 @@ def newton_refine(
             iterations += 1
     if not norm < tol:
         raise NoConvergence(norm, f"Newton: residual {norm:.3e} after {iterations} iterations")
-    if search_window is None:
-        search_window = np.zeros(n)
     return RealizationResult(
         taus=taus,
         coeffs=coeffs,
         residual=norm,
         newton_iterations=iterations,
-        search_window=np.asarray(search_window, dtype=float),
+        search_window=np.zeros(n),
     )
 
 
@@ -897,14 +896,15 @@ def realize(
     at the paper's index-vector signs is a precondition only through
     ZeroAmplitude, which refuses a near-rational target whenever that base
     is nonsingular; a singular paper base (SingularIB, possible only for
-    n >= 2) refuses nothing.  For n >= 2 each rung's sweep chooses the
-    base itself: :func:`delay_candidates` takes n independent quarter-turn
-    orthants in the order the torus line reaches them, and the path starts
-    from those hits and the base they name; if it fails, the rung tries
-    once more with the last orthant replaced (see :func:`_starts`).  For
-    n = 1 the closed form tau = 3*pi/(2w), a = w stands.  If no rung lands
-    and passes the recheck, the last rung's error is raised with a message
-    that names every rung's failure.
+    n >= 2) refuses nothing.  For n >= 2 each rung's one sweep chooses the
+    base itself: it takes the first n independent quarter-turn orthants
+    the torus line reaches (as :func:`delay_candidates` does), and the path
+    starts from those hits and the base their signs name; if it fails, the
+    rung resumes the same sweep and tries once more with the last orthant
+    replaced (see :func:`_starts`).  For n = 1 the closed form
+    tau = 3*pi/(2w), a = w stands, the same base at the sign +1 with no
+    sweep.  If no rung lands and passes the recheck, the last rung's error
+    is raised with a message that names every rung's failure.
 
     For one group the columns b_k * s are independent exactly when the
     sign vectors s are, so once a sweep runs out with best distance d,
@@ -921,11 +921,9 @@ def realize(
     scale = float(target.flat.max())
     scaled = target.scaled(1.0 / scale)
     try:
-        paper = base_point(scaled, weights)
+        base_point(scaled, weights)
     except SingularIB:
-        # only n = 1 starts from the paper's base, and with its one weight
-        # nonzero that base is never singular
-        paper = None
+        pass  # no path starts from the paper's base: a singular one refuses nothing
     failures = []
     spent = None  # a one-group sweep's SearchExhausted, which bounds later rungs
     for eps in config.epsilon_schedule:
@@ -935,13 +933,12 @@ def realize(
             last = spent
             continue
         try:
-            for label, base, taus0 in _starts(scaled, weights, paper, eps, config.budget):
+            for label, base, taus0 in _starts(scaled, weights, eps, config.budget):
                 try:
                     d0 = _phase_offsets(scaled.flat, base.target_angles, taus0)
                     x, corrections = _trace_path(scaled, weights, taus0, base.amplitudes, d0)
                     partial = newton_refine(*np.split(x[:-1], 2), scaled, weights,
-                                            tol=config.tol / scale, max_iter=config.max_iter,
-                                            search_window=np.abs(d0).max(axis=0))
+                                            tol=config.tol / scale, max_iter=config.max_iter)
                     taus, coeffs = partial.taus / scale, partial.coeffs * scale
                     if np.any(taus <= 0.0) or np.any(coeffs == 0.0):
                         raise LeftDomain("landed outside the admissible region")
@@ -949,7 +946,8 @@ def realize(
                     if not residual < config.tol:
                         raise NoConvergence(residual, "independent recheck above tolerance")
                     return replace(partial, taus=taus, coeffs=coeffs, residual=residual,
-                                   newton_iterations=corrections + partial.newton_iterations)
+                                   newton_iterations=corrections + partial.newton_iterations,
+                                   search_window=np.abs(d0).max(axis=0))
                 except (NoConvergence, LeftDomain, SingularJacobian) as exc:
                     failures.append(f"{label}: {exc}")
                     last = exc
@@ -962,29 +960,33 @@ def realize(
     raise last
 
 
-def _starts(scaled: FrequencyTarget, weights: WeightTable, paper: BasePoint | None, eps: float,
-            budget: int):
-    """The (label, base, start delays) a rung tries in turn.  For n = 1 the
-    paper's base and its exact delay, the base angle over the frequency,
-    with no sweep.  Otherwise the sweep's orthants, and, if their path
-    fails, the same sweep passing over the last orthant chosen: the first
-    n - 1 stay and the next independent orthant the line reaches replaces
-    it.  A path through two merging delays,
-    the usual failure, then often lands, at delays far below the next
-    rung's or the paper base's.  If the budget holds no such orthant the
-    rung ends with the first path's failure."""
-    if scaled.n == 1:
-        tau = float(paper.target_angles[0, 0]) / float(scaled.flat[0])
-        yield f"eps {eps}", paper, np.array([tau])
-        return
-    taus0 = delay_candidates(scaled, weights, eps, budget)
-    base = _orthant_base(scaled, weights, taus0)
-    yield f"eps {eps}", base, taus0
+def _starts(scaled: FrequencyTarget, weights: WeightTable, eps: float, budget: int):
+    """The (label, base, start delays) a rung tries in turn, each base built
+    from the signs its columns chose.  For n = 1 the quarter turn 3*pi/2 and
+    its exact delay, that angle over the frequency, with no sweep.
+    Otherwise the first n independent orthants of the rung's one stream of
+    hits (see :func:`delay_candidates`), and, if their path fails, the
+    same stream resumed past the last of them: the first n - 1 stay and
+    the next independent orthant the line reaches replaces it.  A path
+    through two merging delays, the usual failure, then often lands, at
+    delays far below the next rung's.  If the budget holds no such orthant
+    the rung ends with the first path's failure, and after the second
+    path it ends in any case."""
+    omega, n = scaled.flat, scaled.n
     brows = np.repeat(weights.b, scaled.sizes, axis=0)
-    taus, _ = _orthant_search(scaled.flat, brows, eps, budget, skip=base.sign_matrix[:, -1] > 0)
-    if len(taus) == scaled.n:
-        taus0 = np.array(taus)
-        yield f"eps {eps}, last orthant replaced", _orthant_base(scaled, weights, taus0), taus0
+
+    def start(chosen):
+        signs = np.column_stack([s for _, s, _ in chosen])
+        return _solved_base(scaled, brows * signs, signs), np.array([tau for tau, _, _ in chosen])
+
+    if n == 1:
+        hits, chosen = iter(()), [(1.5 * np.pi / float(omega[0]), np.ones(1), None)]
+    else:
+        hits, chosen = _first_basis(omega, brows, eps, budget)
+    yield f"eps {eps}", *start(chosen)
+    chosen = _basis(omega, brows, eps, hits, chosen[:-1])
+    if len(chosen) == n:
+        yield f"eps {eps}, last orthant replaced", *start(chosen)
 
 
 def _verified_residual(taus, coeffs, target, weights) -> float:
@@ -1017,8 +1019,7 @@ def continue_realization(
         weights,
         tol=tol,
         max_iter=max_iter,
-        search_window=result.search_window,
     )
     residual = _verified_residual(refined.taus, refined.coeffs, new_target, weights)
-    return replace(refined, residual=residual)
+    return replace(refined, residual=residual, search_window=result.search_window)
 

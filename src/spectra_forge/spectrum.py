@@ -655,17 +655,20 @@ class SpectrumReport:
 def _isolation_halfwidth(target: FrequencyTarget, max_delay: float) -> float:
     """Isolation scale around a prescribed root.
 
-    Capped at 0.05 and at half the minimum gap among all +-omega targets,
-    and also at a quarter of the equation's mean vertical root spacing
-    2*pi/max_delay: realized delays routinely reach 1e3..1e4, which packs
-    genuine neighbouring roots far closer than any fixed box width.
+    Capped at 0.05, at half the smallest gap among the targets omega and
+    between the lowest of them and the real axis, and at a quarter of the
+    equation's mean vertical root spacing 2*pi/max_delay: realized delays
+    routinely reach 1e3..1e4, which packs genuine neighbouring roots far
+    closer than any fixed box width.  The gap to the axis keeps every box
+    off it (the boxes around -omega mirror those around omega), since a
+    real root of D would lie on the contour of a box that reached it.
     Raises ValueError, before anything is counted, when the box around
     some omega has no height in floating point (omega +- delta rounds to
     omega), naming the cause.
     """
-    # +-omega in increasing order from -min(omega) on: every gap among them
+    # the real axis and omega in increasing order: every gap that binds
     omegas = sorted(target.flat.tolist())
-    ladder = [-omegas[0]] + omegas
+    ladder = [0.0] + omegas
     gaps = [high - low for low, high in zip(ladder, ladder[1:])]
     k = gaps.index(min(gaps))
     delta = min(0.05, 0.5 * gaps[k])
@@ -674,11 +677,12 @@ def _isolation_halfwidth(target: FrequencyTarget, max_delay: float) -> float:
     flat = [w for w in omegas if w - delta == w + delta]
     if flat:
         low, high = ladder[k : k + 2]
-        cause = (
-            f"the targets {low!r}i and {high!r}i are only {high - low:.3g} apart"
-            if delta == 0.5 * gaps[k]
-            else f"it is capped at 0.05 and at pi/2 over the largest delay {max_delay!r}"
-        )
+        if delta != 0.5 * gaps[k]:
+            cause = f"it is capped at 0.05 and at pi/2 over the largest delay {max_delay!r}"
+        elif k == 0:
+            cause = f"the target {high!r}i is only {high:.3g} above the real axis"
+        else:
+            cause = f"the targets {low!r}i and {high!r}i are only {high - low:.3g} apart"
         raise ValueError(
             f"no isolation box fits around {flat[0]!r}i: its half-width {delta:.3g} is below "
             f"the float spacing there, because {cause}"

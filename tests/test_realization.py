@@ -363,8 +363,8 @@ def _recorded_starts(monkeypatch):
     attempts = []
     starts = realization._starts
 
-    def recorded(scaled, weights, paper, eps, budget):
-        for label, base, taus0 in starts(scaled, weights, paper, eps, budget):
+    def recorded(scaled, weights, eps, budget):
+        for label, base, taus0 in starts(scaled, weights, eps, budget):
             attempts.append((eps, base.sign_matrix.copy(), taus0.copy()))
             yield label, base, taus0
 
@@ -761,13 +761,13 @@ def test_realize_failure_names_every_rung(monkeypatch):
     from spectra_forge import realization
 
     sweeps = []
-    sweep = realization.delay_candidates
+    hits = realization._orthant_hits
 
-    def counted(*args, **kwargs):
-        sweeps.append(args[2])
-        return sweep(*args, **kwargs)
+    def counted(omega, epsilon, budget):
+        sweeps.append(epsilon)
+        return hits(omega, epsilon, budget)
 
-    monkeypatch.setattr(realization, "delay_candidates", counted)
+    monkeypatch.setattr(realization, "_orthant_hits", counted)
     cfg = RealizeConfig(budget=50)
     with pytest.raises(SearchExhausted) as err:
         realize(FrequencyTarget((PRIME_ROOTS[:5],)), config=cfg)
@@ -787,6 +787,30 @@ def test_realize_failure_names_every_rung(monkeypatch):
             orthant_search_reference(scaled.flat, np.ones((5, 5)), eps, 50)
         assert ref.value.index == index
     assert (err.value.index, err.value.best_distance) == (ref.value.index, ref.value.best_distance)
+
+
+def test_each_rung_sweeps_once(monkeypatch):
+    # on the ladder n = 4 the path from the first four orthants of rung 0.8
+    # fails and the retry, which replaces the fourth, lands: both starts
+    # come from one sweep, the retry resuming it past the fourth orthant
+    from spectra_forge import realization
+
+    calls = {"_sweep": 0, "_trace_path": 0}
+
+    def counted(name):
+        inner = getattr(realization, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(realization, name, counted(name))
+    res = realize(FrequencyTarget((PRIME_ROOTS[:4],)))
+    assert res.residual < 1e-10
+    assert calls == {"_sweep": 1, "_trace_path": 2}
 
 
 def test_realize_path_stall_names_s_steps_and_residual(monkeypatch):

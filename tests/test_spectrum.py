@@ -1011,6 +1011,37 @@ def test_near_duplicate_frequencies_are_named_before_counting(monkeypatch):
     assert "no isolation box fits around 3.0i" in message
 
 
+def test_isolation_boxes_stay_off_the_real_axis(monkeypatch):
+    # half the gap between -0.0065262i and 0.0065262i made a box of
+    # half-width w_min whose bottom edge lay on the real axis, where D has
+    # a real root: |D| = 2.5e-8 on the contour failed both w_min checks
+    target = FrequencyTarget(((0.0065262, 0.53375, 0.99475),))
+    result = realize(target)
+    counted = spectrum._batch_counts
+    boxes = []
+
+    def recorded(factors, owner, regions):
+        boxes.extend(regions)
+        return counted(factors, owner, regions)
+
+    monkeypatch.setattr(spectrum, "_batch_counts", recorded)
+    report = verify_realization(result, target)
+    assert report.passed
+    assert spectrum._isolation_halfwidth(target, float(np.max(result.taus))) <= 0.5 * 0.0065262
+    assert boxes and all(box.im_min > 0.0 for box in boxes)
+
+
+def test_isolation_box_too_close_to_the_axis_is_named():
+    # the gap from 1e-10i down to the real axis binds: the half-width
+    # 5e-11 is below the float spacing at 1e10
+    target = FrequencyTarget(((1e-10, 1e10),))
+    with pytest.raises(ValueError) as info:
+        verify_realization(_plain_result([1.0, 2.0], [0.1, 0.2]), target)
+    message = str(info.value)
+    assert "no isolation box fits around 10000000000.0i" in message
+    assert "the target 1e-10i is only 1e-10 above the real axis" in message
+
+
 def test_report_json_shape(realized_three):
     target, result = realized_three
     report = verify_realization(result, target, tol=1e-8)
