@@ -2,10 +2,12 @@
 """Sweep the two-factor reduced matrices over odd ring sizes.
 
 For every odd n in [5, N] and every factor pair 1 <= i1 < i2 <= (n-1)/2,
-compares the closed-form determinant against LU and reports the
-row-normalized magnitude.  Exactly singular selections exist whenever n
-has a square factor (the first is n = 25 with the pair (5, 10), where
-every index product vanishes mod n); the sweep lists them all.
+compares the closed-form determinant against LU and decides singularity
+with ``dn_ring.singular_selection``, the test that ``realize_ring`` and
+``spectra-forge bmat`` apply.  The row-normalized |det| of the regular
+pairs is reported for information only.  Exactly singular selections exist
+whenever n has a square factor (the first is n = 25 with the pair (5, 10),
+where every index product vanishes mod n); the sweep lists them all.
 
 Usage:
     python scripts/bmat_sweep.py [--n-max 101]
@@ -15,7 +17,7 @@ import sys
 
 import numpy as np
 
-from spectra_forge.dn_ring import build_B, det_B_two_factor
+from spectra_forge.dn_ring import build_B, det_B_two_factor, singular_selection
 
 
 def main(argv=None):
@@ -35,11 +37,12 @@ def main(argv=None):
                 mat = build_B(n, (i1, i2), convention=4.0)
                 lu = float(np.linalg.det(mat))
                 worst_match = max(worst_match, abs(closed - lu) / max(1.0, abs(lu)))
+                if singular_selection(n, (i1, i2)):
+                    singular.append((n, i1, i2))
+                    continue
                 norms = np.linalg.norm(mat, axis=1)
                 normalized = abs(lu) / float(norms[0] * norms[1])
-                if normalized <= 1e-8:
-                    singular.append((n, i1, i2))
-                elif normalized < min_regular[0]:
+                if normalized < min_regular[0]:
                     min_regular = (normalized, (n, i1, i2))
 
     print(f"pairs checked: {checked}")

@@ -21,6 +21,7 @@ nonsingularity tests below depend on.
 """
 from __future__ import annotations
 
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -291,11 +292,14 @@ def build_B(n: int, indices: Sequence[int], convention: float = 4.0) -> np.ndarr
     column of block q: 1 when indices[q] is 0 (the internal column),
     convention * cos(2*pi*indices[p]*indices[q]/n) otherwise.  The printed
     convention is 4; the eigen-consistent one is 2.  Singularity does not
-    depend on the choice (uniform column scaling).
+    depend on the choice (uniform column scaling), as long as the
+    convention is finite and nonzero; any other raises ValueError.
     """
     _check_odd(n)
     idx = _check_indices(n, indices)
     c = float(convention)
+    if not 0.0 < abs(c) < math.inf:
+        raise ValueError(f"convention must be finite and nonzero, got {c!r}")
     cos = _cos_table(n)
     flat = [1.0 if q == 0 else c * cos[p * q % n] for p in idx for q in idx]
     return np.array(flat).reshape(len(idx), len(idx))

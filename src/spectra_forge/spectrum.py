@@ -48,16 +48,18 @@ from it in one call of :func:`quasipoly._term_sums`, the very floats that
 :func:`quasipoly.evaluate_many` and
 :func:`quasipoly.evaluate_derivative_many` give.  The lines of one batch
 may belong to several factors that share their delays, as the factors of
-a realization do (they differ only in their weights): the call sums the
-stacked weight rows of every factor, and each node reads its own factor's
-row, which is row 0 when there is one factor.  One factor and many take
-the same path, through :func:`_batch_counts` and :func:`_certify`, every
-line and node naming its factor.  Every sum over the delay terms, of D,
-D' and the bounds alike, is one call of :func:`quasipoly._term_sums`,
-whose rounding depends neither on the batch of nodes nor on the other
-weight rows, so a node's values are the same bits whichever lines,
-regions or factors share its batch, and a batch of regions counts each
-one exactly as it would be counted alone.
+a realization do (they differ only in their weights).  The certifier
+takes the one delay vector and one row of products a_k b_k per factor,
+the call sums every row, and each node reads its own factor's row, which
+is row 0 when there is one factor; the starting nodes and each bisection
+level pick those rows once, for D, D' and the bounds alike.  One factor
+and many take the same path, through :func:`_batch_counts` and
+:func:`_certify`, every line naming its factor's row.  Every sum over
+the delay terms, of D, D' and the bounds alike, is one call of
+:func:`quasipoly._term_sums`, whose rounding depends neither on the batch
+of nodes nor on the other rows, so a node's values are the same bits
+whichever lines, regions or factors share its batch, and a batch of
+regions counts each one exactly as it would be counted alone.
 """
 from __future__ import annotations
 
@@ -136,37 +138,20 @@ class Region:
         }
 
 
-def _shared_terms(factors) -> tuple[np.ndarray, np.ndarray]:
-    """The delays tau_k the factors share, and their products a_k b_k, one
-    row per factor.  Raises ValueError when the delays differ."""
-    arrays = [_term_arrays(f) for f in factors]
-    taus = arrays[0][1]
-    if any(not np.array_equal(t, taus) for _, t in arrays[1:]):
-        raise ValueError("factors certified in one batch must share their delays")
-    return taus, np.array([ab for ab, _ in arrays])
-
-
-def _own_rows(sums, blocks: int, row: np.ndarray) -> np.ndarray:
-    """The rows of sums that the nodes own: sums holds blocks blocks of one
-    row per factor, each over the nodes, and node i reads the row row[i] of
-    every block.  Returns one row per block, shaped like row."""
-    size = row.size
-    return sums.reshape(blocks, -1).take(row * size + np.arange(size).reshape(row.shape), axis=1)
-
-
-def _node_values(taus, ab, z: np.ndarray, row: np.ndarray):
+def _node_values(taus, ab, z: np.ndarray, pick: np.ndarray):
     """D and D' at the nodes z, from one table exp(-z tau) and one call of
-    :func:`quasipoly._term_sums` over the rows a_k b_k and a_k b_k tau_k of
-    every factor (see :func:`_shared_terms`): D = z - sum_k E_k a_k b_k and
-    D' = 1 + sum_k E_k a_k b_k tau_k, node z[i] taking the rows of its
-    factor row[i] (row has the shape of z, all zeros with one factor).
+    :func:`quasipoly._term_sums` over the rows a_k b_k and a_k b_k tau_k,
+    one of each per row of ab: D = z - sum_k E_k a_k b_k and D' = 1 +
+    sum_k E_k a_k b_k tau_k.  The sums are laid out factor by factor, node
+    by node, and node z[i] reads entry pick[i] of them, its factor's row
+    times z.size plus i (pick has the shape of z; see :func:`_certify`).
     Each is bit for bit what :func:`quasipoly.evaluate_many` and
     :func:`quasipoly.evaluate_derivative_many` give for that factor,
     whatever else is in the batch.  Overflow gives non-finite values, which
     the callers report."""
     with np.errstate(over="ignore", invalid="ignore"):
         sums = _term_sums(np.exp(-np.multiply.outer(z, taus)), np.concatenate((ab, ab * taus)))
-        vals, ders = _own_rows(sums, 2, row)
+        vals, ders = sums.reshape(2, -1).take(pick, axis=1)
         return z - vals, 1.0 + ders
 
 
@@ -174,12 +159,13 @@ class _Touch(BoundaryRoot):
     """A node of a path has |D| at or below the boundary threshold."""
 
 
-def _bounds(taus, weights, z, vals, ders, threshold, row):
+def _bounds(taus, weights, z, vals, ders, threshold, pick):
     """Per node z, where D is vals and D' is ders, the rows |D| less its
     rounding floor f, |D'| plus its rounding floor, and the slope and
     curvature sums sum_k |a_k b_k| tau_k^(1, 2) exp(-x tau_k); weights has
     the rows |a_k b_k| tau_k^(0, 1, 2), each a block of one row per factor,
-    and node i takes those of its factor row[i].  Raises NoConvergence when
+    and node i reads its factor's row of each block through pick[i], as in
+    :func:`_node_values`.  Raises NoConvergence when
     D overflowed and _Touch when |D| <= threshold (broadcast against the
     nodes) somewhere."""
     size = np.abs(vals)
@@ -190,7 +176,7 @@ def _bounds(taus, weights, z, vals, ders, threshold, row):
         raise _Touch(f"|D| = {size[touch].min():.3e} on the contour")
     with np.errstate(over="ignore", invalid="ignore"):
         decay = np.exp(-np.multiply.outer(z.real, taus))
-        total, slope, curve = _own_rows(_term_sums(decay, weights), 3, row)
+        total, slope, curve = _term_sums(decay, weights).reshape(3, -1).take(pick, axis=1)
         radius = np.abs(z)
         floor = 4.0 * _EPS * (radius * (1.0 + slope) + len(taus) * total)
         slope_floor = 4.0 * _EPS * (1.0 + len(taus) * slope + radius * curve)
@@ -219,32 +205,40 @@ def _line_layout(lengths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list
     return line, inner, np.cumsum(lengths).tolist()
 
 
-def _certify(factors, owner: np.ndarray, z, place, lengths: tuple[int, ...], threshold, resolution):
+def _certify(taus, ab, owner: np.ndarray, z, place, lengths: tuple[int, ...], threshold, resolution):
     """Certified paths along axis-parallel lines, one per line.
 
-    Line i is a path of D for the factor factors[owner[i]]; the factors
-    share their delays, and owner is all zeros when there is one.  z holds
-    the starting nodes of all lines, line by line, lengths[i] of them on
-    line i, and place their positions along their lines (x on a horizontal
-    line, y on a vertical one), increasing along each line.  Each path
-    comes back as (t, D, turn): its nodes t along the line in increasing
-    order, the values D there, and the certified change of arg D over each
-    segment.  The threshold of :func:`_bounds` and the resolution are given
-    per line.  Besides the errors of :func:`_bounds`, raises BoundaryRoot
-    when a segment shorter than its line's resolution stays uncertified.
+    The factors share the delays taus and differ in their products a_k b_k,
+    one row of ab each; line i is a path of D for the factor of row
+    owner[i] (all zeros when there is one factor).  z holds the starting
+    nodes of all lines, line by line, lengths[i] of them on line i, and
+    place their positions along their lines (x on a horizontal line, y on a
+    vertical one), increasing along each line.  Each path comes back as (t,
+    D, turn): its nodes t along the line in increasing order, the values D
+    there, and the certified change of arg D over each segment.  The
+    threshold of :func:`_bounds` and the resolution are given per line.
+    Besides the errors of :func:`_bounds`, raises BoundaryRoot when a
+    segment shorter than its line's resolution stays uncertified.
     Uncertified segments are bisected, those of all lines in one batch per
-    level.  Every value comes from :func:`_node_values`, with the same bits
-    whatever else is in the batch, so each line's path is bit for bit the
-    one a batch of that line alone gives.
+    level.  Each level, the starting nodes first, picks every node's factor
+    row once and evaluates its nodes with :func:`_node_values` and
+    :func:`_bounds`, whose values have the same bits whatever else is in
+    the batch, so each line's path is bit for bit the one a batch of that
+    line alone gives.
     """
-    taus, ab = _shared_terms(factors)
     line, inner, ends = _line_layout(lengths)
-    own = owner[line]
-    vals, ders = _node_values(taus, ab, z, own)
-    size = np.abs(ab)
-    weights = np.concatenate((size, size * taus, size * taus**2))
     threshold = np.asarray(threshold, dtype=float)
-    bounds = _bounds(taus, weights, z, vals, ders, threshold[line], own)
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.abs(ab)
+        weights = np.concatenate((size, size * taus, size * taus**2))
+
+    def level(nodes, rows):
+        """D and the rows of :func:`_bounds` at the nodes, on the lines rows."""
+        pick = owner[rows] * rows.size + np.arange(rows.size)
+        vals, ders = _node_values(taus, ab, nodes, pick)
+        return vals, _bounds(taus, weights, nodes, vals, ders, threshold[rows], pick)
+
+    vals, bounds = level(z, line)
     bad = ~_certified(z[:-1], z[1:], bounds[:, :-1], bounds[:, 1:]) & inner
     if bad.any():
         # every node made, as (line, position along it, D); the certified
@@ -264,9 +258,7 @@ def _certify(factors, owner: np.ndarray, z, place, lengths: tuple[int, ...], thr
                     "a root lies within a few node spacings of the contour"
                 )
             zm, tm = 0.5 * (za + zb), 0.5 * (ta + tb)
-            own = owner[open_rows]
-            dm, pm = _node_values(taus, ab, zm, own)
-            bounds_m = _bounds(taus, weights, zm, dm, pm, threshold[open_rows], own)
+            dm, bounds_m = level(zm, open_rows)
             rows.append(open_rows)
             places.append(tm)
             found.append(dm)
@@ -334,16 +326,17 @@ def _winding(bottom, top, left, right) -> int:
     return _count(bottom[2].sum() + right[2].sum() - top[2].sum() - left[2].sum())
 
 
-def _batch_counts(factors, owner, regions):
+def _batch_counts(taus, ab, owner, regions):
     """(count, region, edges) per region: the winding number, of D for the
-    factor factors[owner[i]] around regions[i], with the certified edges
-    (bottom, top, left, right) it came from; owner is all zeros when there
-    is one factor.  All regions are certified in one batch of paths, and
-    every region comes out bit for bit as if counted alone, because no
-    value depends on the batch (see :func:`_certify`).  A lone region whose
-    contour touches a root is dilated once and retried; a batch raises
-    instead."""
-    bound = [f.coefficient_bound() for f in factors]
+    factor of row owner[i] of ab (see :func:`_certify`) around regions[i],
+    with the certified edges (bottom, top, left, right) it came from; owner
+    is all zeros when there is one factor.  All regions are certified in
+    one batch of paths, and every region comes out bit for bit as if
+    counted alone, because no value depends on the batch.  A lone region
+    whose contour touches a root is dilated once and retried; a batch
+    raises instead."""
+    # sum_k |a_k b_k| per factor, summed as ScalarFactor.coefficient_bound sums it
+    bound = [sum(map(abs, row)) for row in ab.tolist()]
     for dilated in (False, True):
         corners = np.array([(r.re_min, r.im_min, r.re_max, r.im_max) for r in regions])
         lo, hi = corners[:, :2, None], corners[:, 2:, None]
@@ -359,7 +352,7 @@ def _batch_counts(factors, owner, regions):
         resolution = np.repeat(_DILATE * (hi - lo).max(axis=(1, 2)), 4)
         try:
             paths = _certify(
-                factors, np.repeat(owner, 4), (x + 1j * y).ravel(), place.ravel(),
+                taus, ab, np.repeat(owner, 4), (x + 1j * y).ravel(), place.ravel(),
                 (x.shape[-1],) * (4 * len(regions)), threshold, resolution,
             )
         except _Touch as exc:
@@ -386,7 +379,8 @@ def count_roots(factor: ScalarFactor, region: Region) -> int:
     certified sum is not within 1e-6 of an integer.  Factor multiplicity is
     not applied.
     """
-    return _batch_counts((factor,), [0], [region])[0][0]
+    ab, taus = _term_arrays(factor)
+    return _batch_counts(taus, ab[None], [0], [region])[0][0]
 
 
 def polish_root(factor: ScalarFactor, lambda0: complex, tol: float = 1e-12) -> complex:
@@ -438,9 +432,10 @@ def _through(path, cuts, values):
     return t, d, turn
 
 
-def _grid(factor: ScalarFactor, xs, ys, threshold: float, resolution: float, edges=None):
+def _grid(taus, ab, xs, ys, threshold: float, resolution: float, edges=None):
     """The cells (region, edges, count) that hold roots, of the grid cut at
-    xs and ys (increasing, ends included).
+    xs and ys (increasing, ends included), for the factor of the delays
+    taus and the one row of products ab.
 
     One batch certifies every line of the grid, each with 8 segments per
     cell it crosses and so a node at every crossing.  When edges, the
@@ -459,7 +454,7 @@ def _grid(factor: ScalarFactor, xs, ys, threshold: float, resolution: float, edg
     y = np.concatenate((np.repeat(h_levels, len(h_nodes)), v_place))
     lengths = (len(h_nodes),) * len(h_levels) + (len(v_nodes),) * len(v_levels)
     paths = _certify(
-        (factor,), np.zeros(len(lengths), int), x + 1j * y, np.concatenate((h_place, v_place)),
+        taus, ab, np.zeros(len(lengths), int), x + 1j * y, np.concatenate((h_place, v_place)),
         lengths, np.full(len(lengths), threshold), np.full(len(lengths), resolution),
     )
     rows, cols = paths[: len(h_levels)], paths[len(h_levels) :]
@@ -497,14 +492,14 @@ def _cuts(lo: float, hi: float, k: int) -> list[float]:
     return [lo] + [lo + (i + 0.06) / k * (hi - lo) for i in range(1, k)] + [hi]
 
 
-def _grid_shape(factor: ScalarFactor, region: Region, max_roots: int) -> tuple[int, int]:
+def _grid_shape(taus, region: Region, max_roots: int) -> tuple[int, int]:
     """Cells across and up for the first grid of :func:`locate_roots`:
     about two per root expected from the root spacing 2 pi / max tau
     along the height, at least 2 and at most 2 * max_roots, roughly
     square."""
     width = region.re_max - region.re_min
     height = region.im_max - region.im_min
-    delay = max((t.tau for t in factor.terms), default=0.0)
+    delay = float(taus.max(initial=0.0))
     cells = max(min(2.0 * height * delay / (2.0 * np.pi), 2.0 * max_roots), 2.0)
     kx = max(round(min(math.sqrt(cells * width / height), cells)), 1)
     return kx, max(round(cells / kx), 1)
@@ -536,14 +531,16 @@ def locate_roots(
     """
     scale = _scale(factor.coefficient_bound(), region)
     threshold = _BOUNDARY_REL * scale
-    kx, ky = _grid_shape(factor, region, max_roots)
+    ab, taus = _term_arrays(factor)
+    ab = ab[None]
+    kx, ky = _grid_shape(taus, region, max_roots)
     x0, x1, y0, y1 = region.re_min, region.re_max, region.im_min, region.im_max
     try:
         stack = _grid(
-            factor, _cuts(x0, x1, kx), _cuts(y0, y1, ky), threshold, _DILATE * max(x1 - x0, y1 - y0)
+            taus, ab, _cuts(x0, x1, kx), _cuts(y0, y1, ky), threshold, _DILATE * max(x1 - x0, y1 - y0)
         )
     except (BoundaryRoot, NoConvergence):
-        total, cell, edges = _batch_counts((factor,), [0], [region])[0]
+        total, cell, edges = _batch_counts(taus, ab, [0], [region])[0]
         stack = [(cell, edges, total)] if total else []
     total = sum(count for _, _, count in stack)
     if total == 0:
@@ -571,7 +568,7 @@ def locate_roots(
             xs = [x0, x0 + frac * (x1 - x0), x1]
             ys = [y0, y0 + frac * (y1 - y0), y1]
             try:
-                children = _grid(factor, xs, ys, threshold, resolution, edges)
+                children = _grid(taus, ab, xs, ys, threshold, resolution, edges)
             except (BoundaryRoot, NoConvergence):
                 continue
             if sum(c for _, _, c in children) == count:
@@ -690,21 +687,21 @@ def _isolation_halfwidth(target: FrequencyTarget, max_delay: float) -> float:
     return delta
 
 
-def _isolation_counts(factors, owner, boxes) -> list:
+def _isolation_counts(taus, ab, owner, boxes) -> list:
     """What :func:`_batch_counts` gives for each box on its own, for the
-    factor factors[owner[i]], or the BoundaryRoot or NoConvergence it
+    factor of row owner[i] of ab, or the BoundaryRoot or NoConvergence it
     raises: the boxes of every factor in one batch, which counts each box
     as it would be counted alone, and one by one when the batch fails,
     since a batch raises for all its boxes at once."""
     try:
-        return _batch_counts(factors, owner, boxes)
+        return _batch_counts(taus, ab, owner, boxes)
     except (BoundaryRoot, NoConvergence) as exc:
         if len(boxes) == 1:
             return [exc]
     found = []
     for j, box in zip(owner, boxes):
         try:
-            found.append(_batch_counts(factors, [j], [box])[0])
+            found.append(_batch_counts(taus, ab, [j], [box])[0])
         except (BoundaryRoot, NoConvergence) as exc:
             found.append(exc)
     return found
@@ -747,10 +744,14 @@ def verify_realization(
     """
     if weights is None:
         weights = WeightTable.ones(target.n, target.r)
-    if len(result.taus) != target.n or weights.b.shape != (target.r, target.n):
+    taus, coeffs = result.taus, result.coeffs
+    if len(taus) != target.n or len(coeffs) != target.n or weights.b.shape != (target.r, target.n):
         raise ValueError("result, target, and weights have mismatched dimensions")
+    # the boxes are counted from the shared delays and the products a_k b_k,
+    # one row per factor; the factors serve the residual and the polish
+    ab = coeffs * weights.b
     factors = result_factors(result, weights)
-    delta = _isolation_halfwidth(target, float(np.max(result.taus)))
+    delta = _isolation_halfwidth(target, float(np.max(taus)))
     # every target +i*omega, factor by factor
     owner = [j for j, group in enumerate(target.groups) for _ in group]
     omegas = [omega for group in target.groups for omega in group]
@@ -767,7 +768,7 @@ def verify_realization(
     for _ in range(12):
         for i in pending:
             boxes[i] = Region(-d, d, omegas[i] - d, omegas[i] + d)
-        found = _isolation_counts(factors, [owner[i] for i in pending], [boxes[i] for i in pending])
+        found = _isolation_counts(taus, ab, [owner[i] for i in pending], [boxes[i] for i in pending])
         for i, got in zip(pending, found):
             if isinstance(got, Exception):
                 errors[i] = got

@@ -377,18 +377,27 @@ def contour_values_reference(factor, region, per_edge: int):
     return z, evaluate_many(factor, z), evaluate_derivative_many(factor, z)
 
 
-def node_values_reference(taus, ab, z, row):
+def certifier_terms(*factors):
+    """(taus, ab), the certifier's input for factors that share their
+    delays: the delays, and the products a_k b_k, one row per factor."""
+    taus = np.array([t.tau for t in factors[0].terms], dtype=float)
+    return taus, np.array([[t.a * t.b for t in f.terms] for f in factors], dtype=float)
+
+
+def node_values_reference(taus, ab, z, pick):
     """(D, D') at the nodes z, in place of the spectrum kernel's one table
     for both and for every factor: each factor lam - sum_k ab[j, k]
     exp(-lam taus[k]) on its own, one complex exponential table each for D
-    and D' and for every factor, and node z[i] takes the factor row[i]
-    (row has the shape of z)."""
+    and D' and for every factor.  Node z[i] takes the factor pick[i] //
+    z.size at its own position i (pick has the shape of z and holds the
+    factor row times z.size plus i, as the kernel reads it)."""
     taus = taus.tolist()
     factors = [ScalarFactor(tuple(zip(products, [1.0] * len(taus), taus)))
                for products in ab.tolist()]
     vals = np.array([evaluate_many(f, z) for f in factors])
     ders = np.array([evaluate_derivative_many(f, z) for f in factors])
-    return np.take_along_axis(vals, row[None], 0)[0], np.take_along_axis(ders, row[None], 0)[0]
+    row = (pick // z.size)[None]
+    return np.take_along_axis(vals, row, 0)[0], np.take_along_axis(ders, row, 0)[0]
 
 
 def line_values_reference(factor, h_levels=(), h_nodes=(), v_levels=(), v_nodes=()):
@@ -473,7 +482,7 @@ def _split_reference(factor, region, edges, frac: float, threshold: float):
     resolution = 1e-6 * max(x1 - x0, y1 - y0)
     xs, ys = _nodes_reference(x0, xm, x1), _nodes_reference(y0, ym, y1)
     across, up = spectrum._certify(
-        (factor,), np.zeros(2, int), np.concatenate((xs + 1j * ym, xm + 1j * ys)),
+        *certifier_terms(factor), np.zeros(2, int), np.concatenate((xs + 1j * ym, xm + 1j * ys)),
         np.concatenate((xs, ys)), (len(xs), len(ys)), (threshold, threshold),
         (resolution, resolution),
     )
@@ -498,7 +507,7 @@ def locate_roots_reference(factor, region, max_roots: int = 64) -> list[complex]
     if its boundary touches a root), then quadrisecting one cell at a time
     with reused certified edges, first at 0.53 of a cell's width and
     height, down to one-root cells polished from their centres."""
-    total, cell, edges = spectrum._batch_counts((factor,), [0], [region])[0]
+    total, cell, edges = spectrum._batch_counts(*certifier_terms(factor), [0], [region])[0]
     if total == 0:
         return []
     if total > max_roots:

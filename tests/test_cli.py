@@ -300,6 +300,22 @@ def test_bmat_even_cell_count_is_input_error(capsys):
     assert doc["error"]["type"] == "BadParity"
 
 
+@pytest.mark.parametrize("convention", ["nan", "inf", "0"])
+def test_bmat_bad_convention_is_input_error(capsys, convention):
+    # nan and inf wrote NaN tokens, which are not JSON, and 0 an all-zero
+    # matrix next to "singular": false
+    code = main(["bmat", "--n", "7", "--indices", "1,2", "--convention", convention])
+    out = capsys.readouterr().out
+
+    def not_json(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    doc = json.loads(out, parse_constant=not_json)
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+    assert "convention must be finite and nonzero" in doc["error"]["message"]
+
+
 def test_spectrum_subcommand(capsys, tmp_path):
     path = write_json(
         tmp_path / "factor.json",

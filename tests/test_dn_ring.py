@@ -263,6 +263,12 @@ def test_build_B_bad_inputs():
         build_B(9, (0, 7))
     with pytest.raises(BadIndex):
         build_B(9, ())
+    # a zero convention zeroes every coupling column, and nan or inf fills
+    # them with non-numbers: no such matrix says anything about singularity
+    for convention in (math.nan, math.inf, -math.inf, 0.0, -0.0):
+        with pytest.raises(ValueError, match="convention must be finite and nonzero"):
+            build_B(7, (1, 2), convention=convention)
+    assert build_B(7, (1, 2), convention=-2.0).tolist() == (-build_B(7, (1, 2), 2.0)).tolist()
 
 
 def test_det_B_two_factor_matches_build_B():

@@ -188,11 +188,17 @@ def _term_sizes(factor, z):
     return np.exp(-np.multiply.outer(z.real, taus)) * ab, taus
 
 
+def _pick(row):
+    """The kernel's flat pick for nodes on the factor rows row: each node's
+    row times the number of nodes, plus its own index (the shape of row)."""
+    return row * row.size + np.arange(row.size).reshape(row.shape)
+
+
 def _kernel_on_lines(factor, *lines, **named):
     """(z, D, D') from the node kernel on the nodes that
     oracles.line_values_reference lays out for the same lines."""
     z = oracles.line_values_reference(factor, *lines, **named)[0]
-    return (z, *spectrum._node_values(*spectrum._shared_terms([factor]), z, np.zeros(z.shape, int)))
+    return (z, *spectrum._node_values(*oracles.certifier_terms(factor), z, _pick(np.zeros(z.shape, int))))
 
 
 def _assert_matches_reference(got, ref, factor):
@@ -266,17 +272,17 @@ def test_node_values_match_evaluate_many_in_any_batch():
     factors = [random_factor(rng) for _ in range(4)] + [DENSE_THREE, DENSE_FOUR]
     z = rng.uniform(-0.05, 0.3, 240) + 1j * rng.uniform(-40.0, 40.0, 240)
     for factor in factors:
-        terms = spectrum._shared_terms([factor])
+        terms = oracles.certifier_terms(factor)
         first = np.zeros(z.shape, int)  # one factor: every node reads row 0
-        vals, ders = spectrum._node_values(*terms, z, first)
+        vals, ders = spectrum._node_values(*terms, z, _pick(first))
         np.testing.assert_array_equal(vals, evaluate_many(factor, z))
         np.testing.assert_array_equal(ders, evaluate_derivative_many(factor, z))
         for part in (slice(0, 1), slice(7, 8), slice(3, 40), slice(None, None, 7),
                      rng.permutation(240)[:31]):
-            got = spectrum._node_values(*terms, z[part], first[part])
+            got = spectrum._node_values(*terms, z[part], _pick(first[part]))
             np.testing.assert_array_equal(got[0], vals[part])
             np.testing.assert_array_equal(got[1], ders[part])
-        got = spectrum._node_values(*terms, z.reshape(12, 4, 5), first.reshape(12, 4, 5))
+        got = spectrum._node_values(*terms, z.reshape(12, 4, 5), _pick(first.reshape(12, 4, 5)))
         np.testing.assert_array_equal(got[0], vals.reshape(12, 4, 5))
         np.testing.assert_array_equal(got[1], ders.reshape(12, 4, 5))
         # the same delays and coefficients under 2 to 4 rows of weights, a
@@ -287,23 +293,21 @@ def test_node_values_match_evaluate_many_in_any_batch():
         weights = rng.uniform(-2.0, 2.0, (int(rng.integers(2, 5)), m))
         weights[-1, 0] = 0.0
         rows = _weight_rows(factor, weights)
-        terms = spectrum._shared_terms(rows)
+        terms = oracles.certifier_terms(*rows)
         owner = rng.integers(0, len(rows), z.size)
         alone = [(evaluate_many(f, z), evaluate_derivative_many(f, z)) for f in rows]
-        vals, ders = spectrum._node_values(*terms, z, owner)
+        vals, ders = spectrum._node_values(*terms, z, _pick(owner))
         for j, (want_vals, want_ders) in enumerate(alone):
             mine = owner == j
             np.testing.assert_array_equal(vals[mine], want_vals[mine])
             np.testing.assert_array_equal(ders[mine], want_ders[mine])
         for part in (slice(0, 1), slice(3, 40), rng.permutation(240)[:31]):
-            got = spectrum._node_values(*terms, z[part], owner[part])
+            got = spectrum._node_values(*terms, z[part], _pick(owner[part]))
             np.testing.assert_array_equal(got[0], vals[part])
             np.testing.assert_array_equal(got[1], ders[part])
-        got = spectrum._node_values(*terms, z.reshape(12, 4, 5), owner.reshape(12, 4, 5))
+        got = spectrum._node_values(*terms, z.reshape(12, 4, 5), _pick(owner.reshape(12, 4, 5)))
         np.testing.assert_array_equal(got[0], vals.reshape(12, 4, 5))
         np.testing.assert_array_equal(got[1], ders.reshape(12, 4, 5))
-    with pytest.raises(ValueError, match="share their delays"):
-        spectrum._shared_terms([DENSE_THREE, DENSE_FOUR])
 
 
 def _census_like_cases(seed, count):
@@ -369,7 +373,7 @@ def test_count_and_locate_match_reference_kernel(monkeypatch):
 def _alone(factor, region):
     """(count, region, edges) of the region counted on its own, for the one
     factor: the batch entry with every line on row 0."""
-    return spectrum._batch_counts((factor,), [0], [region])[0]
+    return spectrum._batch_counts(*oracles.certifier_terms(factor), [0], [region])[0]
 
 
 def _near_root_box(w, j, clear, half):
@@ -547,11 +551,11 @@ def test_locate_cuts_miss_the_axis_root(monkeypatch, box):
     made = []
     grid = spectrum._grid
 
-    def recorded(factor, xs, ys, threshold, resolution, edges=None):
+    def recorded(taus, ab, xs, ys, threshold, resolution, edges=None):
         made.append((xs, False))
-        cells = grid(factor, xs, ys, threshold, resolution, edges)
+        cells = grid(taus, ab, xs, ys, threshold, resolution, edges)
         whole = Region(xs[0], xs[-1], ys[0], ys[-1])
-        expected = count_roots(factor, whole) if edges is None else spectrum._winding(*edges)
+        expected = count_roots(UNIT_ROOT_FACTOR, whole) if edges is None else spectrum._winding(*edges)
         made[-1] = (xs, sum(c for _, _, c in cells) == expected)
         return cells
 
@@ -571,10 +575,11 @@ def test_grid_cells_hold_what_they_count_alone():
         threshold = 1e-8 * spectrum._scale(factor.coefficient_bound(), region)
         resolution = 1e-6 * max(x1 - x0, y1 - y0)
         total, _, edges = _alone(factor, region)
-        grid = spectrum._grid(factor, spectrum._cuts(x0, x1, 2), spectrum._cuts(y0, y1, 5),
+        terms = oracles.certifier_terms(factor)
+        grid = spectrum._grid(*terms, spectrum._cuts(x0, x1, 2), spectrum._cuts(y0, y1, 5),
                               threshold, resolution)
         xs, ys = [x0, x0 + 0.41 * (x1 - x0), x1], [y0, y0 + 0.41 * (y1 - y0), y1]
-        children = spectrum._grid(factor, xs, ys, threshold, resolution, edges)
+        children = spectrum._grid(*terms, xs, ys, threshold, resolution, edges)
         for cells in (grid, children):
             assert sum(count for _, _, count in cells) == total == count_roots(factor, region)
             for cell, sides, count in cells:
@@ -613,9 +618,9 @@ def test_locate_falls_back_when_the_grid_touches_a_root(monkeypatch, box):
     failed = []
     grid = spectrum._grid
 
-    def recorded(factor, xs, ys, threshold, resolution, edges=None):
+    def recorded(taus, ab, xs, ys, threshold, resolution, edges=None):
         try:
-            return grid(factor, xs, ys, threshold, resolution, edges)
+            return grid(taus, ab, xs, ys, threshold, resolution, edges)
         except BoundaryRoot:
             failed.append(edges is None)
             raise
@@ -698,6 +703,11 @@ def test_verify_dimension_mismatch():
     result = realize(target)
     with pytest.raises(ValueError):
         verify_realization(result, FrequencyTarget(((1.0,),)), tol=1e-8)
+    # one coefficient per delay, too: a short list ended in IndexError, and
+    # extra coefficients were ignored
+    for coeffs in ([0.1], [0.1, 0.2, 0.3]):
+        with pytest.raises(ValueError, match="mismatched dimensions"):
+            verify_realization(_plain_result([1.0, 2.0], coeffs), target)
 
 
 def test_verify_two_factor_split():
@@ -737,8 +747,8 @@ def _box_by_box(counted):
     """A stand-in for spectrum._batch_counts (given as counted) that counts
     each region alone for its own factor, as _alone(factor, region) does."""
 
-    def each(factors, owner, regions):
-        return [counted((factors[j],), [0], [region])[0] for j, region in zip(owner, regions)]
+    def each(taus, ab, owner, regions):
+        return [counted(taus, ab[j : j + 1], [0], [region])[0] for j, region in zip(owner, regions)]
 
     return each
 
@@ -760,7 +770,7 @@ def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
     factor = result_factors(touching[0], WeightTable.ones(2))[0]
     boxes = [Region(-0.05, 0.05, w - 0.05, w + 0.05) for w in (1.0, -1.0, 3.0, -3.0)]
     with pytest.raises(BoundaryRoot):
-        spectrum._batch_counts((factor,), [0] * len(boxes), boxes)
+        spectrum._batch_counts(*oracles.certifier_terms(factor), [0] * len(boxes), boxes)
     assert count_roots(factor, boxes[0]) == 1
     # the pair case: the box around i is halved three times
     pair = _pair_case()
@@ -775,9 +785,9 @@ def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
     counted = spectrum._batch_counts
     calls = []
 
-    def recorded(factors, owner, regions):
+    def recorded(taus, ab, owner, regions):
         calls[-1].append(len(regions))
-        return counted(factors, owner, regions)
+        return counted(taus, ab, owner, regions)
 
     monkeypatch.setattr(spectrum, "_batch_counts", recorded)
     batched = []
@@ -807,11 +817,12 @@ def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
         half = rng.uniform(0.02, 0.4, (6, 2))
         boxes = [Region(c.real - w, c.real + w, c.imag - h, c.imag + h)
                  for c, (w, h) in zip(centres, half)]
+        terms = oracles.certifier_terms(factor)
         try:
-            batch = counted((factor,), [0] * len(boxes), boxes)
+            batch = counted(*terms, [0] * len(boxes), boxes)
         except (BoundaryRoot, NoConvergence):
             continue
-        _assert_same_counts(batch, [counted((factor,), [0], [box])[0] for box in boxes])
+        _assert_same_counts(batch, [counted(*terms, [0], [box])[0] for box in boxes])
         compared += 1
     assert compared >= 30
 
@@ -867,9 +878,9 @@ def test_cross_factor_batch_matches_factor_by_factor(monkeypatch):
     counted = spectrum._batch_counts
     calls = []
 
-    def recorded(factors, owner, regions):
-        calls[-1].append((len(factors), len(regions)))
-        return counted(factors, owner, regions)
+    def recorded(taus, ab, owner, regions):
+        calls[-1].append((len(ab), len(regions)))
+        return counted(taus, ab, owner, regions)
 
     monkeypatch.setattr(spectrum, "_batch_counts", recorded)
     batched = []
@@ -896,8 +907,19 @@ def test_cross_factor_batch_matches_factor_by_factor(monkeypatch):
 
     # random 2- and 3-row weight tables over shared delays and
     # coefficients, eight boxes each, any box owned by any row: a batch
-    # that succeeds counts every box as its own factor alone does
-    compared = 0
+    # that succeeds counts every box as its own factor alone does.  The
+    # node kernel itself runs here, and many batches bisect segments of
+    # boxes of two or more factors in one level
+    monkeypatch.undo()
+    kernel = spectrum._node_values
+    rows_read = []
+
+    def reading(taus, ab, z, pick):
+        rows_read.append(len(np.unique(pick // z.size)))
+        return kernel(taus, ab, z, pick)
+
+    monkeypatch.setattr(spectrum, "_node_values", reading)
+    compared = mixed = 0
     for _ in range(30):
         m = int(rng.integers(2, 8))
         base = ScalarFactor(tuple(zip(rng.uniform(-1.5, 1.5, m).tolist(), (1.0,) * m,
@@ -908,14 +930,17 @@ def test_cross_factor_batch_matches_factor_by_factor(monkeypatch):
         half = rng.uniform(0.02, 0.4, (8, 2))
         boxes = [Region(c.real - w, c.real + w, c.imag - h, c.imag + h)
                  for c, (w, h) in zip(centres, half)]
+        rows_read.clear()
         try:
-            batch = counted(factors, owner, boxes)
+            batch = counted(*oracles.certifier_terms(*factors), owner, boxes)
         except (BoundaryRoot, NoConvergence):
             continue
-        _assert_same_counts(batch, [counted((factors[j],), [0], [box])[0]
+        # the first call evaluates the starting nodes, each later one a level
+        mixed += max(rows_read[1:], default=1) > 1
+        _assert_same_counts(batch, [counted(*oracles.certifier_terms(factors[j]), [0], [box])[0]
                                     for j, box in zip(owner, boxes)])
         compared += 1
-    assert compared >= 20
+    assert compared >= 20 and mixed >= 5
 
 
 def _lower_check(factor, j, omega, delta, tol=1e-8):
@@ -970,9 +995,9 @@ def test_lower_targets_mirror_their_own_count_and_polish(monkeypatch, realized_t
     counted = spectrum._batch_counts
     boxes = []
 
-    def recorded(factors, owner, regions):
+    def recorded(taus, ab, owner, regions):
         boxes.extend(regions)
-        return counted(factors, owner, regions)
+        return counted(taus, ab, owner, regions)
 
     with monkeypatch.context() as patch:
         patch.setattr(spectrum, "_batch_counts", recorded)
@@ -1000,7 +1025,7 @@ def test_near_duplicate_frequencies_are_named_before_counting(monkeypatch):
     target = FrequencyTarget(((1.0, 3.0), (above,)))
     result = _plain_result([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
 
-    def never(factors, owner, regions):
+    def never(taus, ab, owner, regions):
         raise AssertionError("counted a box")
 
     monkeypatch.setattr(spectrum, "_batch_counts", never)
@@ -1020,9 +1045,9 @@ def test_isolation_boxes_stay_off_the_real_axis(monkeypatch):
     counted = spectrum._batch_counts
     boxes = []
 
-    def recorded(factors, owner, regions):
+    def recorded(taus, ab, owner, regions):
         boxes.extend(regions)
-        return counted(factors, owner, regions)
+        return counted(taus, ab, owner, regions)
 
     monkeypatch.setattr(spectrum, "_batch_counts", recorded)
     report = verify_realization(result, target)
@@ -1040,6 +1065,15 @@ def test_isolation_box_too_close_to_the_axis_is_named():
     message = str(info.value)
     assert "no isolation box fits around 10000000000.0i" in message
     assert "the target 1e-10i is only 1e-10 above the real axis" in message
+
+
+def test_overflowing_bound_rows_warn_nothing():
+    # |a b| tau^2 = 1e312 overflows in the certifier's bound rows; with
+    # numpy's RuntimeWarning an error, the report must still come back
+    report = verify_realization(_plain_result([1e6], [1e300]), FrequencyTarget(((1.0,),)))
+    assert not report.passed
+    assert [t.local_count for t in report.targets] == [0, 0]
+    assert report.targets[0].note == "isolation box holds 0 roots"
 
 
 def test_report_json_shape(realized_three):
