@@ -9,8 +9,10 @@ from .errors import (
     BadIndex,
     BadParity,
     BoundaryRoot,
+    InputError,
     LeftDomain,
     NoConvergence,
+    NumericFailure,
     SearchExhausted,
     SingularB,
     SingularIB,

@@ -1,12 +1,15 @@
 """Command-line front end.
 
-Subcommands: realize, ring, verify, bmat, spectrum.  Every command reads
-JSON, writes one JSON document (stdout by default), and exits with
+Subcommands: realize, ring, verify, bmat, spectrum.  ``realize`` on a ring
+problem is ``ring``.  Every command reads JSON, writes one JSON document
+(stdout by default), and exits with
 
     0   success
-    1   input problem (bad usage, unreadable file, bad schema, zero weight,
-        bad index, bad parity, a spectrum region with a non-finite bound)
-    2   numeric failure (no convergence, singular system, failed check)
+    1   input problem: an ``errors.InputError`` (zero weight, bad index,
+        bad parity) or bad usage, an unreadable file, a bad schema or
+        value (ValueError, KeyError, TypeError, OSError)
+    2   numeric failure: an ``errors.NumericFailure`` (no convergence,
+        singular system, refused selection), or a failed check
     3   theory-precondition refusal (even-cell ring with vanishing factor
         weights)
 
@@ -23,20 +26,7 @@ import sys
 import numpy as np
 
 from . import dn_ring, realization, spectrum
-from .errors import (
-    BadIndex,
-    BadParity,
-    BoundaryRoot,
-    LeftDomain,
-    NoConvergence,
-    SearchExhausted,
-    SingularB,
-    SingularIB,
-    SingularJacobian,
-    TooManyRoots,
-    ZeroAmplitude,
-    ZeroWeight,
-)
+from .errors import InputError, NumericFailure
 from .quasipoly import factor_from_dict
 from .realization import FrequencyTarget, RealizationResult, RealizeConfig, WeightTable
 
@@ -46,12 +36,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERIC = 2
 EXIT_REFUSED = 3
-
-_INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError,
-                 ZeroWeight, BadIndex, BadParity)
-_NUMERIC_ERRORS = (SingularIB, ZeroAmplitude, SearchExhausted, NoConvergence,
-                   LeftDomain, SingularJacobian, SingularB, BoundaryRoot,
-                   TooManyRoots)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -105,49 +89,42 @@ def _config_from(problem: dict, args) -> RealizeConfig:
     return RealizeConfig.from_dict(merged)
 
 
-def _problem_target_weights(problem: dict) -> tuple[FrequencyTarget, WeightTable]:
-    """(target, weights) for a scalar/multifactor/ring problem."""
-    mode = problem.get("mode")
+def _payload(problem: dict) -> dict:
     payload = problem.get("payload")
     if not isinstance(payload, dict):
         raise ValueError("problem file needs a 'payload' object")
+    return payload
+
+
+def _ring_payload(problem: dict) -> tuple[int, list, list, dict]:
+    """(n, indices, groups, layout) of a ring problem."""
+    payload = _payload(problem)
+    return int(payload["n"]), payload["indices"], payload["groups"], payload.get("layout") or {}
+
+
+def _problem_target_weights(problem: dict) -> tuple[FrequencyTarget, WeightTable]:
+    """(target, weights) for a scalar/multifactor/ring problem."""
+    mode = problem.get("mode")
+    if mode == "ring":
+        n, indices, groups, layout = _ring_payload(problem)
+        target = FrequencyTarget(tuple(tuple(g) for g in groups))
+        return target, dn_ring.ring_weight_table(n, indices, target.sizes, layout)[0]
+    payload = _payload(problem)
     if mode == "scalar":
         target = FrequencyTarget((tuple(payload["omegas"]),))
         return target, WeightTable.ones(target.n)
-    if mode not in ("multifactor", "ring"):
+    if mode != "multifactor":
         raise ValueError(f"unknown problem mode {mode!r}; expected scalar, multifactor, or ring")
     target = FrequencyTarget(tuple(tuple(g) for g in payload["groups"]))
-    if mode == "multifactor":
-        return target, WeightTable(np.array(payload["weights"], dtype=float))
-    weights, _ = dn_ring.ring_weight_table(
-        int(payload["n"]), payload["indices"], target.sizes, payload.get("layout") or {}
-    )
-    return target, weights
+    return target, WeightTable(np.array(payload["weights"], dtype=float))
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _cmd_realize(args) -> tuple[int, dict]:
-    problem = _load(args.input)
-    target, weights = _problem_target_weights(problem)
-    config = _config_from(problem, args)
-    result = realization.realize(target, weights, config)
-    return EXIT_OK, {
-        "schema": SCHEMA,
-        "mode": problem.get("mode"),
-        "config": config.to_dict(),
-        "result": result.to_dict(),
-    }
-
-
-def _cmd_ring(args) -> tuple[int, dict]:
-    problem = _load(args.input)
-    payload = problem.get("payload")
-    if not isinstance(payload, dict):
-        raise ValueError("problem file needs a 'payload' object")
-    n = int(payload["n"])
+def _realize_ring(problem: dict, args) -> tuple[int, dict]:
+    n, indices, groups, layout = _ring_payload(problem)
     # an even ring is refused for its vanishing weights when it has any
     # (n = 0 mod 4); otherwise realize_ring refuses its parity (BadParity)
     degeneracies = dn_ring.detect_even_degeneracy(n) if n % 2 == 0 and n >= 4 else []
@@ -163,9 +140,7 @@ def _cmd_ring(args) -> tuple[int, dict]:
             }
         )
     config = _config_from(problem, args)
-    ring, result = dn_ring.realize_ring(
-        n, payload["indices"], payload["groups"], payload.get("layout") or {}, config
-    )
+    ring, result = dn_ring.realize_ring(n, indices, groups, layout, config)
     return EXIT_OK, {
         "schema": SCHEMA,
         "mode": "ring",
@@ -173,6 +148,26 @@ def _cmd_ring(args) -> tuple[int, dict]:
         "ring": dn_ring.ring_to_dict(ring),
         "result": result.to_dict(),
     }
+
+
+def _cmd_realize(args) -> tuple[int, dict]:
+    problem = _load(args.input)
+    # a ring problem has one path, the one `ring` takes
+    if problem.get("mode") == "ring":
+        return _realize_ring(problem, args)
+    target, weights = _problem_target_weights(problem)
+    config = _config_from(problem, args)
+    result = realization.realize(target, weights, config)
+    return EXIT_OK, {
+        "schema": SCHEMA,
+        "mode": problem.get("mode"),
+        "config": config.to_dict(),
+        "result": result.to_dict(),
+    }
+
+
+def _cmd_ring(args) -> tuple[int, dict]:
+    return _realize_ring(_load(args.input), args)
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
@@ -244,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True, help="problem file (JSON)")
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
 
-    p = sub.add_parser("realize", help="realize scalar or multifactor targets")
+    p = sub.add_parser("realize", help="realize scalar, multifactor or ring targets")
     io_flags(p)
     p.add_argument("--tol", type=float, default=None)
 
@@ -290,10 +285,10 @@ def main(argv: list[str] | None = None) -> int:
     except _Refusal as refusal:
         _dump(refusal.payload, output)
         return EXIT_REFUSED
-    except _NUMERIC_ERRORS as exc:
+    except NumericFailure as exc:
         _dump(_error_payload(exc), output)
         return EXIT_NUMERIC
-    except _INPUT_ERRORS as exc:
+    except (ValueError, KeyError, TypeError, OSError, InputError) as exc:
         _dump(_error_payload(exc), output)
         return EXIT_INPUT
     _dump(payload, output)

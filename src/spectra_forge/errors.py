@@ -1,8 +1,13 @@
 """Exception taxonomy shared by all spectra-forge modules.
 
-Input-shaped problems (bad indices, zero weights, wrong parity) are kept
-distinct from numeric failures (divergence, singular systems, exhausted
-searches) so the CLI can map them to different exit codes.
+Every concrete error belongs to one of two families, and the CLI maps a
+family, not a class, to its exit code:
+
+- :class:`InputError`: the question is malformed (zero weights, bad
+  indices, wrong parity); exit 1.
+- :class:`NumericFailure`: the question is well formed but the
+  computation failed or refused it (divergence, singular systems,
+  exhausted searches, roots on a contour); exit 2.
 """
 from __future__ import annotations
 
@@ -11,7 +16,15 @@ class SpectraForgeError(Exception):
     """Base class for all library errors."""
 
 
-class ZeroWeight(SpectraForgeError):
+class InputError(SpectraForgeError):
+    """The problem is malformed; no computation can answer it."""
+
+
+class NumericFailure(SpectraForgeError):
+    """The computation failed on a well-formed problem, or refused it."""
+
+
+class ZeroWeight(InputError):
     """A fixed factor weight b_k^j is zero where a nonzero one is required.
 
     Indices are 1-based: ``j`` is the factor row, ``k`` the coefficient column.
@@ -23,11 +36,11 @@ class ZeroWeight(SpectraForgeError):
         super().__init__(f"weight table entry (j={j}, k={k}) is zero")
 
 
-class SingularIB(SpectraForgeError):
+class SingularIB(NumericFailure):
     """The stacked sign-and-weight matrix is numerically singular."""
 
 
-class ZeroAmplitude(SpectraForgeError):
+class ZeroAmplitude(NumericFailure):
     """A base-point amplitude vanished; the targets look rationally dependent.
 
     ``k`` is the 1-based coefficient index.
@@ -39,7 +52,7 @@ class ZeroAmplitude(SpectraForgeError):
         super().__init__(f"base amplitude {k} is {value:.3e}, too close to zero")
 
 
-class SearchExhausted(SpectraForgeError):
+class SearchExhausted(NumericFailure):
     """The dense-torus delay sweep ran out of budget for one delay index.
 
     ``index`` is the 0-based delay column, the first one that found no hit
@@ -61,7 +74,7 @@ class SearchExhausted(SpectraForgeError):
         )
 
 
-class NoConvergence(SpectraForgeError):
+class NoConvergence(NumericFailure):
     """An iteration failed to reach its tolerance."""
 
     def __init__(self, residual: float, message: str = ""):
@@ -69,29 +82,29 @@ class NoConvergence(SpectraForgeError):
         super().__init__(message or f"no convergence, final residual {residual:.3e}")
 
 
-class LeftDomain(SpectraForgeError):
+class LeftDomain(NumericFailure):
     """A solution left the admissible region (a delay <= 0 or a zero coefficient)."""
 
 
-class SingularJacobian(SpectraForgeError):
+class SingularJacobian(NumericFailure):
     """The Newton Jacobian is singular or numerically unusable."""
 
 
-class BoundaryRoot(SpectraForgeError):
+class BoundaryRoot(NumericFailure):
     """A characteristic root sits on (or hugs) a contour after the retry."""
 
 
-class TooManyRoots(SpectraForgeError):
+class TooManyRoots(NumericFailure):
     """A region contains more roots than the caller allowed."""
 
 
-class BadIndex(SpectraForgeError):
+class BadIndex(InputError):
     """A factor-index selection is out of range or not strictly increasing."""
 
 
-class BadParity(SpectraForgeError):
+class BadParity(InputError):
     """The cell count has the wrong parity for the requested operation."""
 
 
-class SingularB(SpectraForgeError):
+class SingularB(NumericFailure):
     """The reduced leading-weight matrix is singular; realization refused."""

@@ -37,8 +37,6 @@ __all__ = [
     "residual_on_targets",
     "factor_to_dict",
     "factor_from_dict",
-    "product_to_dict",
-    "product_from_dict",
 ]
 
 
@@ -191,11 +189,3 @@ def factor_to_dict(factor: ScalarFactor) -> dict:
 def factor_from_dict(data: dict) -> ScalarFactor:
     terms = [(t["a"], t["b"], t["tau"]) for t in data["terms"]]
     return ScalarFactor(_as_terms(terms), int(data.get("multiplicity", 1)))
-
-
-def product_to_dict(product: CharProduct) -> dict:
-    return {"factors": [factor_to_dict(f) for f in product.factors]}
-
-
-def product_from_dict(data: dict) -> CharProduct:
-    return CharProduct(tuple(factor_from_dict(f) for f in data["factors"]))

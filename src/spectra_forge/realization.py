@@ -214,6 +214,8 @@ class RealizationResult:
     landing iterations.  The base point is not kept: it is scaffolding of
     the construction.
     ``from_dict`` ignores the ``base`` key that older result files carry.
+    Every delay and coefficient must be finite (``ValueError`` naming the
+    first that is not, 1-based).
     """
 
     taus: np.ndarray
@@ -221,6 +223,12 @@ class RealizationResult:
     residual: float
     newton_iterations: int
     search_window: np.ndarray
+
+    def __post_init__(self):
+        for name, values in (("delay", self.taus), ("coefficient", self.coeffs)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"result {name} {bad[0] + 1} is {float(values[bad[0]])}")
 
     def to_dict(self) -> dict:
         return {

@@ -153,19 +153,19 @@ def test_verify_names_near_duplicate_frequencies(capsys, tmp_path):
     assert f"the targets 3.0i and {above!r}i are only 4.44e-16 apart" in doc["error"]["message"]
 
 
+RING5 = {
+    "mode": "ring",
+    "payload": {
+        "n": 5,
+        "indices": [1, 2],
+        "groups": [[1.0], [SQRT2]],
+        "layout": {"couplings": {"2": 1, "3": 1}},
+    },
+}
+
+
 def test_ring_five_cells(capsys, tmp_path):
-    path = write_json(
-        tmp_path / "ring5.json",
-        {
-            "mode": "ring",
-            "payload": {
-                "n": 5,
-                "indices": [1, 2],
-                "groups": [[1.0], [SQRT2]],
-                "layout": {"couplings": {"2": 1, "3": 1}},
-            },
-        },
-    )
+    path = write_json(tmp_path / "ring5.json", RING5)
     code, doc = run(capsys, ["ring", "--input", path])
     assert code == 0
     assert doc["result"]["residual"] < 1e-9
@@ -238,18 +238,7 @@ def test_ring_singular_selection(capsys, tmp_path):
 
 
 def test_ring_roundtrip_through_verify(capsys, tmp_path):
-    problem = write_json(
-        tmp_path / "ring5.json",
-        {
-            "mode": "ring",
-            "payload": {
-                "n": 5,
-                "indices": [1, 2],
-                "groups": [[1.0], [SQRT2]],
-                "layout": {"couplings": {"2": 1, "3": 1}},
-            },
-        },
-    )
+    problem = write_json(tmp_path / "ring5.json", RING5)
     out_path = tmp_path / "ring5out.json"
     assert main(["ring", "--input", problem, "--output", str(out_path)]) == 0
     code, doc = run(
@@ -257,6 +246,79 @@ def test_ring_roundtrip_through_verify(capsys, tmp_path):
     )
     assert code == 0
     assert doc["report"]["passed"] is True
+
+
+def test_realize_on_a_ring_file_is_ring(tmp_path):
+    problem = write_json(tmp_path / "ring5.json", RING5)
+    via_ring = tmp_path / "ring.json"
+    via_realize = tmp_path / "realize.json"
+    assert main(["ring", "--input", problem, "--output", str(via_ring)]) == 0
+    assert main(["realize", "--input", problem, "--output", str(via_realize)]) == 0
+    assert via_realize.read_bytes() == via_ring.read_bytes()
+    assert set(json.loads(via_realize.read_text())) == {"schema", "mode", "config", "ring", "result"}
+
+
+@pytest.mark.parametrize("n, indices, layout, code, error", [
+    (4, [0, 1], {"internal": 1, "couplings": {"2": 1}}, 3, "EvenDegeneracy"),
+    (8, [0, 1], {"internal": 1, "couplings": {"2": 1}}, 3, "EvenDegeneracy"),
+    (6, [0, 1], {"internal": 1, "couplings": {"2": 1}}, 1, "BadParity"),
+    (9, [0, 3], {"internal": 1, "couplings": {"4": 1}}, 2, "SingularB"),
+])
+def test_realize_refuses_what_ring_refuses(capsys, tmp_path, n, indices, layout, code, error):
+    path = write_json(
+        tmp_path / f"ring{n}.json",
+        {"mode": "ring",
+         "payload": {"n": n, "indices": indices, "groups": [[1.0], [SQRT2]], "layout": layout}},
+    )
+    got, doc = run(capsys, ["realize", "--input", path])
+    assert got == code
+    assert doc["error"]["type"] == error
+    assert run(capsys, ["ring", "--input", path]) == (got, doc)
+
+
+def test_every_error_class_belongs_to_one_family():
+    from spectra_forge import errors
+
+    families = (errors.InputError, errors.NumericFailure)
+    concrete = [cls for cls in vars(errors).values()
+                if isinstance(cls, type) and issubclass(cls, errors.SpectraForgeError)
+                and cls not in families + (errors.SpectraForgeError,)]
+    for cls in concrete:
+        assert sum(issubclass(cls, family) for family in families) == 1, cls.__name__
+    assert {cls.__name__ for cls in concrete if issubclass(cls, errors.InputError)} == {
+        "ZeroWeight", "BadIndex", "BadParity"}
+
+
+@pytest.mark.parametrize("family, code", [("InputError", 1), ("NumericFailure", 2)])
+def test_exit_code_follows_the_error_family(capsys, monkeypatch, family, code):
+    # a class the CLI has never heard of exits by its family, with its own name
+    from spectra_forge import errors
+
+    late = type("LateError", (getattr(errors, family),), {})
+
+    def raise_late(args):
+        raise late("raised by a class declared after the CLI")
+
+    monkeypatch.setitem(cli._COMMANDS, "bmat", raise_late)
+    got, doc = run(capsys, ["bmat", "--n", "7", "--indices", "1,2"])
+    assert got == code
+    assert doc["error"] == {"type": "LateError", "message": "raised by a class declared after the CLI"}
+
+
+@pytest.mark.parametrize("taus, coeffs, message", [
+    ([1.0], [math.nan], "result coefficient 1 is nan"),
+    ([math.nan], [1.0], "result delay 1 is nan"),
+    ([math.inf], [1.0], "result delay 1 is inf"),
+])
+def test_verify_names_a_non_finite_result_entry(capsys, tmp_path, scalar_problem, taus, coeffs,
+                                                message):
+    result = write_json(
+        tmp_path / "result.json",
+        {"taus": taus, "coeffs": coeffs, "residual": 0.0, "newton_iterations": 0},
+    )
+    code, doc = run(capsys, ["verify", "--result", result, "--input", scalar_problem])
+    assert code == 1
+    assert doc["error"] == {"type": "ValueError", "message": message}
 
 
 def test_bmat_singular_case(capsys):

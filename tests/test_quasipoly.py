@@ -17,8 +17,6 @@ from spectra_forge.quasipoly import (
     evaluate_product,
     factor_from_dict,
     factor_to_dict,
-    product_from_dict,
-    product_to_dict,
     residual_on_targets,
 )
 from spectra_forge.quasipoly import _term_sums
@@ -241,5 +239,3 @@ def test_json_round_trip(terms, mult):
     f = ScalarFactor(tuple(terms), multiplicity=mult)
     again = factor_from_dict(json.loads(json.dumps(factor_to_dict(f))))
     assert again == f
-    p = CharProduct((f,))
-    assert product_from_dict(json.loads(json.dumps(product_to_dict(p)))) == p

@@ -505,6 +505,26 @@ def test_config_max_iter_is_a_positive_integer():
     assert RealizeConfig.from_dict({"max_iter": 7}).max_iter == 7
 
 
+@pytest.mark.parametrize("taus, coeffs, message", [
+    ([1.0], [math.nan], "result coefficient 1 is nan"),
+    ([math.nan], [1.0], "result delay 1 is nan"),
+    ([math.inf], [1.0], "result delay 1 is inf"),
+    ([1.0, 2.0], [0.5, -math.inf], "result coefficient 2 is -inf"),
+    ([1.0, math.inf], [math.nan, 1.0], "result delay 2 is inf"),
+])
+def test_result_entries_must_be_finite(taus, coeffs, message):
+    # a non-finite entry is named where the result is built, before any
+    # check could blame an overflow, a negative delay or an isolation box
+    from spectra_forge.realization import RealizationResult
+
+    data = {"taus": taus, "coeffs": coeffs, "residual": 0.0, "newton_iterations": 0}
+    with pytest.raises(ValueError) as info:
+        RealizationResult.from_dict(data)
+    assert str(info.value) == message
+    with pytest.raises(ValueError, match=message):
+        RealizationResult(np.array(taus), np.array(coeffs), 0.0, 0, np.zeros(len(taus)))
+
+
 # ---------------------------------------------------------------------------
 # Newton refinement
 
