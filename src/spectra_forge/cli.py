@@ -89,17 +89,22 @@ def _config_from(problem: dict, args) -> RealizeConfig:
     return RealizeConfig.from_dict(merged)
 
 
-def _payload(problem: dict) -> dict:
+def _payload(problem: dict, *keys: str) -> tuple:
+    """(payload, the value of each key); a missing key is a ValueError
+    that names it."""
     payload = problem.get("payload")
     if not isinstance(payload, dict):
         raise ValueError("problem file needs a 'payload' object")
-    return payload
+    for key in keys:
+        if key not in payload:
+            raise ValueError(f"problem payload needs {key!r}")
+    return (payload, *(payload[key] for key in keys))
 
 
 def _ring_payload(problem: dict) -> tuple[int, list, list, dict]:
     """(n, indices, groups, layout) of a ring problem."""
-    payload = _payload(problem)
-    return int(payload["n"]), payload["indices"], payload["groups"], payload.get("layout") or {}
+    payload, n, indices, groups = _payload(problem, "n", "indices", "groups")
+    return int(n), indices, groups, payload.get("layout") or {}
 
 
 def _problem_target_weights(problem: dict) -> tuple[FrequencyTarget, WeightTable]:
@@ -109,14 +114,15 @@ def _problem_target_weights(problem: dict) -> tuple[FrequencyTarget, WeightTable
         n, indices, groups, layout = _ring_payload(problem)
         target = FrequencyTarget(tuple(tuple(g) for g in groups))
         return target, dn_ring.ring_weight_table(n, indices, target.sizes, layout)[0]
-    payload = _payload(problem)
     if mode == "scalar":
-        target = FrequencyTarget((tuple(payload["omegas"]),))
+        _, omegas = _payload(problem, "omegas")
+        target = FrequencyTarget((tuple(omegas),))
         return target, WeightTable.ones(target.n)
     if mode != "multifactor":
         raise ValueError(f"unknown problem mode {mode!r}; expected scalar, multifactor, or ring")
-    target = FrequencyTarget(tuple(tuple(g) for g in payload["groups"]))
-    return target, WeightTable(np.array(payload["weights"], dtype=float))
+    _, groups, weights = _payload(problem, "groups", "weights")
+    target = FrequencyTarget(tuple(tuple(g) for g in groups))
+    return target, WeightTable(np.array(weights, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ The constructive path mirrors the existence proof:
     densely.  A visit to within epsilon of a quarter-turn corner names
     that corner's orthant, and :func:`realize` takes the first n
     orthants the line reaches whose weighted sign columns are
-    independent: they form the base, and their visits the start delays.
+    independent: they form the base, and their first grid visits, as
+    they are, the start delays.
     A single frequency needs no sweep: the base angle over w is exact.
     One sweep along the line serves every column: a cheap gate (every
     angle w_i*tau within epsilon of a quarter turn, read off the grid
@@ -34,7 +35,8 @@ The constructive path mirrors the existence proof:
     survivors are measured exactly.
 3.  The openness argument made constructive: with d0 the hit's angular
     errors, phases w*tau_k - (1 - s) d0 give a system that the hit and the
-    base amplitudes solve at s = 0 and that is the real one at s = 1.
+    base amplitudes solve at s = 0 and that is the real one at s = 1, so
+    any hit within epsilon is a start as it is.
     Pseudo-arclength continuation traces it to s = 1 and a plain Newton
     lands; each epsilon, large ones (small delays) first, gives a path,
     and if it fails a second one, from the same sweep resumed past the
@@ -54,6 +56,7 @@ import numpy as np
 from .errors import (
     LeftDomain,
     NoConvergence,
+    NumericFailure,
     SearchExhausted,
     SingularIB,
     SingularJacobian,
@@ -209,11 +212,12 @@ class RealizationResult:
 
     ``residual`` is max |D_j(i w)| over every assigned target, recomputed by
     direct factor evaluation after the solve.  ``search_window`` holds the
-    winning path's start offsets max_i |d0[i, k]| (radians) against the
-    orthants its start chose, and ``newton_iterations`` its corrector plus
-    landing iterations.  The base point is not kept: it is scaffolding of
-    the construction.
-    ``from_dict`` ignores the ``base`` key that older result files carry.
+    winning path's start offsets max_i |d0[i, k]| (radians): those of its
+    grid hits against the orthants they chose.  ``newton_iterations`` holds
+    its corrector plus landing iterations.  The base point is not kept: it
+    is scaffolding of the construction.
+    ``from_dict`` ignores the ``base`` key that older result files carry,
+    and a missing required key is a ``ValueError`` that names it.
     Every delay and coefficient must be finite (``ValueError`` naming the
     first that is not, 1-based).
     """
@@ -241,13 +245,14 @@ class RealizationResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RealizationResult":
-        return cls(
-            np.array(data["taus"], dtype=float),
-            np.array(data["coeffs"], dtype=float),
-            float(data["residual"]),
-            int(data["newton_iterations"]),
-            np.array(data.get("search_window", [0.0] * len(data["taus"])), dtype=float),
-        )
+        missing = [key for key in ("taus", "coeffs", "residual", "newton_iterations")
+                   if key not in data]
+        if missing:
+            raise ValueError(f"result needs {missing[0]!r}")
+        taus = np.array(data["taus"], dtype=float)
+        window = data.get("search_window", np.zeros(taus.size))
+        return cls(taus, np.array(data["coeffs"], dtype=float), float(data["residual"]),
+                   int(data["newton_iterations"]), np.array(window, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -463,42 +468,6 @@ def _offset_slack(tau_max: float, w_max: float) -> float:
     return 1e-12 + 1e-15 * tau_max * w_max
 
 
-def _refine_candidate(omega, angles_col, tau, halfwidth):
-    """First argmin of the column distance over an even scan of 4097
-    points of [tau - halfwidth, tau + halfwidth], clipped below at
-    halfwidth/4.
-
-    The distance is measured exactly at every 64th scan point first.  It
-    is Lipschitz in tau with constant max(omega), so between two such
-    points, gap apart, with distances d0 and d1, it stays above
-    (d0 + d1 - max(omega) * gap) / 2; less twice :func:`_offset_slack`,
-    which covers the rounding at both ends, that bound holds for the
-    computed distances too.  Only the blocks whose bound does not exceed
-    the best coarse distance are measured in full: they hold every scan
-    point at or below it, so the first argmin is the full scan's.
-    """
-    grid = np.linspace(max(tau - halfwidth, 0.25 * halfwidth), tau + halfwidth, 64 * 64 + 1)
-    coarse = _column_distance(omega, angles_col, grid[::64])
-    w_max = float(omega.max())
-    low = 0.5 * (coarse[:-1] + coarse[1:] - w_max * np.diff(grid[::64]))
-    blocks = np.nonzero(low - 2.0 * _offset_slack(float(grid[-1]), w_max) <= coarse.min())[0]
-    inner = (64 * blocks[:, None] + np.arange(1, 64)).ravel()
-    dist = _column_distance(omega, angles_col, grid[inner])
-    k = int(np.argmin(coarse))
-    best = (float(coarse[k]), 64 * k)  # (distance, scan index): ties go to the first
-    if inner.size:
-        j = int(np.argmin(dist))
-        best = min(best, (float(dist[j]), int(inner[j])))
-    return float(grid[best[1]]), best[0]
-
-
-def _sharpened(omega, angles_col, tau, step, epsilon) -> float:
-    """A hit tau sharpened by :func:`_refine_candidate` if the scan's best
-    stays within epsilon of the same column, else tau itself."""
-    refined, distance = _refine_candidate(omega, angles_col, tau, step)
-    return refined if distance < epsilon else tau
-
-
 def _quarter_turn_survivors(first: int, last: int, step: float, omega: np.ndarray,
                             reach: float) -> np.ndarray:
     """The ascending grid taus i*step, first <= i <= last, with step =
@@ -530,11 +499,6 @@ def _quarter_turn_survivors(first: int, last: int, step: float, omega: np.ndarra
     return taus
 
 
-def _grid_step(omega: np.ndarray) -> float:
-    """The sweep's grid step, 1/64 of a turn of the largest frequency."""
-    return _TWO_PI / (64.0 * float(omega.max()))
-
-
 def _sweep(omega: np.ndarray, budget: int, reach):
     """Walk the grid tau = i*step, i = 1..budget, step = 2*pi/(64*max(omega)),
     yielding (grid, d_half, d_3half) for each chunk.
@@ -547,7 +511,7 @@ def _sweep(omega: np.ndarray, budget: int, reach):
     two and a maximum over rows, which is the arithmetic of
     :func:`_column_distance`, bit for bit.
     """
-    step = _grid_step(omega)
+    step = _TWO_PI / (64.0 * float(omega.max()))
     done, chunk = 0, 1 << 10
     while done < budget:
         count = min(chunk, budget - done)
@@ -612,18 +576,18 @@ def _span_of(chosen: list, n: int) -> _Span:
     return chosen[-1][2] if chosen else _Span(np.zeros((n, 0)))
 
 
-def _basis(omega: np.ndarray, brows: np.ndarray, epsilon: float, hits, chosen: list) -> list:
+def _basis(brows: np.ndarray, hits, chosen: list) -> list:
     """The columns chosen, one (tau, signs, span) each, extended greedily
     from the orthant hits until there are n or the hits run out (see
-    :func:`delay_candidates`); span is that of the columns up to its own."""
-    n, step = omega.size, _grid_step(omega)
+    :func:`delay_candidates`); tau is the hit itself, and span that of the
+    columns up to its own."""
+    n = brows.shape[0]
     span = _span_of(chosen, n)
     for tau, signs in hits:
         wider = span.plus(brows[:, len(chosen)] * signs)
         if wider is not None:
-            angles = np.where(signs > 0, 1.5 * np.pi, 0.5 * np.pi)
             span = wider
-            chosen = chosen + [(_sharpened(omega, angles, tau, step, epsilon), signs, span)]
+            chosen = chosen + [(tau, signs, span)]
             if len(chosen) == n:
                 break
     return chosen
@@ -648,7 +612,7 @@ def _first_basis(omega: np.ndarray, brows: np.ndarray, epsilon: float, budget: i
     :func:`_basis` takes from its start; SearchExhausted if the budget
     holds fewer (see :func:`delay_candidates`)."""
     hits = _orthant_hits(omega, epsilon, budget)
-    chosen = _basis(omega, brows, epsilon, hits, [])
+    chosen = _basis(brows, hits, [])
     if len(chosen) < omega.size:
         span = _span_of(chosen, omega.size)
         raise SearchExhausted(len(chosen), _outside_distance(omega, brows, span, budget))
@@ -690,7 +654,8 @@ def delay_candidates(
     (weights repeated over each group's rows) keeps the columns so far
     independent by the Hadamard-relative test of :func:`base_point`.  For
     one group this greedy basis has the smallest possible largest delay.
-    Each chosen hit is sharpened by a local scan (:func:`_refine_candidate`).
+    A chosen hit is the column's start delay as it is, grid point and
+    all: the path of :func:`realize` starts from its own offsets.
     The sign of row i in column k is +1 where w_i*tau_k is nearer 3*pi/2
     and -1 where nearer pi/2; :func:`realize` keeps the signs with the
     delays to build its base, and keeps the stream to resume it for a
@@ -909,7 +874,9 @@ def realize(
     the torus line reaches (as :func:`delay_candidates` does), and the path
     starts from those hits and the base their signs name; if it fails, the
     rung resumes the same sweep and tries once more with the last orthant
-    replaced (see :func:`_starts`).  For n = 1 the closed form
+    replaced (see :func:`_starts`).  Any numeric failure of a start, from
+    its base (ZeroAmplitude, SingularIB) to its recheck, fails that path
+    only.  For n = 1 the closed form
     tau = 3*pi/(2w), a = w stands, the same base at the sign +1 with no
     sweep.  If no rung lands and passes the recheck, the last rung's error
     is raised with a message that names every rung's failure.
@@ -932,6 +899,7 @@ def realize(
         base_point(scaled, weights)
     except SingularIB:
         pass  # no path starts from the paper's base: a singular one refuses nothing
+    brows = np.repeat(weights.b, scaled.sizes, axis=0)
     failures = []
     spent = None  # a one-group sweep's SearchExhausted, which bounds later rungs
     for eps in config.epsilon_schedule:
@@ -941,8 +909,9 @@ def realize(
             last = spent
             continue
         try:
-            for label, base, taus0 in _starts(scaled, weights, eps, config.budget):
+            for label, signs, taus0 in _starts(scaled.flat, brows, eps, config.budget):
                 try:
+                    base = _solved_base(scaled, brows * signs, signs)
                     d0 = _phase_offsets(scaled.flat, base.target_angles, taus0)
                     x, corrections = _trace_path(scaled, weights, taus0, base.amplitudes, d0)
                     partial = newton_refine(*np.split(x[:-1], 2), scaled, weights,
@@ -956,7 +925,7 @@ def realize(
                     return replace(partial, taus=taus, coeffs=coeffs, residual=residual,
                                    newton_iterations=corrections + partial.newton_iterations,
                                    search_window=np.abs(d0).max(axis=0))
-                except (NoConvergence, LeftDomain, SingularJacobian) as exc:
+                except NumericFailure as exc:
                     failures.append(f"{label}: {exc}")
                     last = exc
         except SearchExhausted as exc:
@@ -968,31 +937,30 @@ def realize(
     raise last
 
 
-def _starts(scaled: FrequencyTarget, weights: WeightTable, eps: float, budget: int):
-    """The (label, base, start delays) a rung tries in turn, each base built
-    from the signs its columns chose.  For n = 1 the quarter turn 3*pi/2 and
-    its exact delay, that angle over the frequency, with no sweep.
-    Otherwise the first n independent orthants of the rung's one stream of
-    hits (see :func:`delay_candidates`), and, if their path fails, the
-    same stream resumed past the last of them: the first n - 1 stay and
-    the next independent orthant the line reaches replaces it.  A path
-    through two merging delays, the usual failure, then often lands, at
-    delays far below the next rung's.  If the budget holds no such orthant
-    the rung ends with the first path's failure, and after the second
-    path it ends in any case."""
-    omega, n = scaled.flat, scaled.n
-    brows = np.repeat(weights.b, scaled.sizes, axis=0)
+def _starts(omega: np.ndarray, brows: np.ndarray, eps: float, budget: int):
+    """The (label, signs, start delays) a rung tries in turn, one column of
+    signs per delay, from which :func:`realize` builds each path's base.
+    For n = 1 the quarter turn 3*pi/2 and its exact delay, that angle over
+    the frequency, with no sweep.  Otherwise the first n independent
+    orthants of the rung's one stream of hits (see
+    :func:`delay_candidates`), and, if their path fails, the same stream
+    resumed past the last of them: the first n - 1 stay and the next
+    independent orthant the line reaches replaces it.  A path through two
+    merging delays, the usual failure, then often lands, at delays far
+    below the next rung's.  If the budget holds no such orthant the rung
+    ends with the first path's failure, and after the second path it ends
+    in any case."""
+    n = omega.size
 
     def start(chosen):
-        signs = np.column_stack([s for _, s, _ in chosen])
-        return _solved_base(scaled, brows * signs, signs), np.array([tau for tau, _, _ in chosen])
+        return np.column_stack([s for _, s, _ in chosen]), np.array([tau for tau, _, _ in chosen])
 
     if n == 1:
         hits, chosen = iter(()), [(1.5 * np.pi / float(omega[0]), np.ones(1), None)]
     else:
         hits, chosen = _first_basis(omega, brows, eps, budget)
     yield f"eps {eps}", *start(chosen)
-    chosen = _basis(omega, brows, eps, hits, chosen[:-1])
+    chosen = _basis(brows, hits, chosen[:-1])
     if len(chosen) == n:
         yield f"eps {eps}, last orthant replaced", *start(chosen)
 

@@ -264,17 +264,10 @@ def achieved_windows(target: FrequencyTarget, base, taus) -> np.ndarray:
                      for k, tau in enumerate(taus)])
 
 
-def _refine_candidate(omega, angles_col, tau, halfwidth, points=4097):
-    grid = np.linspace(max(tau - halfwidth, 0.25 * halfwidth), tau + halfwidth, points)
-    dist = _column_distance(omega, angles_col, grid)
-    k = int(np.argmin(dist))
-    return float(grid[k]), float(dist[k])
-
-
 def sweep_column_reference(omega, col, epsilon, step, budget, index):
     """One delay column swept on its own over the grid (i+1)*step, every
     phase reduced and compared with the column's angles; the first hit is
-    sharpened by the same local scan as the library's."""
+    the column's delay."""
     best = np.inf
     chunk = 1 << 12
     done = 0
@@ -285,11 +278,7 @@ def sweep_column_reference(omega, col, epsilon, step, budget, index):
         best = min(best, float(dist.min()))
         hits = np.nonzero(dist < epsilon)[0]
         if hits.size:
-            tau = float(grid[hits[0]])
-            refined, rd = _refine_candidate(omega, col, tau, step)
-            if rd < epsilon:
-                return refined
-            return tau
+            return float(grid[hits[0]])
         done += count
     raise SearchExhausted(index, best)
 
@@ -313,8 +302,8 @@ def orthant_search_reference(omega, brows, epsilon, budget, skip=None):
     i*step, i = 1..budget: the first hit (every row within epsilon of a
     quarter turn) of each orthant, orthants in the order of those hits,
     each kept as the next column k when brows[:, k] * signs keeps the
-    kept columns' volume above 1e-12 (singular values), and its hit
-    sharpened by the full local scan; the orthant with signs ``skip``, if
+    kept columns' volume above 1e-12 (singular values), with its hit as
+    the column's delay; the orthant with signs ``skip``, if
     given, is passed over.  Returns (signs, taus), with one column of signs
     per delay, or raises SearchExhausted(number kept, smallest quarter-turn
     distance over the budget of a point whose orthant, as the next column,
@@ -338,10 +327,8 @@ def orthant_search_reference(omega, brows, epsilon, budget, skip=None):
             cols = np.column_stack([brows[:, k] * s for k, s in enumerate(kept)]
                                    + [brows[:, len(kept)] * signs])
             if _volume(cols) > 1e-12:
-                angles = np.where(signs > 0, 1.5 * np.pi, 0.5 * np.pi)
-                refined, rd = _refine_candidate(omega, angles, float(grid[i]), step)
                 kept.append(signs)
-                taus.append(refined if rd < epsilon else float(grid[i]))
+                taus.append(float(grid[i]))
                 if len(kept) == n:
                     return np.column_stack(kept), taus
     index = len(kept)

@@ -321,6 +321,33 @@ def test_verify_names_a_non_finite_result_entry(capsys, tmp_path, scalar_problem
     assert doc["error"] == {"type": "ValueError", "message": message}
 
 
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+MULTI2 = {"mode": "multifactor",
+          "payload": {"groups": [[1.0], [SQRT2]], "weights": [[1, 2], [1, -1]]}}
+RESULT1 = {"taus": [1.5 * math.pi], "coeffs": [1.0], "residual": 0.0, "newton_iterations": 0}
+
+
+@pytest.mark.parametrize("command, problem, result, message", [
+    ("ring", {**RING5, "payload": _without(RING5["payload"], "indices")}, None,
+     "problem payload needs 'indices'"),
+    ("realize", {**MULTI2, "payload": _without(MULTI2["payload"], "weights")}, None,
+     "problem payload needs 'weights'"),
+    ("verify", {"mode": "scalar", "payload": {"omegas": [1.0]}}, _without(RESULT1, "taus"),
+     "result needs 'taus'"),
+])
+def test_missing_key_is_named_with_its_block(capsys, tmp_path, command, problem, result, message):
+    # the key and the block it belongs in, not a bare KeyError of the key
+    argv = [command, "--input", write_json(tmp_path / "problem.json", problem)]
+    if result is not None:
+        argv += ["--result", write_json(tmp_path / "result.json", result)]
+    code, doc = run(capsys, argv)
+    assert code == 1
+    assert doc["error"] == {"type": "ValueError", "message": message}
+
+
 def test_bmat_singular_case(capsys):
     code, doc = run(capsys, ["bmat", "--n", "9", "--indices", "0,3"])
     assert code == 0

@@ -44,8 +44,9 @@ from oracles import (
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
-# sqrt of 1 and the first thirteen primes: the scalar frontier sequence
-PRIME_ROOTS = tuple(math.sqrt(p) for p in (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+# sqrt of 1 and the first sixteen primes: the scalar frontier sequence
+PRIME_ROOTS = tuple(math.sqrt(p) for p in (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                                           47, 53))
 
 D3_TARGET = FrequencyTarget(((1.0,), (SQRT2,)))
 D3_WEIGHTS = WeightTable(np.array([[1.0, 2.0], [1.0, -1.0]]))
@@ -336,26 +337,6 @@ def test_quarter_turn_gate_keeps_every_point_near_a_column(seed, n, log_index):
     assert set(grid[dist < radius].tolist()) <= set(kept.tolist())
 
 
-@given(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=2, max_value=6),
-    st.floats(min_value=-1.0, max_value=7.0),
-)
-@settings(max_examples=100, deadline=None)
-def test_pruned_refine_matches_full_scan(seed, n, log_steps):
-    # the pruned scan returns the full scan's first argmin bit for bit,
-    # also for windows clipped at 0.25 * halfwidth (tau below 1.25 steps)
-    from spectra_forge.realization import _refine_candidate
-    from oracles import _refine_candidate as full_scan
-
-    rng = np.random.default_rng(seed)
-    omega = rng.uniform(0.2, 5.0, n)
-    col = rng.choice([0.5 * PI, 1.5 * PI], n)
-    step = 2.0 * PI / (64.0 * float(omega.max()))
-    tau = step * 10.0**log_steps
-    assert _refine_candidate(omega, col, tau, step) == full_scan(omega, col, tau, step)
-
-
 def _recorded_starts(monkeypatch):
     """Every (eps, signs, start delays) realize tries, in order."""
     from spectra_forge import realization
@@ -363,10 +344,10 @@ def _recorded_starts(monkeypatch):
     attempts = []
     starts = realization._starts
 
-    def recorded(scaled, weights, eps, budget):
-        for label, base, taus0 in starts(scaled, weights, eps, budget):
-            attempts.append((eps, base.sign_matrix.copy(), taus0.copy()))
-            yield label, base, taus0
+    def recorded(omega, brows, eps, budget):
+        for label, signs, taus0 in starts(omega, brows, eps, budget):
+            attempts.append((eps, signs.copy(), taus0.copy()))
+            yield label, signs, taus0
 
     monkeypatch.setattr(realization, "_starts", recorded)
     return attempts
@@ -745,7 +726,8 @@ def test_realize_search_window_is_the_start_offset():
 
 
 @pytest.mark.parametrize("n, tau_bound", [(7, 80.0), (8, 150.0), (9, 350.0), (10, 550.0),
-                                         (11, 1.9e3), (12, 3.2e3), (13, 6.5e3), (14, 400.0)])
+                                         (11, 1.9e3), (12, 3.2e3), (13, 6.5e3), (14, 400.0),
+                                         (17, 1.5e3)])
 def test_realize_frontier_prefixes(n, tau_bound):
     # the sweep's orthants give paths to delays far below those of the
     # paper's index-vector base (2.5e3 to 2.5e4 for n = 7..10, and no
@@ -759,6 +741,23 @@ def test_realize_frontier_prefixes(n, tau_bound):
     report = verify_realization(res, target, WeightTable.ones(n))
     assert all(t.local_count == 1 and t.residual < 1e-10 for t in report.targets)
     assert report.passed
+
+
+def test_realize_survives_a_sweep_base_with_a_vanishing_amplitude(monkeypatch):
+    # the integer target (8, 7, 11, 10) passes the paper's base, but both
+    # bases of rung 0.8 have an amplitude of 3e-17: each fails its own
+    # start, and the first of rung 1.0 realizes.  A vanishing paper base
+    # still refuses a target before any start is tried
+    from spectra_forge.spectrum import verify_realization
+
+    target = FrequencyTarget(((8.0, 7.0, 11.0, 10.0),))
+    res = realize(target)
+    assert res.residual < 1e-10
+    assert verify_realization(res, target, WeightTable.ones(4)).passed
+    attempts = _recorded_starts(monkeypatch)
+    with pytest.raises(ZeroAmplitude):
+        realize(FrequencyTarget(((1.0, 1.0 + 1e-13),)))
+    assert attempts == []
 
 
 def test_realize_seven_roots_of_primes():
