@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dn_ring, realization, spectrum
 from .errors import InputError, NumericFailure
-from .quasipoly import factor_from_dict
+from .quasipoly import _needs, factor_from_dict
 from .realization import FrequencyTarget, RealizationResult, RealizeConfig, WeightTable
 
 SCHEMA = "spectra-forge/1"
@@ -95,10 +95,7 @@ def _payload(problem: dict, *keys: str) -> tuple:
     payload = problem.get("payload")
     if not isinstance(payload, dict):
         raise ValueError("problem file needs a 'payload' object")
-    for key in keys:
-        if key not in payload:
-            raise ValueError(f"problem payload needs {key!r}")
-    return (payload, *(payload[key] for key in keys))
+    return (payload, *_needs(payload, "problem payload", *keys))
 
 
 def _ring_payload(problem: dict) -> tuple[int, list, list, dict]:

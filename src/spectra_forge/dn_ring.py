@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import BadIndex, BadParity, SingularB
-from .quasipoly import CharProduct, ScalarFactor
+from .quasipoly import CharProduct, ScalarFactor, _needs
 from .realization import (
     FrequencyTarget,
     RealizationResult,
@@ -471,9 +471,12 @@ def ring_to_dict(ring: RingSpec) -> dict:
 
 
 def ring_from_dict(data: dict) -> RingSpec:
-    internal = CouplingProfile(tuple((t["a"], t["tau"]) for t in data.get("internal", [])))
+    (n,) = _needs(data, "ring", "n")
+    internal = [_needs(t, f"ring internal term {i}", "a", "tau")
+                for i, t in enumerate(data.get("internal", []), 1)]
     couplings = {
-        int(k): CouplingProfile(tuple((t["alpha"], t["s"]) for t in atoms))
+        int(k): CouplingProfile(tuple(_needs(t, f"ring coupling {k} term {i}", "alpha", "s")
+                                      for i, t in enumerate(atoms, 1)))
         for k, atoms in (data.get("couplings") or {}).items()
     }
-    return RingSpec(int(data["n"]), internal, couplings)
+    return RingSpec(int(n), CouplingProfile(tuple(internal)), couplings)

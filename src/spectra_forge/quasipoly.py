@@ -186,6 +186,16 @@ def factor_to_dict(factor: ScalarFactor) -> dict:
     }
 
 
+def _needs(data, block: str, *keys: str) -> tuple:
+    """The value of each key in data; a missing key is a ValueError that
+    names it and its block."""
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{block} needs {key!r}")
+    return tuple(data[key] for key in keys)
+
+
 def factor_from_dict(data: dict) -> ScalarFactor:
-    terms = [(t["a"], t["b"], t["tau"]) for t in data["terms"]]
+    (terms,) = _needs(data, "factor", "terms")
+    terms = [_needs(t, f"factor term {i}", "a", "b", "tau") for i, t in enumerate(terms, 1)]
     return ScalarFactor(_as_terms(terms), int(data.get("multiplicity", 1)))

@@ -63,7 +63,7 @@ from .errors import (
     ZeroAmplitude,
     ZeroWeight,
 )
-from .quasipoly import ScalarFactor, residual_on_targets
+from .quasipoly import ScalarFactor, _needs, residual_on_targets
 
 __all__ = [
     "FrequencyTarget",
@@ -81,7 +81,6 @@ __all__ = [
     "realize",
     "continue_realization",
     "result_factors",
-    "circ_dist",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -245,14 +244,12 @@ class RealizationResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RealizationResult":
-        missing = [key for key in ("taus", "coeffs", "residual", "newton_iterations")
-                   if key not in data]
-        if missing:
-            raise ValueError(f"result needs {missing[0]!r}")
-        taus = np.array(data["taus"], dtype=float)
+        taus, coeffs, residual, iterations = _needs(
+            data, "result", "taus", "coeffs", "residual", "newton_iterations")
+        taus = np.array(taus, dtype=float)
         window = data.get("search_window", np.zeros(taus.size))
-        return cls(taus, np.array(data["coeffs"], dtype=float), float(data["residual"]),
-                   int(data["newton_iterations"]), np.array(window, dtype=float))
+        return cls(taus, np.array(coeffs, dtype=float), float(residual), int(iterations),
+                   np.array(window, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -434,11 +431,6 @@ def _phase_offsets(omega: np.ndarray, angles: np.ndarray, taus: np.ndarray) -> n
     return np.mod(phase - angles + np.pi, _TWO_PI) - np.pi
 
 
-def _column_distance(omega: np.ndarray, angles_col: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Worst angular error of each candidate tau against one angle column."""
-    return np.abs(_phase_offsets(omega, angles_col[:, None], taus)).max(axis=0)
-
-
 def _quarter_turn_offset(omega, taus: np.ndarray) -> np.ndarray:
     """Distance of each angle w*tau to the nearest quarter turn, shape
     np.shape(omega) + taus.shape.
@@ -454,8 +446,9 @@ def _quarter_turn_offset(omega, taus: np.ndarray) -> np.ndarray:
 
 
 def _offset_slack(tau_max: float, w_max: float) -> float:
-    """Rounding allowance between :func:`_quarter_turn_offset` and
-    :func:`_column_distance` for phases up to x = tau_max * w_max.
+    """Rounding allowance between :func:`_quarter_turn_offset` and the
+    exact column distance of :func:`_sweep` for phases up to x = tau_max *
+    w_max.
 
     The offset rounds tau*w in fl(2/pi)*w and in the product, a relative
     error of about 3.3e-16 in x; u - 2 floor(u/2) is exact, and the final
@@ -472,8 +465,8 @@ def _quarter_turn_survivors(first: int, last: int, step: float, omega: np.ndarra
                             reach: float) -> np.ndarray:
     """The ascending grid taus i*step, first <= i <= last, with step =
     2*pi/(64*max(omega)), at which every angle w*tau may lie within reach
-    of a quarter turn: a superset of the taus that :func:`_column_distance`
-    puts within reach of any quarter-turn column.
+    of a quarter turn: a superset of the taus that the exact test of
+    :func:`_sweep` puts within reach of any quarter-turn column.
 
     The w_max row is decided by the residue m of i mod 64: its angle is
     i*pi/32 up to rounding, min(|m - 16|, |m - 48|) * pi/32 from the
@@ -506,10 +499,10 @@ def _sweep(omega: np.ndarray, budget: int, reach):
     Chunks start at 1024 points and double up to 65536.  Each is gated by
     :func:`_quarter_turn_survivors` at reach(), read as the chunk starts,
     and its survivors, grid, get one phase table mod 2*pi: d_half and
-    d_3half hold every row's distance to pi/2 and to 3*pi/2.  A
-    quarter-turn column's distance is then an elementwise pick from the
-    two and a maximum over rows, which is the arithmetic of
-    :func:`_column_distance`, bit for bit.
+    d_3half hold every row's distance to pi/2 and to 3*pi/2.  This is the
+    exact test: a quarter-turn column's distance at tau is an elementwise
+    pick from the two and a maximum over rows, the largest circ_dist(w_i
+    tau mod 2*pi, angle_i) over the frequencies.
     """
     step = _TWO_PI / (64.0 * float(omega.max()))
     done, chunk = 0, 1 << 10

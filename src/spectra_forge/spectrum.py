@@ -35,11 +35,13 @@ split certifies only its two cut lines, first at 0.53 of the width and
 height.  :func:`verify_realization` certifies that every prescribed
 +-i*omega of a realization really is an isolated root of its factor.  It
 counts the isolation boxes around +i*omega of all targets of all factors
-in one batch of paths, and the boxes it has to halve in one batch per
-halving level; it counts boxes one by one only when a batch fails.  Only these
-upper boxes are certified: the factor's coefficients are real, so D(conj
-z) = conj D(z), and each box around -i*omega, its exact mirror in floating
-point, holds the mirrored roots; its check is the upper one mirrored.
+in one call of :func:`_batch_counts`, and the boxes it has to halve in one
+call per halving level; each call certifies its boxes in one batch of
+paths, and counts them one by one only when that batch fails, so every
+box comes out as if counted alone.  Only these upper boxes are
+certified: the factor's coefficients are real, so D(conj z) = conj D(z),
+and each box around -i*omega, its exact mirror in floating point, holds
+the mirrored roots; its check is the upper one mirrored.
 
 Every node the certifier touches, the starting nodes of all lines and
 every bisection midpoint alike, goes through one kernel,
@@ -326,15 +328,20 @@ def _winding(bottom, top, left, right) -> int:
     return _count(bottom[2].sum() + right[2].sum() - top[2].sum() - left[2].sum())
 
 
-def _batch_counts(taus, ab, owner, regions):
-    """(count, region, edges) per region: the winding number, of D for the
-    factor of row owner[i] of ab (see :func:`_certify`) around regions[i],
-    with the certified edges (bottom, top, left, right) it came from; owner
-    is all zeros when there is one factor.  All regions are certified in
-    one batch of paths, and every region comes out bit for bit as if
-    counted alone, because no value depends on the batch.  A lone region
-    whose contour touches a root is dilated once and retried; a batch
-    raises instead."""
+def _batch_counts(taus, ab, owner, regions) -> list:
+    """One outcome per region: (count, region, edges), the winding number
+    of D for the factor of row owner[i] of ab (see :func:`_certify`)
+    around regions[i] with the certified edges (bottom, top, left, right)
+    it came from, or the BoundaryRoot or NoConvergence that counting
+    regions[i] raised; owner is all zeros when there is one factor.
+
+    Each outcome is the one the region gives counted alone.  All regions
+    are first certified in one batch of paths, in which every region comes
+    out bit for bit as if counted alone, because no value depends on the
+    batch.  When the batch fails (a path touches a root, overflows or
+    keeps an uncertified segment, or a winding is not a count), each
+    region is counted alone.  A lone region whose contour touches a root
+    is dilated once and counted again."""
     # sum_k |a_k b_k| per factor, summed as ScalarFactor.coefficient_bound sums it
     bound = [sum(map(abs, row)) for row in ab.tolist()]
     for dilated in (False, True):
@@ -355,15 +362,23 @@ def _batch_counts(taus, ab, owner, regions):
                 taus, ab, np.repeat(owner, 4), (x + 1j * y).ravel(), place.ravel(),
                 (x.shape[-1],) * (4 * len(regions)), threshold, resolution,
             )
-        except _Touch as exc:
+            sides = [tuple(paths[i : i + 4]) for i in range(0, len(paths), 4)]
+            return [(_winding(*edges), region, edges) for region, edges in zip(regions, sides)]
+        except (BoundaryRoot, NoConvergence) as exc:
             if len(regions) > 1:
-                raise
-            if dilated:
-                raise BoundaryRoot(f"{exc} even after dilation") from None
+                return [_batch_counts(taus, ab, [j], [region])[0] for j, region in zip(owner, regions)]
+            if dilated or not isinstance(exc, _Touch):
+                return [BoundaryRoot(f"{exc} even after dilation") if isinstance(exc, _Touch) else exc]
             regions = [regions[0].dilated(_DILATE)]
-            continue
-        sides = [tuple(paths[i : i + 4]) for i in range(0, len(paths), 4)]
-        return [(_winding(*edges), region, edges) for region, edges in zip(regions, sides)]
+
+
+def _counted_alone(taus, ab, region):
+    """(count, region, edges) of the region counted alone for the one row
+    of ab, as :func:`_batch_counts` gives it; its error is raised."""
+    outcome = _batch_counts(taus, ab, [0], [region])[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def count_roots(factor: ScalarFactor, region: Region) -> int:
@@ -380,7 +395,7 @@ def count_roots(factor: ScalarFactor, region: Region) -> int:
     not applied.
     """
     ab, taus = _term_arrays(factor)
-    return _batch_counts(taus, ab[None], [0], [region])[0][0]
+    return _counted_alone(taus, ab[None], region)[0]
 
 
 def polish_root(factor: ScalarFactor, lambda0: complex, tol: float = 1e-12) -> complex:
@@ -540,7 +555,7 @@ def locate_roots(
             taus, ab, _cuts(x0, x1, kx), _cuts(y0, y1, ky), threshold, _DILATE * max(x1 - x0, y1 - y0)
         )
     except (BoundaryRoot, NoConvergence):
-        total, cell, edges = _batch_counts(taus, ab, [0], [region])[0]
+        total, cell, edges = _counted_alone(taus, ab, region)
         stack = [(cell, edges, total)] if total else []
     total = sum(count for _, _, count in stack)
     if total == 0:
@@ -687,26 +702,6 @@ def _isolation_halfwidth(target: FrequencyTarget, max_delay: float) -> float:
     return delta
 
 
-def _isolation_counts(taus, ab, owner, boxes) -> list:
-    """What :func:`_batch_counts` gives for each box on its own, for the
-    factor of row owner[i] of ab, or the BoundaryRoot or NoConvergence it
-    raises: the boxes of every factor in one batch, which counts each box
-    as it would be counted alone, and one by one when the batch fails,
-    since a batch raises for all its boxes at once."""
-    try:
-        return _batch_counts(taus, ab, owner, boxes)
-    except (BoundaryRoot, NoConvergence) as exc:
-        if len(boxes) == 1:
-            return [exc]
-    found = []
-    for j, box in zip(owner, boxes):
-        try:
-            found.append(_batch_counts(taus, ab, [j], [box])[0])
-        except (BoundaryRoot, NoConvergence) as exc:
-            found.append(exc)
-    return found
-
-
 def verify_realization(
     result: RealizationResult,
     target: FrequencyTarget,
@@ -722,10 +717,13 @@ def verify_realization(
     be exactly one.  Numeric
     failures mark the target failed instead of raising.  A box that holds
     more than one root is halved, up to 11 times, until it holds one.  The
-    boxes of the targets of every factor are counted in one batch per call
-    and per halving level; when a batch fails (a box touches a root,
-    overflows or names an edge root), each of its boxes is counted on its
-    own, so the report is the same as from counts one box at a time.
+    boxes of the targets of every factor go to one call of
+    :func:`_batch_counts` per call and per halving level, which counts
+    them in one batch and, when that batch fails (a box touches a root,
+    overflows or names an edge root), counts each box on its own; so the
+    report is the same as from counts one box at a time.  When the count
+    of a halved box fails, its target reports the last certified count as
+    local_count, with the note "count failed: ...".
 
     Only the boxes around +i*omega are counted, and only +i*omega is
     polished.  The factor has real coefficients, so D(conj z) = conj D(z),
@@ -768,7 +766,7 @@ def verify_realization(
     for _ in range(12):
         for i in pending:
             boxes[i] = Region(-d, d, omegas[i] - d, omegas[i] + d)
-        found = _isolation_counts(taus, ab, [owner[i] for i in pending], [boxes[i] for i in pending])
+        found = _batch_counts(taus, ab, [owner[i] for i in pending], [boxes[i] for i in pending])
         for i, got in zip(pending, found):
             if isinstance(got, Exception):
                 errors[i] = got

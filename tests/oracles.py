@@ -494,7 +494,7 @@ def locate_roots_reference(factor, region, max_roots: int = 64) -> list[complex]
     if its boundary touches a root), then quadrisecting one cell at a time
     with reused certified edges, first at 0.53 of a cell's width and
     height, down to one-root cells polished from their centres."""
-    total, cell, edges = spectrum._batch_counts(*certifier_terms(factor), [0], [region])[0]
+    total, cell, edges = spectrum._counted_alone(*certifier_terms(factor), region)
     if total == 0:
         return []
     if total > max_roots:

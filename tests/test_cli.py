@@ -348,6 +348,19 @@ def test_missing_key_is_named_with_its_block(capsys, tmp_path, command, problem,
     assert doc["error"] == {"type": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"multiplicity": 1}, "factor needs 'terms'"),
+    ({"terms": [{"a": 1.0, "tau": 1.0}], "multiplicity": 1}, "factor term 1 needs 'b'"),
+    ({"factor": {"terms": [{"a": 1.0, "b": 1.0, "tau": 1.0}, {"a": 0.5, "b": 1.0}]}},
+     "factor term 2 needs 'tau'"),
+])
+def test_spectrum_missing_factor_key_is_named(capsys, tmp_path, doc, message):
+    path = write_json(tmp_path / "factor.json", doc)
+    code, out = run(capsys, ["spectrum", "--input", path, "--re=-1,1", "--im", "0,2"])
+    assert code == 1
+    assert out["error"] == {"type": "ValueError", "message": message}
+
+
 def test_bmat_singular_case(capsys):
     code, doc = run(capsys, ["bmat", "--n", "9", "--indices", "0,3"])
     assert code == 0

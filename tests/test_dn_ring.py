@@ -214,6 +214,19 @@ def test_ring_json_round_trip():
     assert ring_from_dict(ring_to_dict(ring)) == ring
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"internal": []}, "ring needs 'n'"),
+    ({"n": 5, "internal": [{"a": 0.2, "tau": 0.5}, {"a": 0.1}]}, "ring internal term 2 needs 'tau'"),
+    ({"n": 5, "couplings": {"2": [{"alpha": 0.3, "s": 0.7}], "3": [{"s": 1.8}]}},
+     "ring coupling 3 term 1 needs 'alpha'"),
+    ({"n": 5, "couplings": {"2": [{"alpha": 0.3}]}}, "ring coupling 2 term 1 needs 's'"),
+])
+def test_missing_ring_key_is_named_with_its_block(data, message):
+    with pytest.raises(ValueError) as info:
+        ring_from_dict(data)
+    assert str(info.value) == message
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_ring_json_round_trip_random(seed):

@@ -239,3 +239,15 @@ def test_json_round_trip(terms, mult):
     f = ScalarFactor(tuple(terms), multiplicity=mult)
     again = factor_from_dict(json.loads(json.dumps(factor_to_dict(f))))
     assert again == f
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"multiplicity": 1}, "factor needs 'terms'"),
+    ({"terms": [{"a": 1.0, "tau": 1.0}]}, "factor term 1 needs 'b'"),
+    ({"terms": [{"b": 1.0, "tau": 1.0}]}, "factor term 1 needs 'a'"),
+    ({"terms": [{"a": 1.0, "b": 1.0, "tau": 1.0}, {"a": 1.0, "b": 1.0}]}, "factor term 2 needs 'tau'"),
+])
+def test_missing_factor_key_is_named_with_its_block(data, message):
+    with pytest.raises(ValueError) as info:
+        factor_from_dict(data)
+    assert str(info.value) == message

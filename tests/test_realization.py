@@ -321,7 +321,8 @@ def test_quarter_turn_gate_keeps_every_point_near_a_column(seed, n, log_index):
     # extra points but must never drop one that the exact column test puts
     # within the radius, even one right at the boundary; grid indices run
     # past the 1e7 of the default budget, so tau*w_max passes 1e6
-    from spectra_forge.realization import _column_distance, _quarter_turn_survivors
+    from oracles import _column_distance
+    from spectra_forge.realization import _quarter_turn_survivors
 
     rng = np.random.default_rng(seed)
     omega = rng.uniform(0.2, 5.0, n)

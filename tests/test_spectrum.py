@@ -372,8 +372,8 @@ def test_count_and_locate_match_reference_kernel(monkeypatch):
 
 def _alone(factor, region):
     """(count, region, edges) of the region counted on its own, for the one
-    factor: the batch entry with every line on row 0."""
-    return spectrum._batch_counts(*oracles.certifier_terms(factor), [0], [region])[0]
+    factor: the batch outcome with every line on row 0, its error raised."""
+    return spectrum._counted_alone(*oracles.certifier_terms(factor), region)
 
 
 def _near_root_box(w, j, clear, half):
@@ -753,10 +753,14 @@ def _box_by_box(counted):
     return each
 
 
-def _assert_same_counts(batch, alone):
-    """Two lists of (count, region, edges), the edges bit for bit."""
+def _assert_same_outcomes(batch, alone):
+    """Two lists of outcomes of spectrum._batch_counts: the errors of one
+    type and message, the counts equal and their edges bit for bit."""
     assert len(batch) == len(alone)
     for got, want in zip(batch, alone):
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want))
+            continue
         assert got[:2] == want[:2]
         for path, single in zip(got[2], want[2]):
             assert [a.tobytes() for a in path] == [a.tobytes() for a in single]
@@ -765,13 +769,15 @@ def _assert_same_counts(batch, alone):
 def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
     # the touching case: a batch of the boxes around +-i and +-3i touches a
     # root, and each box is counted on its own, those around +-i after a
-    # dilation
+    # dilation; every outcome is the one the box gives alone
     touching = _touching_case()
     factor = result_factors(touching[0], WeightTable.ones(2))[0]
     boxes = [Region(-0.05, 0.05, w - 0.05, w + 0.05) for w in (1.0, -1.0, 3.0, -3.0)]
-    with pytest.raises(BoundaryRoot):
-        spectrum._batch_counts(*oracles.certifier_terms(factor), [0] * len(boxes), boxes)
-    assert count_roots(factor, boxes[0]) == 1
+    terms = oracles.certifier_terms(factor)
+    batch = spectrum._batch_counts(*terms, [0] * len(boxes), boxes)
+    _assert_same_outcomes(batch, [spectrum._batch_counts(*terms, [0], [box])[0] for box in boxes])
+    assert [region for _, region, _ in batch] == [box.dilated(1e-6) for box in boxes[:2]] + boxes[2:]
+    assert count_roots(factor, boxes[0]) == batch[0][0] == 1
     # the pair case: the box around i is halved three times
     pair = _pair_case()
     factor = result_factors(pair[0], WeightTable.ones(2))[0]
@@ -818,11 +824,10 @@ def test_batched_isolation_boxes_match_box_by_box(monkeypatch, realized_three):
         boxes = [Region(c.real - w, c.real + w, c.imag - h, c.imag + h)
                  for c, (w, h) in zip(centres, half)]
         terms = oracles.certifier_terms(factor)
-        try:
-            batch = counted(*terms, [0] * len(boxes), boxes)
-        except (BoundaryRoot, NoConvergence):
+        batch = counted(*terms, [0] * len(boxes), boxes)
+        _assert_same_outcomes(batch, [counted(*terms, [0], [box])[0] for box in boxes])
+        if any(isinstance(got, Exception) for got in batch):
             continue
-        _assert_same_counts(batch, [counted(*terms, [0], [box])[0] for box in boxes])
         compared += 1
     assert compared >= 30
 
@@ -931,14 +936,14 @@ def test_cross_factor_batch_matches_factor_by_factor(monkeypatch):
         boxes = [Region(c.real - w, c.real + w, c.imag - h, c.imag + h)
                  for c, (w, h) in zip(centres, half)]
         rows_read.clear()
-        try:
-            batch = counted(*oracles.certifier_terms(*factors), owner, boxes)
-        except (BoundaryRoot, NoConvergence):
-            continue
+        batch = counted(*oracles.certifier_terms(*factors), owner, boxes)
         # the first call evaluates the starting nodes, each later one a level
-        mixed += max(rows_read[1:], default=1) > 1
-        _assert_same_counts(batch, [counted(*oracles.certifier_terms(factors[j]), [0], [box])[0]
-                                    for j, box in zip(owner, boxes)])
+        first = max(rows_read[1:], default=1) > 1
+        _assert_same_outcomes(batch, [counted(*oracles.certifier_terms(factors[j]), [0], [box])[0]
+                                      for j, box in zip(owner, boxes)])
+        if any(isinstance(got, Exception) for got in batch):
+            continue
+        mixed += first
         compared += 1
     assert compared >= 20 and mixed >= 5
 
@@ -1065,6 +1070,32 @@ def test_isolation_box_too_close_to_the_axis_is_named():
     message = str(info.value)
     assert "no isolation box fits around 10000000000.0i" in message
     assert "the target 1e-10i is only 1e-10 above the real axis" in message
+
+
+def test_failed_halved_count_keeps_the_last_count(monkeypatch):
+    # the box around i of the pair case holds two roots; when the count of
+    # its halved box fails, both checks of i report the last certified
+    # count, 2, and the error in their note
+    plain = verify_realization(*_pair_case())
+    counted = spectrum._batch_counts
+    calls = []
+
+    def halved_fails(taus, ab, owner, regions):
+        calls.append(len(regions))
+        if len(calls) == 1:
+            return counted(taus, ab, owner, regions)
+        return [BoundaryRoot("halved box grazed a root") for _ in regions]
+
+    monkeypatch.setattr(spectrum, "_batch_counts", halved_fails)
+    report = verify_realization(*_pair_case())
+    assert calls == [2, 1]
+    upper, lower = report.targets[:2]
+    for check in (upper, lower):
+        assert check.local_count == 2
+        assert check.note == "count failed: halved box grazed a root"
+        assert not check.passed and check.polished is None
+    assert report.targets[2:] == plain.targets[2:]
+    assert not report.passed and report.roots_counted == plain.roots_counted - 2
 
 
 def test_overflowing_bound_rows_warn_nothing():
