@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dn_ring, realization, spectrum
 from .errors import InputError, NumericFailure
-from .quasipoly import _needs, factor_from_dict
+from .quasipoly import _count, _needs, factor_from_dict
 from .realization import FrequencyTarget, RealizationResult, RealizeConfig, WeightTable
 
 SCHEMA = "spectra-forge/1"
@@ -76,13 +76,10 @@ def _error_payload(exc: Exception) -> dict:
 
 def _config_from(problem: dict, args) -> RealizeConfig:
     # solver keys may sit inside the payload (flat form), in the config
-    # block, or on the command line; later sources win
-    merged: dict = {}
+    # block, or on the command line; later sources win, and
+    # RealizeConfig.from_dict picks its keys out of the rest
     payload = problem.get("payload")
-    if isinstance(payload, dict):
-        for key in ("tol", "epsilon_schedule", "budget", "max_iter"):
-            if key in payload:
-                merged[key] = payload[key]
+    merged = dict(payload) if isinstance(payload, dict) else {}
     merged.update(problem.get("config") or {})
     if args.tol is not None:
         merged["tol"] = args.tol
@@ -101,7 +98,7 @@ def _payload(problem: dict, *keys: str) -> tuple:
 def _ring_payload(problem: dict) -> tuple[int, list, list, dict]:
     """(n, indices, groups, layout) of a ring problem."""
     payload, n, indices, groups = _payload(problem, "n", "indices", "groups")
-    return int(n), indices, groups, payload.get("layout") or {}
+    return _count(n, "ring n"), indices, groups, payload.get("layout") or {}
 
 
 def _problem_target_weights(problem: dict) -> tuple[FrequencyTarget, WeightTable]:

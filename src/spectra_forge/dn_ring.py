@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import BadIndex, BadParity, SingularB
-from .quasipoly import CharProduct, ScalarFactor, _needs
+from .quasipoly import CharProduct, ScalarFactor, _count, _needs
 from .realization import (
     FrequencyTarget,
     RealizationResult,
@@ -122,9 +122,6 @@ class Edge:
     delay: float
     tag: str
 
-    def to_dict(self) -> dict:
-        return {"from": self.src, "to": self.dst, "delay": self.delay, "tag": self.tag}
-
 
 @dataclass(frozen=True)
 class ConnectionList:
@@ -144,14 +141,6 @@ class EquivarianceReport:
     condition: str | None = None
     edge: Edge | None = None
     message: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "condition": self.condition,
-            "edge": self.edge.to_dict() if self.edge else None,
-            "message": self.message,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +265,8 @@ def _check_odd(n: int) -> None:
 
 def _check_indices(n: int, indices: Sequence[int]) -> tuple[int, ...]:
     idx = tuple(map(int, indices))
+    if idx != tuple(indices):
+        raise BadIndex(f"indices {list(indices)} must be integers")
     if not idx:
         raise BadIndex("need at least one factor index")
     if not all(map(operator.lt, idx, idx[1:])):
@@ -361,34 +352,29 @@ def _layout_roles(
 ) -> list[int]:
     """Distribute delay columns (role 0 = internal, role d = coupling at
     distance d) so each selected factor's block starts with its own role."""
-    internal = int(layout.get("internal", 0))
-    couplings = {int(k): int(v) for k, v in (layout.get("couplings") or {}).items()}
-    if internal < 0 or any(v < 0 for v in couplings.values()):
-        raise ValueError("layout counts must be nonnegative")
+    # delays per role: role 0 internal, role k - 1 for coupling index k
+    remaining = {0: _count(layout.get("internal", 0), "layout internal count", 0)}
     kmax = (n + 1) // 2
-    for k in couplings:
+    for key, cnt in (layout.get("couplings") or {}).items():
+        k = int(key)
         if not (2 <= k <= kmax):
             raise ValueError(f"layout coupling index {k} outside 2..{kmax}")
-    total = internal + sum(couplings.values())
+        remaining[k - 1] = _count(cnt, f"layout coupling {k} count", 0)
+    total = sum(remaining.values())
     if total != sum(sizes):
         raise ValueError(
             f"layout provides {total} delays but {sum(sizes)} frequencies are prescribed"
         )
-    remaining = {0: internal}
-    for k, cnt in couplings.items():
-        remaining[k - 1] = remaining.get(k - 1, 0) + cnt
-    leading = []
     for i in indices:
         if remaining.get(i, 0) < 1:
             role = "an internal delay" if i == 0 else f"a coupling-{i + 1} delay"
             raise ValueError(f"layout lacks {role} to lead the block of factor {i}")
         remaining[i] -= 1
-        leading.append(i)
     filler = [d for d in sorted(remaining) for _ in range(remaining[d])]
     roles: list[int] = []
     pos = 0
-    for j, size in enumerate(sizes):
-        roles.append(leading[j])
+    for i, size in zip(indices, sizes):
+        roles.append(i)
         roles.extend(filler[pos: pos + size - 1])
         pos += size - 1
     return roles
@@ -479,4 +465,4 @@ def ring_from_dict(data: dict) -> RingSpec:
                                       for i, t in enumerate(atoms, 1)))
         for k, atoms in (data.get("couplings") or {}).items()
     }
-    return RingSpec(int(n), CouplingProfile(tuple(internal)), couplings)
+    return RingSpec(_count(n, "ring n"), CouplingProfile(tuple(internal)), couplings)

@@ -20,6 +20,7 @@ high-precision oracles.
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -66,8 +67,9 @@ class ScalarFactor:
     Delays must be nonnegative but need not be distinct.  Weights may be any
     real number including zero; zero weights occur in even-size rings and
     must stay representable so degeneracies can be reported.  The
-    multiplicity is stored here but applied only by :func:`evaluate_product`;
-    root finding treats every factor at multiplicity one.
+    multiplicity, an integer >= 1 (2.0 reads as 2, 2.7 is a ValueError), is
+    stored here but applied only by :func:`evaluate_product`; root finding
+    treats every factor at multiplicity one.
     """
 
     terms: tuple[Term, ...]
@@ -75,9 +77,7 @@ class ScalarFactor:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", _as_terms(self.terms))
-        if int(self.multiplicity) < 1:
-            raise ValueError("multiplicity must be >= 1")
-        object.__setattr__(self, "multiplicity", int(self.multiplicity))
+        object.__setattr__(self, "multiplicity", _count(self.multiplicity, "multiplicity"))
         for t in self.terms:
             if not (t.tau >= 0.0):
                 raise ValueError(f"delay {t.tau} is negative")
@@ -195,7 +195,16 @@ def _needs(data, block: str, *keys: str) -> tuple:
     return tuple(data[key] for key in keys)
 
 
+def _count(value, name: str, least: int = 1) -> int:
+    """value as an int, if it is an integral number >= least (so a JSON
+    1e7 reads as 10_000_000); a ValueError that names it otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (float(value).is_integer() and value >= least)):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def factor_from_dict(data: dict) -> ScalarFactor:
     (terms,) = _needs(data, "factor", "terms")
     terms = [_needs(t, f"factor term {i}", "a", "b", "tau") for i, t in enumerate(terms, 1)]
-    return ScalarFactor(_as_terms(terms), int(data.get("multiplicity", 1)))
+    return ScalarFactor(_as_terms(terms), data.get("multiplicity", 1))

@@ -47,7 +47,6 @@ is used for determinants and solves.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -63,7 +62,7 @@ from .errors import (
     ZeroAmplitude,
     ZeroWeight,
 )
-from .quasipoly import ScalarFactor, _needs, residual_on_targets
+from .quasipoly import ScalarFactor, _count, _needs, residual_on_targets
 
 __all__ = [
     "FrequencyTarget",
@@ -184,9 +183,6 @@ class WeightTable:
         if rows.size:
             raise ZeroWeight(int(rows[0]) + 1, int(cols[0]) + 1)
 
-    def to_dict(self) -> dict:
-        return {"weights": self.b.tolist()}
-
 
 @dataclass(frozen=True)
 class BasePoint:
@@ -248,7 +244,8 @@ class RealizationResult:
             data, "result", "taus", "coeffs", "residual", "newton_iterations")
         taus = np.array(taus, dtype=float)
         window = data.get("search_window", np.zeros(taus.size))
-        return cls(taus, np.array(coeffs, dtype=float), float(residual), int(iterations),
+        return cls(taus, np.array(coeffs, dtype=float), float(residual),
+                   _count(iterations, "newton_iterations", 0),
                    np.array(window, dtype=float))
 
 
@@ -295,16 +292,6 @@ class RealizeConfig:
         }
 
 
-def _count(value, name: str) -> int:
-    """value as an int, if it is an integral number >= 1 (so a JSON 1e7
-    reads as 10_000_000)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    if not (float(value).is_integer() and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 # ---------------------------------------------------------------------------
 # Sign vectors and stacked weight matrices
 
@@ -338,9 +325,7 @@ def _block_signs(target: FrequencyTarget) -> np.ndarray:
 
 def cal_I_B(weights: WeightTable, target: FrequencyTarget) -> np.ndarray:
     """Stacked sign-and-weight matrix: row-replicated weights times signs."""
-    _check_shapes(weights, target)
-    weights.require_nonzero()
-    rows = np.repeat(weights.b, target.sizes, axis=0)
+    rows = np.repeat(_weights_for(target, weights).b, target.sizes, axis=0)
     return rows * _block_signs(target)
 
 
@@ -354,8 +339,7 @@ def det_cal_I_B_lemma(weights: WeightTable, target: FrequencyTarget) -> float:
     in-group weights; each group's last row remains, and on the groups'
     leading columns it forms the r-by-r leading-weight matrix.
     """
-    _check_shapes(weights, target)
-    weights.require_nonzero()
+    weights = _weights_for(target, weights)
     mu = target.prefix
     value = 1.0
     for j, lj in enumerate(target.sizes):
@@ -365,12 +349,19 @@ def det_cal_I_B_lemma(weights: WeightTable, target: FrequencyTarget) -> float:
     return value * float(np.linalg.det(weights.b[:, list(mu[:-1])]))
 
 
-def _check_shapes(weights: WeightTable, target: FrequencyTarget) -> None:
+def _weights_for(target: FrequencyTarget, weights: WeightTable | None) -> WeightTable:
+    """The weights, unit ones when None, for the target's partition:
+    ValueError when the table has the wrong shape, ZeroWeight when an
+    entry is zero."""
+    if weights is None:
+        return WeightTable.ones(target.n, target.r)
     if weights.b.shape != (target.r, target.n):
         raise ValueError(
             f"weight table shape {weights.b.shape} does not match "
             f"target partition ({target.r} groups, {target.n} frequencies)"
         )
+    weights.require_nonzero()
+    return weights
 
 
 def base_point(target: FrequencyTarget, weights: WeightTable | None = None) -> BasePoint:
@@ -381,7 +372,7 @@ def base_point(target: FrequencyTarget, weights: WeightTable | None = None) -> B
     amplitude is below 1e-12 times the frequency norm, which signals a
     near-rational target.
     """
-    weights = _default_weights(weights, target)
+    weights = _weights_for(target, weights)
     return _solved_base(target, cal_I_B(weights, target), _block_signs(target))
 
 
@@ -408,12 +399,6 @@ def _solved_base(target: FrequencyTarget, mat: np.ndarray, signs: np.ndarray) ->
         raise ZeroAmplitude(k + 1, float(amps[k]))
     angles = np.where(signs > 0, 1.5 * np.pi, 0.5 * np.pi)
     return BasePoint(mat, amps, signs, angles)
-
-
-def _default_weights(weights: WeightTable | None, target: FrequencyTarget) -> WeightTable:
-    if weights is None:
-        return WeightTable.ones(target.n, target.r)
-    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +647,7 @@ def delay_candidates(
     if not (0.0 < epsilon < 0.5 * np.pi):
         raise ValueError("epsilon must lie in (0, pi/2)")
     budget = _count(budget, "budget")
-    _check_shapes(weights, target)
-    weights.require_nonzero()
-    brows = np.repeat(weights.b, target.sizes, axis=0)
+    brows = np.repeat(_weights_for(target, weights).b, target.sizes, axis=0)
     _, chosen = _first_basis(target.flat, brows, epsilon, budget)
     return np.array([tau for tau, _, _ in chosen])
 
@@ -791,9 +774,7 @@ def newton_refine(
     reads files that lack it; :func:`realize` and
     :func:`continue_realization` record their own.
     """
-    weights = _default_weights(weights, target)
-    _check_shapes(weights, target)
-    weights.require_nonzero()
+    weights = _weights_for(target, weights)
     taus = np.array(taus0, dtype=float).copy()
     coeffs = np.array(coeffs0, dtype=float).copy()
     n = target.n
@@ -882,9 +863,7 @@ def realize(
     column may be independent as the next, and every rung sweeps.
     """
     config = config or RealizeConfig()
-    weights = _default_weights(weights, target)
-    _check_shapes(weights, target)
-    weights.require_nonzero()
+    weights = _weights_for(target, weights)
 
     scale = float(target.flat.max())
     scaled = target.scaled(1.0 / scale)
@@ -978,9 +957,9 @@ def continue_realization(
     small frequency steps.  A too-large step raises NoConvergence and the
     caller is expected to bisect it.
     """
-    weights = _default_weights(weights, new_target)
     if len(result.taus) != new_target.n:
         raise ValueError("result dimension does not match the new target")
+    weights = _weights_for(new_target, weights)
     refined = newton_refine(
         result.taus,
         result.coeffs,

@@ -88,12 +88,12 @@ __all__ = [
     "verify_realization",
 ]
 
-_SEGMENTS = 16
 _INTEGER_TOL = 1e-6
 _BOUNDARY_REL = 1e-8
 _DILATE = 1e-6
 _EPS = float(np.finfo(float).eps)
-_HALF = _SEGMENTS // 2
+# the nodes of a path split each gap between two cuts into 8 equal segments
+_FRACTIONS = np.arange(8) / 8
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,10 @@ def _bounds(taus, weights, z, vals, ders, threshold, pick):
     curvature sums sum_k |a_k b_k| tau_k^(1, 2) exp(-x tau_k); weights has
     the rows |a_k b_k| tau_k^(0, 1, 2), each a block of one row per factor,
     and node i reads its factor's row of each block through pick[i], as in
-    :func:`_node_values`.  Raises NoConvergence when
-    D overflowed and _Touch when |D| <= threshold (broadcast against the
+    :func:`_node_values`.  Raises NoConvergence when D or the rounding
+    floor f overflowed (f can reach inf while |D| is finite, when some
+    |a_k b_k| is near the float maximum, and then no segment would ever be
+    certified) and _Touch when |D| <= threshold (broadcast against the
     nodes) somewhere."""
     size = np.abs(vals)
     if not np.isfinite(size.max()):
@@ -182,6 +184,8 @@ def _bounds(taus, weights, z, vals, ders, threshold, pick):
         radius = np.abs(z)
         floor = 4.0 * _EPS * (radius * (1.0 + slope) + len(taus) * total)
         slope_floor = 4.0 * _EPS * (1.0 + len(taus) * slope + radius * curve)
+    if not np.isfinite(floor.max()):
+        raise NoConvergence(float("nan"), "rounding floor of D overflowed on the contour")
     return np.array((size - floor, np.abs(ders) + slope_floor, slope, curve))
 
 
@@ -280,26 +284,15 @@ def _certify(taus, ab, owner: np.ndarray, z, place, lengths: tuple[int, ...], th
     return [(place[i:j], vals[i:j], turn[i : j - 1]) for i, j in zip([0] + ends, ends)]
 
 
-@lru_cache(maxsize=256)
-def _node_steps(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each node but the last: the cut before it, the cut after it, and
-    its fraction of the way between them."""
-    cell = np.repeat(np.arange(len(counts)), counts)
-    step = np.arange(cell.size) - (np.cumsum(counts) - counts)[cell]
-    steps = cell, cell + 1, step / np.asarray(counts)[cell]
-    for a in steps:
-        a.setflags(write=False)  # shared by every caller
-    return steps
-
-
-def _nodes(cuts, counts: tuple[int, ...]) -> np.ndarray:
+def _nodes(cuts) -> np.ndarray:
     """Starting nodes of a path through the cuts (increasing, ends
-    included), with counts[i] equal segments between cuts i and i + 1, so
-    every cut is a node; one row of nodes per leading index of cuts."""
+    included), k = 0..7 of them at lo + (hi - lo) k / 8 between
+    neighbouring cuts lo and hi, so every cut is a node; one row of nodes
+    per leading index of cuts."""
     cuts = np.asarray(cuts, dtype=float)
-    before, after, frac = _node_steps(counts)
-    lo = cuts[..., before]
-    return np.concatenate((lo + (cuts[..., after] - lo) * frac, cuts[..., -1:]), axis=-1)
+    lo = cuts[..., :-1, None]
+    inner = lo + (cuts[..., 1:, None] - lo) * _FRACTIONS
+    return np.concatenate((inner.reshape(*cuts.shape[:-1], -1), cuts[..., -1:]), axis=-1)
 
 
 def _scale(bound: float, region: Region) -> float:
@@ -348,7 +341,7 @@ def _batch_counts(taus, ab, owner, regions) -> list:
         corners = np.array([(r.re_min, r.im_min, r.re_max, r.im_max) for r in regions])
         lo, hi = corners[:, :2, None], corners[:, 2:, None]
         # per region, the x and the y nodes of its edges
-        nodes = _nodes(np.concatenate((lo, 0.5 * (lo + hi), hi), axis=-1), (_HALF, _HALF))
+        nodes = _nodes(np.concatenate((lo, 0.5 * (lo + hi), hi), axis=-1))
         # per region, its edges bottom, top, left and right, node by node
         x = np.empty((len(regions), 4, nodes.shape[-1]))
         y = np.empty_like(x)
@@ -390,9 +383,10 @@ def count_roots(factor: ScalarFactor, region: Region) -> int:
     is dilated once by 1e-6 and retried, then BoundaryRoot is raised; a
     boundary segment shorter than 1e-6 times the longer side that still has
     no certificate is BoundaryRoot at once.  NoConvergence is raised when D
-    overflows on the contour (far left of the axis at large delays) or the
-    certified sum is not within 1e-6 of an integer.  Factor multiplicity is
-    not applied.
+    overflows on the contour (far left of the axis at large delays), when
+    the rounding floor of D does (a product |a_k b_k| near the float
+    maximum), or when the certified sum is not within 1e-6 of an integer.
+    Factor multiplicity is not applied.
     """
     ab, taus = _term_arrays(factor)
     return _counted_alone(taus, ab[None], region)[0]
@@ -461,8 +455,7 @@ def _grid(taus, ab, xs, ys, threshold: float, resolution: float, edges=None):
     """
     inner = slice(None) if edges is None else slice(1, -1)
     h_levels, v_levels = ys[inner], xs[inner]
-    h_nodes = _nodes(xs, (_HALF,) * (len(xs) - 1))
-    v_nodes = _nodes(ys, (_HALF,) * (len(ys) - 1))
+    h_nodes, v_nodes = _nodes(xs), _nodes(ys)
     # the horizontal lines, then the vertical ones, node by node
     h_place, v_place = np.tile(h_nodes, len(h_levels)), np.tile(v_nodes, len(v_levels))
     x = np.concatenate((h_place, np.repeat(v_levels, len(v_nodes))))

@@ -477,6 +477,57 @@ def test_spectrum_overflow_is_numeric_error(capsys, tmp_path):
     assert "overflowed" in doc["error"]["message"]
 
 
+def test_spectrum_rounding_floor_overflow_is_numeric_error(capsys, tmp_path):
+    # |D| is finite near i but its rounding floor is not: refused at the
+    # first nodes, not after bisecting every segment to the resolution
+    path = write_json(
+        tmp_path / "factor.json",
+        {"terms": [{"a": 2.496, "b": 1.0, "tau": 84.96}, {"a": 1.5e308, "b": 1.0, "tau": 1.0}],
+         "multiplicity": 1},
+    )
+    code, doc = run(capsys, ["spectrum", "--input", path, "--re=-0.01,0.01", "--im", "0.99,1.01"])
+    assert code == 2
+    assert doc["error"] == {"type": "NoConvergence",
+                            "message": "rounding floor of D overflowed on the contour"}
+
+
+RING7 = {"n": 7, "indices": [0, 2], "groups": [[1.0], [SQRT2]],
+         "layout": {"internal": 1, "couplings": {"3": 1}}}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"n": 7.9}, "ring n must be an integer >= 1, got 7.9"),
+    ({"indices": [0.9, 2.2]}, "indices [0.9, 2.2] must be integers"),
+    ({"layout": {"internal": 1.5, "couplings": {"3": 0.5}}},
+     "layout internal count must be an integer >= 0, got 1.5"),
+])
+def test_fractional_ring_counts_are_input_errors(capsys, tmp_path, change, message):
+    # int() would realize a 7-cell ring, the selection (0, 2), one internal delay
+    path = write_json(tmp_path / "ring.json", {"mode": "ring", "payload": {**RING7, **change}})
+    for command in ("ring", "realize"):
+        code, doc = run(capsys, [command, "--input", path])
+        assert code == 1
+        assert doc["error"]["message"] == message
+
+
+def test_fractional_counts_in_factor_and_result_files_are_input_errors(capsys, tmp_path,
+                                                                        scalar_problem):
+    factor = write_json(
+        tmp_path / "factor.json",
+        {"terms": [{"a": 1.0, "b": 1.0, "tau": 3 * math.pi / 2}], "multiplicity": 2.7},
+    )
+    code, doc = run(capsys, ["spectrum", "--input", factor, "--re=-0.5,0.5", "--im", "0.5,1.5"])
+    assert code == 1
+    assert doc["error"]["message"] == "multiplicity must be an integer >= 1, got 2.7"
+    result = write_json(
+        tmp_path / "result.json",
+        {"taus": [1.5 * math.pi], "coeffs": [1.0], "residual": 0.0, "newton_iterations": 2.5},
+    )
+    code, doc = run(capsys, ["verify", "--result", result, "--input", scalar_problem])
+    assert code == 1
+    assert doc["error"]["message"] == "newton_iterations must be an integer >= 0, got 2.5"
+
+
 def test_unknown_mode_is_input_error(capsys, tmp_path):
     path = write_json(tmp_path / "odd.json", {"mode": "mystery", "payload": {}})
     code, doc = run(capsys, ["realize", "--input", path])

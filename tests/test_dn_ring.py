@@ -227,6 +227,13 @@ def test_missing_ring_key_is_named_with_its_block(data, message):
     assert str(info.value) == message
 
 
+def test_ring_cell_count_is_a_whole_number():
+    with pytest.raises(ValueError) as info:
+        ring_from_dict({"n": 7.9})
+    assert str(info.value) == "ring n must be an integer >= 1, got 7.9"
+    assert ring_from_dict({"n": 7.0}).n == 7
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_ring_json_round_trip_random(seed):
@@ -418,6 +425,29 @@ def test_realize_ring_layout_validation():
         realize_ring(3, (0, 1), ((1.0,), (SQRT2,)), {"internal": 1, "couplings": {2: 2}})
     with pytest.raises(BadParity):
         realize_ring(4, (0, 1), ((1.0,), (SQRT2,)), {"internal": 1, "couplings": {2: 1}})
+
+
+def test_fractional_indices_are_refused():
+    # int() would read (0.9, 2.2) as the selection (0, 2)
+    layout = {"internal": 1, "couplings": {"3": 1}}
+    for call in (lambda idx: build_B(7, idx),
+                 lambda idx: ring_weight_table(7, idx, (1, 1), layout),
+                 lambda idx: realize_ring(7, idx, ((1.0,), (SQRT2,)), layout)):
+        with pytest.raises(BadIndex) as info:
+            call([0.9, 2.2])
+        assert str(info.value) == "indices [0.9, 2.2] must be integers"
+    assert build_B(7, (0.0, 2.0)).tolist() == build_B(7, (0, 2)).tolist()
+
+
+@pytest.mark.parametrize("layout, name, value", [
+    ({"internal": 1.5, "couplings": {"3": 0.5}}, "layout internal count", 1.5),
+    ({"internal": 1, "couplings": {"3": 1.5}}, "layout coupling 3 count", 1.5),
+    ({"internal": -1, "couplings": {"3": 3}}, "layout internal count", -1),
+])
+def test_layout_counts_are_whole_numbers(layout, name, value):
+    with pytest.raises(ValueError) as info:
+        ring_weight_table(7, (0, 2), (1, 1), layout)
+    assert str(info.value) == f"{name} must be an integer >= 0, got {value}"
 
 
 def test_realize_ring_larger_blocks():

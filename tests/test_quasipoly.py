@@ -228,6 +228,17 @@ def test_factor_validation():
         CharProduct(())
 
 
+def test_multiplicity_is_a_whole_number():
+    # int() would read 2.7 as 2
+    term = {"a": 1.0, "b": 1.0, "tau": 1.0}
+    with pytest.raises(ValueError) as info:
+        factor_from_dict({"terms": [term], "multiplicity": 2.7})
+    assert str(info.value) == "multiplicity must be an integer >= 1, got 2.7"
+    with pytest.raises(ValueError, match="got 2.7"):
+        ScalarFactor(((1.0, 1.0, 1.0),), multiplicity=2.7)
+    assert factor_from_dict({"terms": [term], "multiplicity": 2.0}).multiplicity == 2
+
+
 def test_zero_weight_is_representable():
     f = ScalarFactor(((1.0, 0.0, 1.0),))
     assert evaluate(f, 0.5) == 0.5

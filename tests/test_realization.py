@@ -17,6 +17,7 @@ from spectra_forge.errors import (
 from spectra_forge.quasipoly import ScalarFactor, residual_on_targets
 from spectra_forge.realization import (
     FrequencyTarget,
+    RealizationResult,
     RealizeConfig,
     WeightTable,
     base_point,
@@ -497,14 +498,22 @@ def test_config_max_iter_is_a_positive_integer():
 def test_result_entries_must_be_finite(taus, coeffs, message):
     # a non-finite entry is named where the result is built, before any
     # check could blame an overflow, a negative delay or an isolation box
-    from spectra_forge.realization import RealizationResult
-
     data = {"taus": taus, "coeffs": coeffs, "residual": 0.0, "newton_iterations": 0}
     with pytest.raises(ValueError) as info:
         RealizationResult.from_dict(data)
     assert str(info.value) == message
     with pytest.raises(ValueError, match=message):
         RealizationResult(np.array(taus), np.array(coeffs), 0.0, 0, np.zeros(len(taus)))
+
+
+@pytest.mark.parametrize("iterations", [2.5, -1, "3", True])
+def test_result_iteration_count_is_a_whole_number(iterations):
+    data = {"taus": [1.0], "coeffs": [1.0], "residual": 0.0, "newton_iterations": iterations}
+    with pytest.raises(ValueError) as info:
+        RealizationResult.from_dict(data)
+    assert str(info.value) == f"newton_iterations must be an integer >= 0, got {iterations!r}"
+    whole = RealizationResult.from_dict({**data, "newton_iterations": 3.0})
+    assert whole.newton_iterations == 3
 
 
 # ---------------------------------------------------------------------------
@@ -879,6 +888,38 @@ def test_realize_propagates_zero_weight():
     weights = WeightTable(np.array([[1.0, 0.0], [1.0, -1.0]]))
     with pytest.raises(ZeroWeight):
         realize(D3_TARGET, weights)
+
+
+_UNSOLVED = RealizationResult(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 0.0, 0, np.zeros(2))
+
+# every entry point that takes a weight table, called on D3_TARGET
+_WEIGHED_CALLS = {
+    "cal_I_B": lambda w: cal_I_B(w, D3_TARGET),
+    "det_cal_I_B_lemma": lambda w: det_cal_I_B_lemma(w, D3_TARGET),
+    "base_point": lambda w: base_point(D3_TARGET, w),
+    "delay_candidates": lambda w: delay_candidates(D3_TARGET, w, 0.8, 1000),
+    "newton_refine": lambda w: newton_refine([1.0, 2.0], [1.0, 1.0], D3_TARGET, w),
+    "realize": lambda w: realize(D3_TARGET, w),
+    "continue_realization": lambda w: continue_realization(_UNSOLVED, D3_TARGET, w),
+}
+
+
+@pytest.mark.parametrize("call", _WEIGHED_CALLS.values(), ids=_WEIGHED_CALLS.keys())
+def test_every_entry_point_checks_its_weight_table(call):
+    with pytest.raises(ValueError) as info:
+        call(WeightTable(np.ones((1, 2))))
+    assert str(info.value) == (
+        "weight table shape (1, 2) does not match target partition (2 groups, 2 frequencies)")
+    # the first zero in row order is named, 1-based
+    with pytest.raises(ZeroWeight) as err:
+        call(WeightTable(np.array([[1.0, 2.0], [0.0, 0.0]])))
+    assert (err.value.j, err.value.k) == (2, 1)
+
+
+def test_continuation_checks_the_result_dimension_first():
+    longer = RealizationResult(np.ones(3), np.ones(3), 0.0, 0, np.zeros(3))
+    with pytest.raises(ValueError, match="result dimension does not match the new target"):
+        continue_realization(longer, D3_TARGET, WeightTable(np.ones((1, 2))))
 
 
 def test_realize_rejects_duplicate_frequencies():

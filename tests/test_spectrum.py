@@ -89,6 +89,23 @@ def test_count_overflow_on_contour_is_no_convergence():
         count_roots(DENSE_FOUR, Region(-0.5, 0.5, 0.5, 1.5))
 
 
+@pytest.mark.parametrize("terms", [
+    ((2.496, 1.0, 84.96), (1.5e308, 1.0, 1.0)),
+    ((1e308, 1.0, 1.0),),
+    ((1.7e308, 1.0, 1.0),),
+])
+def test_rounding_floor_overflow_is_no_convergence(terms):
+    # |D| stays finite near i, but its rounding floor, which grows with
+    # len(taus) * sum_k |a_k b_k| exp(-x tau_k), is inf there: no segment
+    # could ever be certified, so the count stops at its first nodes
+    # instead of bisecting down to the resolution
+    factor, box = ScalarFactor(terms), Region(-0.01, 0.01, 0.99, 1.01)
+    with pytest.raises(NoConvergence, match="rounding floor of D overflowed"):
+        count_roots(factor, box)
+    with pytest.raises(NoConvergence, match="rounding floor of D overflowed"):
+        locate_roots(factor, box)
+
+
 def test_count_root_on_edge_is_boundary_root():
     # the real root near 0.2745 lies on the bottom edge Im = 0, so the
     # winding integral never snaps; the failure names the edge root
