@@ -22,7 +22,9 @@ nonsingularity tests below depend on.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -82,6 +84,18 @@ class CouplingProfile:
                 raise ValueError("profile atoms must be finite")
 
 
+def _coupling_index(key, block: str) -> int:
+    """A coupling key as an int: a whole number, or a string of decimal
+    digits with an optional sign (the keys of a JSON object are strings);
+    otherwise a ValueError that names the key and its block."""
+    if isinstance(key, str):
+        if re.fullmatch(r"\s*[+-]?[0-9]+\s*", key):
+            return int(key)
+    elif isinstance(key, numbers.Real) and not isinstance(key, bool) and float(key).is_integer():
+        return int(key)
+    raise ValueError(f"{block} coupling key {key!r} is not a whole number")
+
+
 @dataclass(frozen=True)
 class RingSpec:
     """Cell count, internal profile, and coupling profiles keyed by the
@@ -101,7 +115,8 @@ class RingSpec:
         if self.n < 3:
             raise ValueError("ring needs at least 3 cells")
         object.__setattr__(
-            self, "couplings", dict(sorted((int(k), v) for k, v in self.couplings.items()))
+            self, "couplings",
+            dict(sorted((_coupling_index(k, "ring"), v) for k, v in self.couplings.items())),
         )
         kmax = self.max_coupling_index
         for k in self.couplings:
@@ -356,7 +371,7 @@ def _layout_roles(
     remaining = {0: _count(layout.get("internal", 0), "layout internal count", 0)}
     kmax = (n + 1) // 2
     for key, cnt in (layout.get("couplings") or {}).items():
-        k = int(key)
+        k = _coupling_index(key, "layout")
         if not (2 <= k <= kmax):
             raise ValueError(f"layout coupling index {k} outside 2..{kmax}")
         remaining[k - 1] = _count(cnt, f"layout coupling {k} count", 0)
@@ -461,8 +476,9 @@ def ring_from_dict(data: dict) -> RingSpec:
     internal = [_needs(t, f"ring internal term {i}", "a", "tau")
                 for i, t in enumerate(data.get("internal", []), 1)]
     couplings = {
-        int(k): CouplingProfile(tuple(_needs(t, f"ring coupling {k} term {i}", "alpha", "s")
-                                      for i, t in enumerate(atoms, 1)))
-        for k, atoms in (data.get("couplings") or {}).items()
+        k: CouplingProfile(tuple(_needs(t, f"ring coupling {k} term {i}", "alpha", "s")
+                                 for i, t in enumerate(atoms, 1)))
+        for k, atoms in ((_coupling_index(key, "ring"), atoms)
+                         for key, atoms in (data.get("couplings") or {}).items())
     }
     return RingSpec(_count(n, "ring n"), CouplingProfile(tuple(internal)), couplings)

@@ -47,7 +47,9 @@ is used for determinants and solves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -104,6 +106,11 @@ class FrequencyTarget:
     """
 
     groups: tuple[tuple[float, ...], ...]
+    # set from the groups: each group's size, the cumulative sizes with a
+    # leading zero (length r + 1), and the number of frequencies
+    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    prefix: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         groups = tuple(tuple(float(w) for w in g) for g in self.groups)
@@ -115,26 +122,15 @@ class FrequencyTarget:
             raise ValueError("frequencies must be positive and finite")
         if len(set(flat)) != len(flat):
             raise ValueError("duplicate frequency in target")
+        sizes = tuple(len(g) for g in groups)
+        prefix = tuple(itertools.accumulate(sizes, initial=0))
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "n", prefix[-1])
 
     @property
     def r(self) -> int:
         return len(self.groups)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.groups)
-
-    @property
-    def prefix(self) -> tuple[int, ...]:
-        """Cumulative group sizes with a leading zero, length r + 1."""
-        out = [0]
-        for s in self.sizes:
-            out.append(out[-1] + s)
-        return tuple(out)
-
-    @property
-    def n(self) -> int:
-        return self.prefix[-1]
 
     @property
     def flat(self) -> np.ndarray:
@@ -167,7 +163,10 @@ class WeightTable:
         object.__setattr__(self, "b", b)
 
     @classmethod
+    @lru_cache(maxsize=64)
     def ones(cls, n: int, r: int = 1) -> "WeightTable":
+        """All weights 1, for r factors and n delays: one table per shape,
+        shared, since a table cannot change."""
         return cls(np.ones((r, n)))
 
     @property

@@ -28,17 +28,23 @@ symmetric about Re = 0, where the prescribed roots lie, so a cut through
 the middle would run through them.  When the grid batch fails (a line
 grazes a root, overflows, or keeps an uncertified segment), the region
 is counted alone, as :func:`count_roots` does, dilated once if its
-boundary touches a root.  A one-root cell is polished by Newton from its
-centre, and the root is kept only when it lands inside the cell; any
-other cell with roots is cut in four, reusing its certified edges, so a
-split certifies only its two cut lines, first at 0.53 of the width and
-height.  :func:`verify_realization` certifies that every prescribed
-+-i*omega of a realization really is an isolated root of its factor.  It
-counts the isolation boxes around +i*omega of all targets of all factors
-in one call of :func:`_batch_counts`, and the boxes it has to halve in one
-call per halving level; each call certifies its boxes in one batch of
-paths, and counts them one by one only when that batch fails, so every
-box comes out as if counted alone.  Only these upper boxes are
+boundary touches a root.  Every cell with roots gets Newton starts from
+the argument-principle moments of its certified edges (Delves and Lyness
+1967; Kravanja and Van Barel 2000): the power sums s_p of its roots, p =
+1..count, relative to its centre, as trapezoid sums over its certified
+segments of the change of log D (:func:`_cells`), the sums of all cells of
+a grid in one set of array operations; Newton's identities turn them into
+the starts.  A cell is done when every start polishes to a root inside
+it, no two of them closer than the margin; only a cell that fails is cut
+in four, reusing its certified edges, so a split certifies only its two
+cut lines, first at 0.53 of the width and height, and its children get
+their own starts.  :func:`verify_realization` certifies that every
+prescribed +-i*omega of a realization really is an isolated root of its
+factor.  It counts the isolation boxes around +i*omega of all targets of
+all factors in one call of :func:`_batch_counts`, and the boxes it has to
+halve in one call per halving level; each call certifies its boxes in one
+batch of paths, and counts them one by one only when that batch fails, so
+every box comes out as if counted alone.  Only these upper boxes are
 certified: the factor's coefficients are real, so D(conj z) = conj D(z),
 and each box around -i*omega, its exact mirror in floating point, holds
 the mirrored roots; its check is the upper one mirrored.
@@ -442,27 +448,29 @@ def _through(path, cuts, values):
 
 
 def _grid(taus, ab, xs, ys, threshold: float, resolution: float, edges=None):
-    """The cells (region, edges, count) that hold roots, of the grid cut at
-    xs and ys (increasing, ends included), for the factor of the delays
-    taus and the one row of products ab.
+    """The cells (region, contour, count) that hold roots, of the grid cut
+    at xs and ys (increasing, ends included), for the factor of the delays
+    taus and the one row of products ab (see :func:`_cells`).
 
     One batch certifies every line of the grid, each with 8 segments per
     cell it crosses and so a node at every crossing.  When edges, the
     certified (bottom, top, left, right) of the whole, are given, only the
     interior lines are certified and the edges take a node at each
-    crossing, with D there from the interior line.  Each cell's edges are
-    pieces of the lines, and its count the sum of their turns.
+    crossing, with D there from the interior line.
     """
     inner = slice(None) if edges is None else slice(1, -1)
     h_levels, v_levels = ys[inner], xs[inner]
     h_nodes, v_nodes = _nodes(xs), _nodes(ys)
-    # the horizontal lines, then the vertical ones, node by node
-    h_place, v_place = np.tile(h_nodes, len(h_levels)), np.tile(v_nodes, len(v_levels))
-    x = np.concatenate((h_place, np.repeat(v_levels, len(v_nodes))))
-    y = np.concatenate((np.repeat(h_levels, len(h_nodes)), v_place))
+    # the horizontal lines, then the vertical ones, node by node: a node's
+    # place along its line, and its line's level
     lengths = (len(h_nodes),) * len(h_levels) + (len(v_nodes),) * len(v_levels)
+    place = np.concatenate([h_nodes] * len(h_levels) + [v_nodes] * len(v_levels))
+    level = np.repeat(np.concatenate((h_levels, v_levels)), lengths)
+    across = len(h_levels) * len(h_nodes)
+    z = place + 1j * level
+    z[across:] = level[across:] + 1j * place[across:]
     paths = _certify(
-        taus, ab, np.zeros(len(lengths), int), x + 1j * y, np.concatenate((h_place, v_place)),
+        taus, ab, np.zeros(len(lengths), int), z, place,
         lengths, np.full(len(lengths), threshold), np.full(len(lengths), resolution),
     )
     rows, cols = paths[: len(h_levels)], paths[len(h_levels) :]
@@ -474,24 +482,161 @@ def _grid(taus, ab, xs, ys, threshold: float, resolution: float, edges=None):
             [_through(left, ys[1:-1], [d[0] for _, d, _ in rows]), *cols,
              _through(right, ys[1:-1], [d[-1] for _, d, _ in rows])],
         )
-    h_at = [np.searchsorted(t, xs) for t, _, _ in rows]
-    v_at = [np.searchsorted(t, ys) for t, _, _ in cols]
-    h_turn = np.array([np.add.reduceat(turn, at[:-1]) for (_, _, turn), at in zip(rows, h_at)])
-    v_turn = np.array([np.add.reduceat(turn, at[:-1]) for (_, _, turn), at in zip(cols, v_at)])
-    turns = h_turn[:-1] - h_turn[1:] + (v_turn[1:] - v_turn[:-1]).T
+    return _cells(xs, ys, rows, cols)
 
-    def piece(path, at, k):
-        t, d, turn = path
-        return t[at[k] : at[k + 1] + 1], d[at[k] : at[k + 1] + 1], turn[at[k] : at[k + 1]]
 
+def _piece(path, lo: float, hi: float):
+    """The part of a certified path between its nodes at lo and hi."""
+    t, d, turn = path
+    a, b = np.searchsorted(t, (lo, hi)).tolist()
+    return t[a : b + 1], d[a : b + 1], turn[a:b]
+
+
+class _Contour:
+    """The certified contour of one grid cell: the Newton starts its
+    moments give, and its edges (bottom, top, left, right), which iterating
+    yields.  The edges are cut from the grid's lines when first read, since
+    only a cell that is split needs them."""
+
+    __slots__ = ("starts", "_region", "_lines", "_edges")
+
+    def __init__(self, starts: tuple, region: Region, lines: tuple):
+        self.starts = starts
+        self._region = region
+        self._lines = lines
+        self._edges = None
+
+    def __iter__(self):
+        if self._edges is None:
+            r = self._region
+            bottom, top, left, right = self._lines
+            self._edges = (_piece(bottom, r.re_min, r.re_max), _piece(top, r.re_min, r.re_max),
+                           _piece(left, r.im_min, r.im_max), _piece(right, r.im_min, r.im_max))
+        return iter(self._edges)
+
+
+@lru_cache(maxsize=64)
+def _grid_pieces(kx: int, ky: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a grid of kx x ky cells whose lines are the ky + 1 rows of kx
+    pieces each and then the kx + 1 columns of ky pieces each: the first
+    piece of each line, every piece, and the bottom, right, top and left
+    piece of each cell, the cells row by row."""
+    first = np.concatenate((np.arange(ky + 1) * kx, (ky + 1) * kx + np.arange(kx + 1) * ky))
+    j, i = np.divmod(np.arange(kx * ky), kx)
+    bottom, left = j * kx + i, (ky + 1) * kx + i * ky + j
+    edges = np.stack((bottom, left + ky, bottom + kx, left))
+    pieces = np.arange((ky + 1) * kx + (kx + 1) * ky)
+    for a in (first, pieces, edges):
+        a.setflags(write=False)  # shared by every caller
+    return first, pieces, edges
+
+
+# for the edges of a cell, bottom, right, top and left: the sense of each
+# one's run around the cell along its line, and its first node less the
+# cell's centre, from the lengths of the bottom and right edges
+_SENSE = np.array([1.0, 1.0, -1.0, -1.0])
+_FIRST_NODES = 0.5 * np.array([[-1, -1j, 0, 0], [1, -1j, 0, 0], [-1, 1j, 0, 0], [-1, -1j, 0, 0]])
+
+
+@lru_cache(maxsize=16)
+def _moment_factor(top: int) -> np.ndarray:
+    """The factor of each edge's sum of w^k d log D, k = 0..top, in the
+    sum around a cell: its sense times i^k on a column, where w = i t."""
+    k = np.arange(top + 1)[:, None]
+    return (_SENSE * np.where([False, True, False, True], 1j**k, 1.0))[:, :, None]
+
+
+def _starts(sums: list[complex], centre: complex) -> tuple:
+    """Newton starts for the roots in a cell, from their power sums s_p
+    about its centre, p = 1..count: s_1 itself for one root; for more,
+    Newton's identities n e_n = sum_(q = 1..n) (-1)^(q - 1) e_(n - q) s_q
+    with e_0 = 1 and the roots of the monic polynomial with the
+    coefficients (-1)^n e_n, the quadratic for two and np.roots above.  No
+    starts when a sum is not finite."""
+    count = len(sums)
+    if not all(map(cmath.isfinite, sums)):
+        return ()
+    if count == 1:
+        return (centre + sums[0],)
+    e = [1.0]
+    for n in range(1, count + 1):
+        e.append(sum((-1) ** (q - 1) * e[n - q] * sums[q - 1] for q in range(1, n + 1)) / n)
+    if count == 2:
+        root = cmath.sqrt(e[1] * e[1] - 4.0 * e[2])
+        return (centre + 0.5 * (e[1] + root), centre + 0.5 * (e[1] - root))
+    return tuple((centre + np.roots([(-1) ** n * e[n] for n in range(count + 1)])).tolist())
+
+
+def _cells(xs, ys, rows, cols):
+    """The cells (region, contour, count) that hold roots, of the grid cut
+    at xs and ys whose certified lines are rows (at ys, along x) and cols
+    (at xs, along y); each count is the sum of the turns of the cell's
+    edge pieces, and each contour (:class:`_Contour`) carries the cell's
+    Newton starts (:func:`_starts`).
+
+    The starts come from the power sums s_p = (1 / 2 pi i) oint u^p D'/D
+    dz = (1 / 2 pi i) oint u^p d log D of the roots in the cell, p =
+    1..count, with u = z - c relative to the cell's centre c.  Each is
+    summed over the certified segments [a, b] of the cell's edges as
+    (u_a^p + u_b^p) / 2 times the change of log D along the segment,
+    ln|D_b / D_a| + i turn, turn the segment's certified increment of arg
+    D.  By summation by parts this is the trapezoid rule on the certified
+    nodes for s_p = count u0^p - (p / 2 pi i) oint u^(p-1) log D dz, the
+    contour starting at u0 and theta = arg D continued along it by the
+    turns (exactly so for p = 1), without carrying theta around each cell.
+    The sums are taken for every piece of every line at once, in powers of
+    the distance t from the piece's first node, and moved to each cell's
+    centre by the binomial theorem.
+    """
+    kx, ky = len(xs) - 1, len(ys) - 1
+    places, values, turns = zip(*rows, *cols)
+    t, d = np.concatenate(places), np.concatenate(values)
+    line, inner, _ = _line_layout(tuple(map(len, places)))
+    first, pieces, edges = _grid_pieces(kx, ky)
+    # the piece of each node, by its gap between its line's interior cuts,
+    # and the first node of each piece
+    across = sum(map(len, places[: ky + 1]))
+    piece = first[line]
+    piece[:across] += np.searchsorted(np.asarray(xs[1:-1]), t[:across], "right")
+    piece[across:] += np.searchsorted(np.asarray(ys[1:-1]), t[across:], "right")
+    begin = np.searchsorted(piece, pieces)
+    # the certified turn over each pair of neighbouring nodes of a line, 0
+    # between lines; its sums over the pieces count each cell's roots
+    turn = np.zeros(len(t) - 1)
+    turn[inner] = np.concatenate(turns)
+    counts = [_count(x) for x in (_SENSE @ np.add.reduceat(turn, begin)[edges]).tolist()]
+    held = np.flatnonzero(counts)
+    if not held.size:
+        return []
+    edge = edges[:, held]
+    top = max(counts)
+    # per pair the change of log D, ln|D_b / D_a| + i turn, and per piece
+    # the trapezoid sums of t^k d log D, k = 0..top, t from the piece's
+    # first node; per edge of a cell, the sums of w^k d log D with its sense
+    log_d = np.log(np.abs(d))
+    step = (log_d[1:] - log_d[:-1]) * inner + 1j * turn
+    half = 0.5 * step
+    origin = t[begin][piece[:-1]]
+    ta, tb = t[:-1] - origin, (t[1:] - origin) * inner
+    terms, pa, pb = [step], 1.0, 1.0
+    for _ in range(top):
+        pa, pb = pa * ta, pb * tb
+        terms.append((pa + pb) * half)
+    sums = np.add.reduceat(terms, begin, axis=1)[:, edge] * _moment_factor(top)
+    # moved to u = w + the edge's first node less the centre: sums[k]
+    # becomes sum_q C(k, q) shift^(k - q) sums[q], one Pascal step a time
+    shift = _FIRST_NODES @ np.maximum.reduceat(tb, begin)[edge]
+    for low in range(1, top + 1):
+        for k in range(top, low - 1, -1):
+            sums[k] += shift * sums[k - 1]
+    power_sums = sums[1:].sum(axis=1) / (2j * np.pi)
     cells = []
-    for j, row in enumerate(turns.tolist()):
-        for i, turn in enumerate(row):
-            count = _count(turn)
-            if count:
-                edges = (piece(rows[j], h_at[j], i), piece(rows[j + 1], h_at[j + 1], i),
-                         piece(cols[i], v_at[i], j), piece(cols[i + 1], v_at[i + 1], j))
-                cells.append((Region(xs[i], xs[i + 1], ys[j], ys[j + 1]), edges, count))
+    for k, row in zip(held.tolist(), power_sums.T.tolist()):
+        count = counts[k]
+        j, i = divmod(k, kx)
+        region = Region(xs[i], xs[i + 1], ys[j], ys[j + 1])
+        starts = _starts(row[:count], region.center)
+        cells.append((region, _Contour(starts, region, (rows[j], rows[j + 1], cols[i], cols[i + 1])), count))
     return cells
 
 
@@ -513,6 +658,22 @@ def _grid_shape(taus, region: Region, max_roots: int) -> tuple[int, int]:
     return kx, max(round(cells / kx), 1)
 
 
+def _polished(factor: ScalarFactor, starts, cell: Region, tol: float, margin: float) -> list[complex]:
+    """The roots Newton reaches from the starts, polished to |D| < tol, up
+    to the first that fails, leaves the cell or comes within margin of
+    another."""
+    roots: list[complex] = []
+    for start in starts:
+        try:
+            z = polish_root(factor, start, tol)
+        except NoConvergence:
+            break
+        if not cell.contains(z) or any(abs(z - w) < margin for w in roots):
+            break
+        roots.append(z)
+    return roots
+
+
 _SPLIT_FRACTIONS = (0.53, 0.5, 0.47, 0.41, 0.59, 0.445, 0.565)
 
 
@@ -528,14 +689,17 @@ def locate_roots(
     and every cell's come out of it.  When that batch fails (a line grazes
     a root, overflows, or keeps an uncertified segment), the region alone
     is counted, dilated once if its boundary touches a root, as
-    :func:`count_roots` does.  A one-root cell is polished from its centre
-    and kept when the polish converges inside it; any other cell with
-    roots is cut in four, reusing its certified edges, first at 0.53 of
-    its width and height.  A cut that grazes a root, or whose children's
-    counts do not add up, is retried at other fractions (0.5 next) before
-    BoundaryRoot propagates.  Every returned root satisfies |D| < 1e-10 *
-    scale and lies in the (marginally padded) region; the total matches
-    the argument-principle count of the whole region.
+    :func:`count_roots` does, and is the one cell.  Each cell's roots are
+    polished from the starts its argument-principle moments give (see
+    :func:`_cells`); the cell is done when all of them land inside it, no
+    two within the margin 1e-9 * scale.  Only a cell that fails this is
+    cut in four, reusing its certified edges, first at 0.53 of its width
+    and height, and its children get their own starts.  A cut that grazes
+    a root, or whose children's counts do not add up, is retried at other
+    fractions (0.5 next) before BoundaryRoot propagates.  Every returned
+    root satisfies |D| < 1e-10 * scale and lies in the (marginally padded)
+    region; the total matches the argument-principle count of the whole
+    region.
     """
     scale = _scale(factor.coefficient_bound(), region)
     threshold = _BOUNDARY_REL * scale
@@ -548,8 +712,8 @@ def locate_roots(
             taus, ab, _cuts(x0, x1, kx), _cuts(y0, y1, ky), threshold, _DILATE * max(x1 - x0, y1 - y0)
         )
     except (BoundaryRoot, NoConvergence):
-        total, cell, edges = _counted_alone(taus, ab, region)
-        stack = [(cell, edges, total)] if total else []
+        _, cell, (bottom, top, left, right) = _counted_alone(taus, ab, region)
+        stack = _cells([cell.re_min, cell.re_max], [cell.im_min, cell.im_max], [bottom, top], [left, right])
     total = sum(count for _, _, count in stack)
     if total == 0:
         return []
@@ -559,15 +723,11 @@ def locate_roots(
     margin = 1e-9 * scale
     roots: list[complex] = []
     while stack:
-        cell, edges, count = stack.pop()
-        if count == 1:
-            try:
-                z = polish_root(factor, cell.center, accept_tol)
-            except NoConvergence:
-                z = None
-            if z is not None and cell.contains(z):
-                roots.append(z)
-                continue
+        cell, contour, count = stack.pop()
+        found = _polished(factor, contour.starts, cell, accept_tol, margin)
+        if len(found) == count:
+            roots.extend(found)
+            continue
         if cell.diameter < margin:
             raise NoConvergence(float("nan"), "subdivision failed to isolate roots")
         x0, x1, y0, y1 = cell.re_min, cell.re_max, cell.im_min, cell.im_max
@@ -576,7 +736,7 @@ def locate_roots(
             xs = [x0, x0 + frac * (x1 - x0), x1]
             ys = [y0, y0 + frac * (y1 - y0), y1]
             try:
-                children = _grid(taus, ab, xs, ys, threshold, resolution, edges)
+                children = _grid(taus, ab, xs, ys, threshold, resolution, contour)
             except (BoundaryRoot, NoConvergence):
                 continue
             if sum(c for _, _, c in children) == count:
@@ -742,7 +902,7 @@ def verify_realization(
     # one row per factor; the factors serve the residual and the polish
     ab = coeffs * weights.b
     factors = result_factors(result, weights)
-    delta = _isolation_halfwidth(target, float(np.max(taus)))
+    delta = _isolation_halfwidth(target, float(taus.max()))
     # every target +i*omega, factor by factor
     owner = [j for j, group in enumerate(target.groups) for _ in group]
     omegas = [omega for group in target.groups for omega in group]

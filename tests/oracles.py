@@ -14,9 +14,11 @@ point for the sweep's choice of orthants with singular values for
 independence, a
 contour evaluation that takes one complex exponential per node and term
 instead of the separable tables of the spectrum kernel, a
-trapezoid-rule winding integral in place of the certified count, and a
+trapezoid-rule winding integral in place of the certified count, a
 root search that counts the whole region first and then quadrisects it one
-cell at a time instead of starting from one certified grid.
+cell at a time instead of starting from one certified grid, and root
+estimates from power sums on a fine uniform contour, read off Hankel
+matrices, in place of the moment starts from a grid's certified edges.
 """
 from __future__ import annotations
 
@@ -430,6 +432,30 @@ def count_roots_trapezoid(factor, region, per_edge: int = 256, max_per_edge: int
         if dilated:
             raise ValueError("|D| vanishes on the contour even after dilation")
         region = region.dilated(1e-6)
+
+
+def moment_starts_reference(factor, region, count: int, per_edge: int = 4096,
+                            max_per_edge: int = 1 << 18) -> list[complex]:
+    """Estimates of the count roots in the region from its power sums
+    s_p = (1 / 2 pi i) oint (z - c)^p D'/D dz, p = 0..2 count - 1, c the
+    region's centre, by the trapezoid rule on a uniform contour with D and
+    D' from evaluate_many and evaluate_derivative_many.  The panels per
+    edge double until s_0 lies within 1e-7 of count (a root just outside
+    an edge needs many), else ValueError.  The roots are the eigenvalues of
+    the pencil (H1, H0) of the Hankel matrices H0 = [s_(i+j)] and H1 =
+    [s_(i+j+1)] (Kravanja and Van Barel), not those of a polynomial from
+    Newton's identities."""
+    while per_edge <= max_per_edge:
+        z, vals, ders = contour_values_reference(factor, region, per_edge)
+        u, f = z - region.center, ders / vals
+        sums = [np.sum(0.5 * (g[:-1] + g[1:]) * np.diff(z)) / (2j * np.pi)
+                for g in (u**p * f for p in range(2 * count))]
+        if abs(sums[0] - count) < 1e-7:
+            h0 = np.array([[sums[i + j] for j in range(count)] for i in range(count)])
+            h1 = np.array([[sums[i + j + 1] for j in range(count)] for i in range(count)])
+            return (region.center + np.linalg.eigvals(np.linalg.solve(h0, h1))).tolist()
+        per_edge *= 2
+    raise ValueError(f"s_0 did not reach {count} below {max_per_edge} panels per edge")
 
 
 def _split_path_reference(path, at: float, value):

@@ -510,6 +510,18 @@ def test_fractional_ring_counts_are_input_errors(capsys, tmp_path, change, messa
         assert doc["error"]["message"] == message
 
 
+@pytest.mark.parametrize("key", ["3.0", "two"])
+def test_ring_coupling_keys_are_named_input_errors(capsys, tmp_path, key):
+    # int() reported these as a bare "invalid literal for int()"
+    payload = {**RING7, "layout": {"internal": 1, "couplings": {key: 1}}}
+    path = write_json(tmp_path / "ring.json", {"mode": "ring", "payload": payload})
+    for command in ("ring", "realize"):
+        code, doc = run(capsys, [command, "--input", path])
+        assert code == 1
+        assert doc["error"] == {"type": "ValueError",
+                                "message": f"layout coupling key {key!r} is not a whole number"}
+
+
 def test_fractional_counts_in_factor_and_result_files_are_input_errors(capsys, tmp_path,
                                                                         scalar_problem):
     factor = write_json(

@@ -450,6 +450,22 @@ def test_layout_counts_are_whole_numbers(layout, name, value):
     assert str(info.value) == f"{name} must be an integer >= 0, got {value}"
 
 
+@pytest.mark.parametrize("key", ["3.0", "two", 2.5, True])
+def test_coupling_keys_are_whole_numbers_named_with_their_block(key):
+    # int() read "3.0" and "two" as a bare "invalid literal" and cut 2.5 to 2
+    with pytest.raises(ValueError) as info:
+        ring_weight_table(7, (0, 2), (1, 1), {"internal": 1, "couplings": {key: 1}})
+    assert str(info.value) == f"layout coupling key {key!r} is not a whole number"
+    with pytest.raises(ValueError) as info:
+        ring_from_dict({"n": 7, "couplings": {key: []}})
+    assert str(info.value) == f"ring coupling key {key!r} is not a whole number"
+    with pytest.raises(ValueError) as info:
+        RingSpec(7, CouplingProfile(), {key: CouplingProfile()})
+    assert str(info.value) == f"ring coupling key {key!r} is not a whole number"
+    # whole numbers in any of their forms keep working
+    assert list(ring_from_dict({"n": 7, "couplings": {"3": [], 2.0: [], "+4": []}}).couplings) == [2, 3, 4]
+
+
 def test_realize_ring_larger_blocks():
     ring, result = realize_ring(
         5,

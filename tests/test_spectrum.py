@@ -646,8 +646,92 @@ def test_locate_falls_back_when_the_grid_touches_a_root(monkeypatch, box):
     region = Region(*box)
     roots = locate_roots(UNIT_ROOT_FACTOR, region)
     assert failed[0]
-    assert roots == oracles.locate_roots_reference(UNIT_ROOT_FACTOR, region)
+    _assert_same_roots(roots, oracles.locate_roots_reference(UNIT_ROOT_FACTOR, region))
     assert len(roots) == 1 and abs(roots[0] - 1j) < 1e-10
+
+
+# census-like boxes that locate_roots once had to split, polishing one-root
+# cells from their centres and cutting every other cell in four: (seed,
+# index) into _census_like_cases(seed, 4)
+_SPLIT_BY_CENTRES = ((10, 0), (14, 1), (15, 1), (21, 0), (25, 3), (28, 1), (33, 3), (35, 0), (36, 1))
+
+
+def _first_grid(factor, region, max_roots):
+    """The cells (region, contour, count) of the first grid locate_roots
+    certifies for the region."""
+    terms = oracles.certifier_terms(factor)
+    x0, x1, y0, y1 = region.re_min, region.re_max, region.im_min, region.im_max
+    kx, ky = spectrum._grid_shape(terms[0], region, max_roots)
+    threshold = 1e-8 * spectrum._scale(factor.coefficient_bound(), region)
+    return spectrum._grid(*terms, spectrum._cuts(x0, x1, kx), spectrum._cuts(y0, y1, ky),
+                          threshold, 1e-6 * max(x1 - x0, y1 - y0))
+
+
+def test_moment_starts_match_a_fine_contour():
+    # every start from a cell's certified edges lies within 2 % of the
+    # cell's diameter of an estimate from 4096 panels per edge, and the
+    # other way round (the cell's centre can be half its diameter off)
+    cases = (_census_like_cases(11, 24) + [_census_like_cases(s, 4)[k] for s, k in _SPLIT_BY_CENTRES]
+             + [(DENSE_THREE, Region(-0.25, 0.5, 0.05, 4.05))])
+    counts = set()
+    for factor, region in cases:
+        for cell, contour, count in _first_grid(factor, region, 100):
+            reference = oracles.moment_starts_reference(factor, cell, count)
+            assert len(contour.starts) == count
+            counts.add(count)
+            for a, b in ((contour.starts, reference), (reference, contour.starts)):
+                assert max(min(abs(z - w) for w in b) for z in a) < 0.02 * cell.diameter
+    assert counts == {1, 2, 3}
+
+
+def test_moment_starts_need_no_split(monkeypatch):
+    # one certified grid and one polish per root: DENSE_THREE's 62 roots
+    # once took 47 grids, and each census-like box here at least two
+    calls = {"_grid": 0, "polish_root": 0}
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(spectrum, name)):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(spectrum, name, counted)
+    cases = ([(DENSE_THREE, Region(-0.25, 0.5, 0.05, 4.05), 100)]
+             + [(*_census_like_cases(s, 4)[k], 64) for s, k in _SPLIT_BY_CENTRES])
+    found = []
+    for factor, region, max_roots in cases:
+        calls.update({"_grid": 0, "polish_root": 0})
+        found.append(len(locate_roots(factor, region, max_roots)))
+        assert calls == {"_grid": 1, "polish_root": found[-1]}
+    assert found[0] == 62 and min(found[1:]) >= 2
+
+
+def test_failed_starts_fall_back_to_the_split(monkeypatch):
+    # every start of the first grid fails to polish: each cell with roots is
+    # split, its children bring their own starts, and every root comes back
+    cases = [_census_like_cases(s, 4)[k] for s, k in _SPLIT_BY_CENTRES[:5]] + [
+        (UNIT_ROOT_FACTOR, Region(-1.0, 1.0, -8.0, 8.0)), (DENSE_THREE, Region(-0.25, 0.5, 0.05, 2.05))]
+    expected = [locate_roots(f, r, 64) for f, r in cases]
+    grid, polish = spectrum._grid, spectrum.polish_root
+    first, splits = set(), []
+
+    def spoiled_grid(taus, ab, xs, ys, threshold, resolution, edges=None):
+        cells = grid(taus, ab, xs, ys, threshold, resolution, edges)
+        if edges is None:
+            first.update(z for _, contour, _ in cells for z in contour.starts)
+        else:
+            splits.append(edges)
+        return cells
+
+    def failing_polish(factor, start, tol=1e-12):
+        if start in first:
+            raise NoConvergence(float("nan"), "forced to fail")
+        return polish(factor, start, tol)
+
+    monkeypatch.setattr(spectrum, "_grid", spoiled_grid)
+    monkeypatch.setattr(spectrum, "polish_root", failing_polish)
+    for (factor, region), roots in zip(cases, expected):
+        first.clear()
+        splits.clear()
+        _assert_same_roots(locate_roots(factor, region, 64), roots)
+        assert len(splits) >= len(_first_grid(factor, region, 64)) >= 1
 
 
 def test_locate_empty_region():
