@@ -10,11 +10,20 @@ tau_k^2 exp(-x_min tau_k), and D stays within h min(M, P + C h / 2) of
 its value at either end, P being the larger |D'| at the ends.  When that
 radius is below |D| - f at one end, with f the rounding floor of the
 computed D (and P carrying the floor of D'), D stays in a disc that
-excludes 0, so the principal arg(D_b / D_a) is the true change of argument
-along the segment.  Each edge of a counted region starts with 16
-segments, and each grid line with 8 per cell it crosses; the uncertified
-ones of all paths are bisected together, one batch per level.  The count, the sum of the increments over 2 pi, must
-lie within 1e-6 of an integer.
+excludes 0 (the disc certificate).  A segment the disc refuses may still
+pass the chord certificate: linear interpolation misses a C^2 path by at
+most C h^2 / 8, complex values included, and the computed chord [D_a,
+D_b] lies within max(f_a, f_b) of the true one, so D stays within r = C
+h^2 / 8 + max(f_a, f_b) of the computed chord; when the chord keeps
+farther than r from 0 (less a rounding allowance of 4 eps (|D_a| +
+|D_b|)), that convex neighbourhood excludes 0.  The chord certifies the
+segments along which D turns fast while staying far from 0, which the
+disc refuses.  Either way the principal arg(D_b / D_a) is the true change
+of argument along the segment.  Each edge of a counted region starts with
+16 segments, and each grid line with 8 per cell it crosses; the
+uncertified ones of all paths are bisected together, one batch per level.
+The count, the sum of the increments over 2 pi, must lie within 1e-6 of
+an integer.
 
 Root locations start from one certified grid.  :func:`locate_roots` cuts
 the region into kx x ky cells, about two per root expected from the root
@@ -168,9 +177,9 @@ class _Touch(BoundaryRoot):
 
 
 def _bounds(taus, weights, z, vals, ders, threshold, pick):
-    """Per node z, where D is vals and D' is ders, the rows |D| less its
-    rounding floor f, |D'| plus its rounding floor, and the slope and
-    curvature sums sum_k |a_k b_k| tau_k^(1, 2) exp(-x tau_k); weights has
+    """Per node z, where D is vals and D' is ders, the rounding floor f of
+    D, and the rows |D| - f, |D'| plus its rounding floor, and the slope
+    and curvature sums sum_k |a_k b_k| tau_k^(1, 2) exp(-x tau_k); weights has
     the rows |a_k b_k| tau_k^(0, 1, 2), each a block of one row per factor,
     and node i reads its factor's row of each block through pick[i], as in
     :func:`_node_values`.  Raises NoConvergence when D or the rounding
@@ -192,17 +201,55 @@ def _bounds(taus, weights, z, vals, ders, threshold, pick):
         slope_floor = 4.0 * _EPS * (1.0 + len(taus) * slope + radius * curve)
     if not np.isfinite(floor.max()):
         raise NoConvergence(float("nan"), "rounding floor of D overflowed on the contour")
-    return np.array((size - floor, np.abs(ders) + slope_floor, slope, curve))
+    return floor, np.array((size - floor, np.abs(ders) + slope_floor, slope, curve))
 
 
-def _certified(za, zb, bounds_a, bounds_b):
-    """Whether D stays in a disc that excludes 0 along each segment [a, b]:
-    each row of :func:`_bounds` is taken at the end where it is larger, and
-    the disc of radius h * min(1 + slope, |D'| + curvature * h / 2) is
-    centred on D at the end of larger margin |D| - f."""
+def _certified(a, b, inner=True):
+    """Whether D provably stays off 0 along each segment [a, b] of length
+    h, whose ends a and b are given as (z, D, f, rows): the nodes, the
+    computed D there, its rounding floor f and the rows of
+    :func:`_bounds`, each row taken at the end where it is larger.
+
+    The disc certificate: D stays in the disc of radius h * min(1 + slope,
+    |D'| + curvature * h / 2) around D at the end of larger margin |D| -
+    f, and that margin exceeds the radius.  The chord certificate, tried
+    only on the segments marked inner that the disc refuses: D stays
+    within r = curvature * h^2 / 8 + max(f_a, f_b) of the computed chord
+    [D_a, D_b], and the chord keeps farther than r from 0 (see
+    :func:`_chord_clear`).  Linear interpolation misses a C^2 path by at
+    most h^2 / 8 times the bound on its second derivative, complex values
+    included, since the error is an integral of the second derivative
+    against a kernel of one sign; and each point of the computed chord
+    lies within max(f_a, f_b) of the true one.  Either way D stays in a
+    convex set that excludes 0, so the principal arg(D_b / D_a) is its true
+    change of argument.  The result for a segment not marked inner is the
+    disc's alone."""
+    za, da, fa, bounds_a = a
+    zb, db, fb, bounds_b = b
     h = np.abs(zb - za)
     margin, ders, slope, curve = np.maximum(bounds_a, bounds_b)
-    return h * np.minimum(1.0 + slope, ders + 0.5 * h * curve) < margin
+    certified = h * np.minimum(1.0 + slope, ders + 0.5 * h * curve) < margin
+    refused = inner > certified  # the inner segments that the disc refuses
+    if np.count_nonzero(refused):
+        reach = 0.125 * curve[refused] * h[refused] ** 2 + np.maximum(fa[refused], fb[refused])
+        certified[refused] = _chord_clear(da[refused], db[refused], reach)
+    return certified
+
+
+def _chord_clear(da, db, reach):
+    """Whether the segment [da, db] of the complex plane keeps farther than
+    reach from 0, with an allowance of 4 eps (|da| + |db|) for the rounding
+    of the distance.  The distance is that to the nearer end when the foot
+    of the perpendicular from 0 falls outside the segment, and |Im(conj da
+    db)| / |db - da| otherwise, the cross product taken with db - da."""
+    size_a, size_b = np.abs(da), np.abs(db)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        chord = db - da
+        tail, head = da.conj() * chord, db.conj() * chord
+        outside = (tail.real >= 0.0) | (head.real <= 0.0)
+        # an overflowed product leaves a nan distance, which certifies nothing
+        distance = np.where(outside, np.minimum(size_a, size_b), np.abs(tail.imag) / np.abs(chord))
+        return distance > reach + 4.0 * _EPS * (size_a + size_b)
 
 
 @lru_cache(maxsize=256)
@@ -231,8 +278,11 @@ def _certify(taus, ab, owner: np.ndarray, z, place, lengths: tuple[int, ...], th
     threshold of :func:`_bounds` and the resolution are given per line.
     Besides the errors of :func:`_bounds`, raises BoundaryRoot when a
     segment shorter than its line's resolution stays uncertified.
-    Uncertified segments are bisected, those of all lines in one batch per
-    level.  Each level, the starting nodes first, picks every node's factor
+    Segments that neither certificate of :func:`_certified` covers are
+    bisected, those of all lines in one batch per level; each level carries
+    D and its rounding floor f at the ends of the open segments, beside
+    the rows of :func:`_bounds`, for the chord certificate.  Each level,
+    the starting nodes first, picks every node's factor
     row once and evaluates its nodes with :func:`_node_values` and
     :func:`_bounds`, whose values have the same bits whatever else is in
     the batch, so each line's path is bit for bit the one a batch of that
@@ -245,43 +295,46 @@ def _certify(taus, ab, owner: np.ndarray, z, place, lengths: tuple[int, ...], th
         weights = np.concatenate((size, size * taus, size * taus**2))
 
     def level(nodes, rows):
-        """D and the rows of :func:`_bounds` at the nodes, on the lines rows."""
+        """D, its rounding floor f and the rows of :func:`_bounds` at the
+        nodes, on the lines rows."""
         pick = owner[rows] * rows.size + np.arange(rows.size)
         vals, ders = _node_values(taus, ab, nodes, pick)
-        return vals, _bounds(taus, weights, nodes, vals, ders, threshold[rows], pick)
+        return (vals, *_bounds(taus, weights, nodes, vals, ders, threshold[rows], pick))
 
-    vals, bounds = level(z, line)
-    bad = ~_certified(z[:-1], z[1:], bounds[:, :-1], bounds[:, 1:]) & inner
-    if bad.any():
+    vals, floor, bounds = level(z, line)
+    # each segment's ends a and b, as _certified takes them
+    a = (z[:-1], vals[:-1], floor[:-1], bounds[:, :-1])
+    b = (z[1:], vals[1:], floor[1:], bounds[:, 1:])
+    bad = inner > _certified(a, b, inner)  # the inner segments left uncertified
+    if np.count_nonzero(bad):
         # every node made, as (line, position along it, D); the certified
         # segments of a line join its nodes in order
         resolution = np.asarray(resolution, dtype=float)
         rows, places, found = [line], [place], [vals]
         open_rows = line[:-1][bad]
-        za, zb, ta, tb = z[:-1][bad], z[1:][bad], place[:-1][bad], place[1:][bad]
-        bounds_a, bounds_b = bounds[:, :-1][:, bad], bounds[:, 1:][:, bad]
+        ta, tb = place[:-1][bad], place[1:][bad]
+        a, b = [x[..., bad] for x in a], [x[..., bad] for x in b]
         while open_rows.size:
-            h = np.abs(zb - za)
+            h = np.abs(b[0] - a[0])
             short = h < resolution[open_rows]
             if short.any():
                 k = int(np.argmin(np.where(short, h, np.inf)))
                 raise BoundaryRoot(
-                    f"no certificate for a segment of {h[k]:.3e} at {complex(za[k]):.6g}: "
+                    f"no certificate for a segment of {h[k]:.3e} at {complex(a[0][k]):.6g}: "
                     "a root lies within a few node spacings of the contour"
                 )
-            zm, tm = 0.5 * (za + zb), 0.5 * (ta + tb)
-            dm, bounds_m = level(zm, open_rows)
+            zm, tm = 0.5 * (a[0] + b[0]), 0.5 * (ta + tb)
+            mid = (zm, *level(zm, open_rows))
             rows.append(open_rows)
             places.append(tm)
-            found.append(dm)
-            za, zb = np.concatenate((za, zm)), np.concatenate((zm, zb))
+            found.append(mid[1])
             ta, tb = np.concatenate((ta, tm)), np.concatenate((tm, tb))
-            bounds_a = np.concatenate((bounds_a, bounds_m), axis=1)
-            bounds_b = np.concatenate((bounds_m, bounds_b), axis=1)
-            bad = ~_certified(za, zb, bounds_a, bounds_b)
+            a = [np.concatenate(pair, axis=-1) for pair in zip(a, mid)]
+            b = [np.concatenate(pair, axis=-1) for pair in zip(mid, b)]
+            bad = ~_certified(a, b)
             open_rows = np.concatenate((open_rows, open_rows))[bad]
-            za, zb, ta, tb = za[bad], zb[bad], ta[bad], tb[bad]
-            bounds_a, bounds_b = bounds_a[:, bad], bounds_b[:, bad]
+            ta, tb = ta[bad], tb[bad]
+            a, b = [x[..., bad] for x in a], [x[..., bad] for x in b]
         line = np.concatenate(rows)
         order = np.lexsort((np.concatenate(places), line))
         place, vals = np.concatenate(places)[order], np.concatenate(found)[order]
@@ -383,12 +436,15 @@ def _counted_alone(taus, ab, region):
 def count_roots(factor: ScalarFactor, region: Region) -> int:
     """Number of zeros of the factor inside the region, with multiplicity.
 
-    The count is certified by the argument principle with a derivative
-    bound per boundary segment (see the module docstring).  It requires a
-    root-free boundary: if |D| dips below 1e-8 * scale at a node the region
-    is dilated once by 1e-6 and retried, then BoundaryRoot is raised; a
-    boundary segment shorter than 1e-6 times the longer side that still has
-    no certificate is BoundaryRoot at once.  NoConvergence is raised when D
+    The count is certified by the argument principle with a disc or a
+    chord certificate per boundary segment (see the module docstring).  It
+    requires a root-free boundary: if |D| dips below 1e-8 * scale at a node
+    the region is dilated once by 1e-6 and retried, then BoundaryRoot is
+    raised; a boundary segment shorter than 1e-6 times the longer side that
+    still has no certificate is BoundaryRoot at once.  Only uncertified
+    segments are bisected, so a boundary that passes close to a root may
+    count where the disc alone would have bisected down to one of these
+    BoundaryRoot errors.  NoConvergence is raised when D
     overflows on the contour (far left of the axis at large delays), when
     the rounding floor of D does (a product |a_k b_k| near the float
     maximum), or when the certified sum is not within 1e-6 of an integer.
@@ -792,8 +848,9 @@ class TargetCheck:
 class SpectrumReport:
     """Per-target checks; contour_min_abs is the smallest |D| at any node of
     the isolation boxes, contour_panels the most certified segments on any
-    one of their edges.  Both come from the boxes around +i*omega, the only
-    ones certified; the box around -i*omega mirrors one of them."""
+    one of their edges (16 unless some segment had to be bisected).  Both
+    come from the boxes around +i*omega, the only ones certified; the box
+    around -i*omega mirrors one of them."""
 
     targets: tuple[TargetCheck, ...]
     passed: bool

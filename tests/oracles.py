@@ -18,13 +18,17 @@ trapezoid-rule winding integral in place of the certified count, a
 root search that counts the whole region first and then quadrisects it one
 cell at a time instead of starting from one certified grid, and root
 estimates from power sums on a fine uniform contour, read off Hankel
-matrices, in place of the moment starts from a grid's certified edges.
+matrices, in place of the moment starts from a grid's certified edges,
+and, for the certificate of a contour segment, the distance from 0 to a
+chord in exact rationals and the change of arg D along the segment at 50
+digits.
 """
 from __future__ import annotations
 
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -53,6 +57,35 @@ def eval_derivative_mp(terms, lam, dps: int = 50) -> complex:
         for a, b, tau in terms:
             acc += mp.mpf(a) * mp.mpf(b) * mp.mpf(tau) * mp.e ** (-z * mp.mpf(tau))
         return complex(acc)
+
+
+def arg_change_mp(terms, za: complex, zb: complex, samples: int = 64, dps: int = 50) -> float:
+    """The change of arg D along the segment [za, zb], from 50-digit values
+    at samples + 1 equally spaced points, the principal arg of each ratio
+    of neighbours summed (each step must turn by less than pi)."""
+    with mp.workdps(dps):
+        za, zb = mp.mpc(za.real, za.imag), mp.mpc(zb.real, zb.imag)
+        vals = []
+        for k in range(samples + 1):
+            z = za + (zb - za) * mp.mpf(k) / samples
+            acc = z
+            for a, b, tau in terms:
+                acc -= mp.mpf(a) * mp.mpf(b) * mp.e ** (-z * mp.mpf(tau))
+            vals.append(acc)
+        return float(mp.fsum(mp.arg(v / u) for u, v in zip(vals, vals[1:])))
+
+
+def chord_distance_exact(da: complex, db: complex) -> float:
+    """Distance from 0 to the segment [da, db] of the complex plane, exact
+    in rationals on the two floating-point ends, rounded at the end: the
+    nearest point is da + t (db - da), t = -Re(conj da (db - da)) / |db -
+    da|^2 clipped to [0, 1]."""
+    xa, ya, xb, yb = (Fraction(v) for v in (da.real, da.imag, db.real, db.imag))
+    dx, dy = xb - xa, yb - ya
+    length = dx * dx + dy * dy
+    t = min(max(-(xa * dx + ya * dy) / length, Fraction(0)), Fraction(1)) if length else Fraction(0)
+    x, y = xa + t * dx, ya + t * dy
+    return math.sqrt(x * x + y * y)
 
 
 def eval_factor_fsum(terms, lam) -> complex:

@@ -418,20 +418,51 @@ def certify_cases(draw):
                           *(draw(s) for s in log_uniform))
 
 
+# DENSE_THREE in a box around one root: its left edge, at Re = -0.05 where
+# the delay 98 makes D turn fast, has segments that only the chord certifies
+CHORD_BOX = Region(-0.05, 0.1, 0.95, 1.1)
+
+
+def _segment_certificates(factor, z, vals):
+    """Per segment of a certified path through the nodes z, where the
+    computed D is vals, both certificates recomputed from the test's own
+    sums: (disc, e, R, f_e) with the disc test's end e, the radius R = h
+    min(M, P + C h / 2) and the rounding floor at e, and (chord, r) with r = C h^2 / 8 + max(f_a,
+    f_b), the chord counted only when its exact distance from 0 exceeds
+    r.  M, P and C as in test_certified_segments_are_honest."""
+    size, taus = _term_sizes(factor, z)
+    slope, curve = size @ taus, size @ taus**2
+    floor, slope_floor = _rounding_floors(factor, z)
+    ders = np.abs(evaluate_derivative_many(factor, z)) + slope_floor
+    for k in range(len(z) - 1):
+        h = abs(z[k + 1] - z[k])
+        # the sums at the end with the smaller real part
+        bound, bend = 1.0 + max(slope[k], slope[k + 1]), max(curve[k], curve[k + 1])
+        reach = h * min(bound, max(ders[k], ders[k + 1]) + 0.5 * h * bend)
+        e = k if abs(vals[k]) - floor[k] >= abs(vals[k + 1]) - floor[k + 1] else k + 1
+        r = bend * h * h / 8 + max(floor[k], floor[k + 1])
+        chord = oracles.chord_distance_exact(complex(vals[k]), complex(vals[k + 1])) > r
+        yield (reach + floor[e] < abs(vals[e]), e, reach, floor[e]), (chord, r)
+
+
 @given(certify_cases())
 @example(_near_root_box(1.09, 497089, 7.4, 8367.0))
 @example((ScalarFactor(((-1.215, 1.985, 9.729), (-0.973, -1.707, 10.312), (1.053, 0.792, 5.147))),
           Region(-0.161, 0.521, -0.474, 0.465)))
+@example((DENSE_THREE, CHORD_BOX))
 @settings(max_examples=40, deadline=None)
 def test_certified_segments_are_honest(case):
-    """On every certified edge segment [a, b] the certificate holds at one
-    end e: R + f_e < |D_e| for the computed D_e and its rounding floor f_e,
-    where R = h min(M, P + C h / 2), M = 1 + sum_k |a_k b_k| tau_k
-    exp(-x_min tau_k) bounds |D'|, P is the larger |D'| plus its rounding
-    floor at the two ends, and C = sum_k |a_k b_k| tau_k^2 exp(-x_min
-    tau_k) bounds |D''|.  And dense 50-digit samples show that the disc
-    |D - D_e| <= R + f_e really holds D on the segment, so the segment's
-    image stays away from 0."""
+    """Every certified edge segment [a, b] holds one of two certificates.
+    The disc: at one end e, R + f_e < |D_e| for the computed D_e and its
+    rounding floor f_e, where R = h min(M, P + C h / 2), M = 1 + sum_k
+    |a_k b_k| tau_k exp(-x_min tau_k) bounds |D'|, P is the larger |D'|
+    plus its rounding floor at the two ends, and C = sum_k |a_k b_k|
+    tau_k^2 exp(-x_min tau_k) bounds |D''|.  The chord: the computed chord
+    [D_a, D_b] keeps farther than r = C h^2 / 8 + max(f_a, f_b) from 0.
+    And dense 50-digit samples show that D really stays where each
+    certificate that holds puts it: in the disc |D - D_e| <= R + f_e, or
+    within r of the chord point at the same fraction of the segment; so
+    the segment's image stays away from 0."""
     factor, region = case
     try:
         _, region, edges = _alone(factor, region)
@@ -441,22 +472,33 @@ def test_certified_segments_are_honest(case):
     fixed = (region.im_min, region.im_max, region.re_min, region.re_max)
     for row, (t, vals, turn) in enumerate(edges):
         z = t + 1j * fixed[row] if row < 2 else fixed[row] + 1j * t
-        size, taus = _term_sizes(factor, z)
-        slope, curve = size @ taus, size @ taus**2
-        floor, slope_floor = _rounding_floors(factor, z)
-        ders = np.abs(evaluate_derivative_many(factor, z)) + slope_floor
         assert len(turn) == len(z) - 1
-        for k in range(len(turn)):
-            h = abs(z[k + 1] - z[k])
-            # the sums at the end with the smaller real part
-            bound, bend = 1.0 + max(slope[k], slope[k + 1]), max(curve[k], curve[k + 1])
-            reach = h * min(bound, max(ders[k], ders[k + 1]) + 0.5 * h * bend)
-            e = k if abs(vals[k]) - floor[k] >= abs(vals[k + 1]) - floor[k + 1] else k + 1
-            assert reach + floor[e] < abs(vals[e])
+        certificates = _segment_certificates(factor, z, vals)
+        for k, ((disc, e, reach, floor), (chord, r)) in enumerate(certificates):
+            assert disc or chord
             for frac in np.linspace(0.0, 1.0, 9):
                 zs = z[k] + frac * (z[k + 1] - z[k])
                 exact = oracles.eval_factor_mp(terms, complex(zs))
-                assert abs(exact - vals[e]) <= reach * (1 + 1e-12) + floor[e]
+                if disc:
+                    assert abs(exact - vals[e]) <= reach * (1 + 1e-12) + floor
+                if chord:
+                    assert abs(exact - (vals[k] + frac * (vals[k + 1] - vals[k]))) <= r * (1 + 1e-12)
+
+
+def test_chord_certified_segment_turns_as_at_50_digits():
+    # a segment of CHORD_BOX's left edge that the disc refuses and only the
+    # chord certifies, D turning by almost 1 rad along it: the certified
+    # turn is the change of arg D that 50-digit values show
+    _, region, edges = _alone(DENSE_THREE, CHORD_BOX)
+    t, vals, turn = edges[2]
+    z = region.re_min + 1j * t
+    only = [k for k, ((disc, *_), (chord, _)) in enumerate(_segment_certificates(DENSE_THREE, z, vals))
+            if chord and not disc]
+    assert only
+    k = max(only, key=lambda k: abs(turn[k]))
+    assert abs(turn[k]) > 0.9
+    terms = [(f.a, f.b, f.tau) for f in DENSE_THREE.terms]
+    assert abs(turn[k] - oracles.arg_change_mp(terms, complex(z[k]), complex(z[k + 1]))) < 1e-12
 
 
 def test_certified_count_matches_trapezoid_oracle():
@@ -466,6 +508,34 @@ def test_certified_count_matches_trapezoid_oracle():
         winding = (bottom[2].sum() + right[2].sum() - top[2].sum() - left[2].sum()) / (2 * PI)
         assert abs(winding - count) < 1e-9
         assert count == count_roots(factor, region) == oracles.count_roots_trapezoid(factor, region)
+
+
+def test_chord_certificate_cuts_the_bisection_levels(monkeypatch):
+    # a segment along which D turns fast while staying far from 0 fails the
+    # disc and once cost a bisection level: DENSE_THREE's band took 12
+    # certify levels to locate and 6 more to count, and these census-like
+    # boxes 17 levels to locate and 22 to count.  The chord certifies most
+    # such segments at once: each box is located in one level and counted
+    # in at most two more, and the counts stay those of the trapezoid rule
+    calls = []
+    certified = spectrum._certified
+
+    def counted(*args):
+        calls.append(1)
+        return certified(*args)
+
+    monkeypatch.setattr(spectrum, "_certified", counted)
+    region = Region(-0.25, 0.5, 0.05, 4.05)
+    assert len(locate_roots(DENSE_THREE, region, 100)) == 62
+    located = len(calls)
+    assert count_roots(DENSE_THREE, region) == 62
+    assert located <= 6 and len(calls) - located <= 5
+    for factor, region in _census_like_cases(17, 12):
+        calls.clear()
+        count = len(locate_roots(factor, region))
+        assert len(calls) == 1
+        assert count_roots(factor, region) == count == oracles.count_roots_trapezoid(factor, region)
+        assert len(calls) <= 3
 
 
 # ---------------------------------------------------------------------------
@@ -1014,7 +1084,9 @@ def test_cross_factor_batch_matches_factor_by_factor(monkeypatch):
     # random 2- and 3-row weight tables over shared delays and
     # coefficients, eight boxes each, any box owned by any row: a batch
     # that succeeds counts every box as its own factor alone does.  The
-    # node kernel itself runs here, and many batches bisect segments of
+    # node kernel itself runs here.  With delays up to 12 the chord
+    # certificate leaves almost nothing to bisect, so the last 15 cases
+    # take delays up to 48, where many batches still bisect segments of
     # boxes of two or more factors in one level
     monkeypatch.undo()
     kernel = spectrum._node_values
@@ -1026,10 +1098,10 @@ def test_cross_factor_batch_matches_factor_by_factor(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_node_values", reading)
     compared = mixed = 0
-    for _ in range(30):
+    for longest in (12.0,) * 30 + (48.0,) * 15:
         m = int(rng.integers(2, 8))
         base = ScalarFactor(tuple(zip(rng.uniform(-1.5, 1.5, m).tolist(), (1.0,) * m,
-                                      rng.uniform(0.0, 12.0, m).tolist())))
+                                      rng.uniform(0.0, longest, m).tolist())))
         factors = _weight_rows(base, rng.uniform(-2.0, 2.0, (int(rng.integers(2, 4)), m)))
         owner = rng.integers(0, len(factors), 8).tolist()
         centres = rng.uniform(-0.3, 0.3, 8) + 1j * rng.uniform(-4.0, 4.0, 8)
@@ -1216,3 +1288,4 @@ def test_report_json_shape(realized_three):
     assert doc["totals"]["targets"] == 6
     assert doc["totals"]["roots_counted"] == 6
     assert doc["contour"]["min_abs"] > 0
+
