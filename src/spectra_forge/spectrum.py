@@ -109,6 +109,8 @@ _DILATE = 1e-6
 _EPS = float(np.finfo(float).eps)
 # the nodes of a path split each gap between two cuts into 8 equal segments
 _FRACTIONS = np.arange(8) / 8
+# below this |D| the products of the chord test stay finite
+_CHORD_TOP = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,7 @@ def _bounds(taus, weights, z, vals, ders, threshold, pick):
     return floor, np.array((size - floor, np.abs(ders) + slope_floor, slope, curve))
 
 
-def _certified(a, b, inner=True):
+def _certified(a, b, inner=np.True_):
     """Whether D provably stays off 0 along each segment [a, b] of length
     h, whose ends a and b are given as (z, D, f, rows): the nodes, the
     computed D there, its rounding floor f and the rows of
@@ -213,26 +215,28 @@ def _certified(a, b, inner=True):
     The disc certificate: D stays in the disc of radius h * min(1 + slope,
     |D'| + curvature * h / 2) around D at the end of larger margin |D| -
     f, and that margin exceeds the radius.  The chord certificate, tried
-    only on the segments marked inner that the disc refuses: D stays
-    within r = curvature * h^2 / 8 + max(f_a, f_b) of the computed chord
-    [D_a, D_b], and the chord keeps farther than r from 0 (see
+    only on the segments that the disc refuses: D stays within r =
+    curvature * h^2 / 8 + max(f_a, f_b) of the computed chord [D_a, D_b],
+    and the chord keeps farther than r from 0 (see
     :func:`_chord_clear`).  Linear interpolation misses a C^2 path by at
     most h^2 / 8 times the bound on its second derivative, complex values
     included, since the error is an integral of the second derivative
     against a kernel of one sign; and each point of the computed chord
     lies within max(f_a, f_b) of the true one.  Either way D stays in a
     convex set that excludes 0, so the principal arg(D_b / D_a) is its true
-    change of argument.  The result for a segment not marked inner is the
-    disc's alone."""
+    change of argument.  A segment not marked inner joins the last node of
+    one line to the first of the next, needs no certificate and comes back
+    certified."""
     za, da, fa, bounds_a = a
     zb, db, fb, bounds_b = b
     h = np.abs(zb - za)
     margin, ders, slope, curve = np.maximum(bounds_a, bounds_b)
-    certified = h * np.minimum(1.0 + slope, ders + 0.5 * h * curve) < margin
-    refused = inner > certified  # the inner segments that the disc refuses
-    if np.count_nonzero(refused):
-        reach = 0.125 * curve[refused] * h[refused] ** 2 + np.maximum(fa[refused], fb[refused])
-        certified[refused] = _chord_clear(da[refused], db[refused], reach)
+    with np.errstate(over="ignore"):  # an overflowed bound certifies nothing
+        certified = (h * np.minimum(1.0 + slope, ders + 0.5 * h * curve) < margin) | ~inner
+        refused = ~certified
+        if np.count_nonzero(refused):
+            reach = 0.125 * curve[refused] * h[refused] ** 2 + np.maximum(fa[refused], fb[refused])
+            certified[refused] = _chord_clear(da[refused], db[refused], reach)
     return certified
 
 
@@ -241,13 +245,20 @@ def _chord_clear(da, db, reach):
     reach from 0, with an allowance of 4 eps (|da| + |db|) for the rounding
     of the distance.  The distance is that to the nearer end when the foot
     of the perpendicular from 0 falls outside the segment, and |Im(conj da
-    db)| / |db - da| otherwise, the cross product taken with db - da."""
+    db)| / |db - da| otherwise, the cross product taken with db - da.  When
+    some |da| or |db| passes 2^500, the products could overflow to a wrong
+    distance, so each segment and its reach are first scaled by the power
+    of two that brings the larger of |da| and |db| into [1/2, 1): that is
+    exact and changes no comparison."""
     size_a, size_b = np.abs(da), np.abs(db)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    top = np.maximum(size_a, size_b)
+    if top.max() > _CHORD_TOP:
+        scale = np.ldexp(1.0, -np.frexp(top)[1])
+        da, db, reach, size_a, size_b = da * scale, db * scale, reach * scale, size_a * scale, size_b * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
         chord = db - da
         tail, head = da.conj() * chord, db.conj() * chord
         outside = (tail.real >= 0.0) | (head.real <= 0.0)
-        # an overflowed product leaves a nan distance, which certifies nothing
         distance = np.where(outside, np.minimum(size_a, size_b), np.abs(tail.imag) / np.abs(chord))
         return distance > reach + 4.0 * _EPS * (size_a + size_b)
 
@@ -305,7 +316,7 @@ def _certify(taus, ab, owner: np.ndarray, z, place, lengths: tuple[int, ...], th
     # each segment's ends a and b, as _certified takes them
     a = (z[:-1], vals[:-1], floor[:-1], bounds[:, :-1])
     b = (z[1:], vals[1:], floor[1:], bounds[:, 1:])
-    bad = inner > _certified(a, b, inner)  # the inner segments left uncertified
+    bad = ~_certified(a, b, inner)  # the segments left uncertified
     if np.count_nonzero(bad):
         # every node made, as (line, position along it, D); the certified
         # segments of a line join its nodes in order

@@ -447,6 +447,9 @@ def _segment_certificates(factor, z, vals):
 
 @given(certify_cases())
 @example(_near_root_box(1.09, 497089, 7.4, 8367.0))
+# a bottom edge whose chord passes within a rounding floor of 0: r must
+# carry max(f_a, f_b), or the chord alone certifies two of its segments
+@example(_near_root_box(1.49, 5052149, 1.05, 81.0))
 @example((ScalarFactor(((-1.215, 1.985, 9.729), (-0.973, -1.707, 10.312), (1.053, 0.792, 5.147))),
           Region(-0.161, 0.521, -0.474, 0.465)))
 @example((DENSE_THREE, CHORD_BOX))
@@ -503,6 +506,12 @@ def test_chord_certified_segment_turns_as_at_50_digits():
 
 def test_certified_count_matches_trapezoid_oracle():
     cases = _census_like_cases(7, 16) + _family_cases(8, (0, 1, 3, 10, 40, 100, 500, 1000, 2000))
+    # far left at a large delay: on the left edges |D| reaches e^370 and
+    # e^360, past the square root of the float maximum, where unscaled chord
+    # products overflow to an infinite distance and certify segments that
+    # turn by tens of radians
+    far_left = ((100.0, (-3.7, 0.1, 0.05, 4.0)), (100.0, (-3.7, 0.1, 0.3, 4.1)), (150.0, (-2.4, -2.1, 0.05, 1.05)))
+    cases += [(ScalarFactor(((1.0, 1.0, tau),)), Region(*box)) for tau, box in far_left]
     for factor, region in cases:
         count, _, (bottom, top, left, right) = _alone(factor, region)
         winding = (bottom[2].sum() + right[2].sum() - top[2].sum() - left[2].sum()) / (2 * PI)
@@ -510,13 +519,30 @@ def test_certified_count_matches_trapezoid_oracle():
         assert count == count_roots(factor, region) == oracles.count_roots_trapezoid(factor, region)
 
 
+def test_chord_test_is_the_same_at_every_scale():
+    # scaling a chord and its reach by a power of two changes no answer,
+    # also past 2^500, where the test scales them back before its products
+    rng = np.random.default_rng(3)
+    da, db = rng.normal(size=(2, 400)) + 1j * rng.normal(size=(2, 400))
+    reach = rng.uniform(0.0, 1.0, 400) * np.abs(da)
+    clear = spectrum._chord_clear(da, db, reach)
+    assert 0 < np.count_nonzero(clear) < clear.size
+    for k in (-20, 300, 500, 600, 1000):
+        s = math.ldexp(1.0, k)
+        assert np.array_equal(spectrum._chord_clear(da * s, db * s, reach * s), clear)
+
+
 def test_chord_certificate_cuts_the_bisection_levels(monkeypatch):
     # a segment along which D turns fast while staying far from 0 fails the
     # disc and once cost a bisection level: DENSE_THREE's band took 12
     # certify levels to locate and 6 more to count, and these census-like
     # boxes 17 levels to locate and 22 to count.  The chord certifies most
-    # such segments at once: each box is located in one level and counted
-    # in at most two more, and the counts stay those of the trapezoid rule
+    # such segments at once: each census-like box is located in one level
+    # and counted in at most two more, and the counts stay those of the
+    # trapezoid rule.  DENSE_THREE's band still takes 6 levels to locate,
+    # 4 of them for one grid segment 0.004 from a root, and 5 to count,
+    # because the count starts its left edge with 16 segments along which D
+    # turns about 25 rad each; 6 levels for the two together is not reached
     calls = []
     certified = spectrum._certified
 
@@ -1288,4 +1314,3 @@ def test_report_json_shape(realized_three):
     assert doc["totals"]["targets"] == 6
     assert doc["totals"]["roots_counted"] == 6
     assert doc["contour"]["min_abs"] > 0
-
