@@ -2,12 +2,14 @@
 """Sweep the two-factor reduced matrices over odd ring sizes.
 
 For every odd n in [5, N] and every factor pair 1 <= i1 < i2 <= (n-1)/2,
-compares the closed-form determinant against LU and decides singularity
-with ``dn_ring.singular_selection``, the test that ``realize_ring`` and
-``spectra-forge bmat`` apply.  The row-normalized |det| of the regular
-pairs is reported for information only.  Exactly singular selections exist
-whenever n has a square factor (the first is n = 25 with the pair (5, 10),
-where every index product vanishes mod n); the sweep lists them all.
+compares the closed-form determinant against LU of the matrix the paper
+prints (``dn_ring.build_B``, coupling entries 4 cos) and decides
+singularity with ``dn_ring.singular_selection``, the test that
+``realize_ring`` and ``spectra-forge bmat`` apply to that same matrix.
+The row-normalized |det| of the regular pairs is reported for
+information only.  Exactly singular selections exist whenever n has a
+square factor (the first is n = 25 with the pair (5, 10), where every
+index product vanishes mod n); the sweep lists them all.
 
 Usage:
     python scripts/bmat_sweep.py [--n-max 101]
@@ -34,7 +36,7 @@ def main(argv=None):
             for i2 in range(i1 + 1, (n - 1) // 2 + 1):
                 checked += 1
                 closed = det_B_two_factor(n, i1, i2)
-                mat = build_B(n, (i1, i2), convention=4.0)
+                mat = build_B(n, (i1, i2))
                 lu = float(np.linalg.det(mat))
                 worst_match = max(worst_match, abs(closed - lu) / max(1.0, abs(lu)))
                 if singular_selection(n, (i1, i2)):

@@ -184,12 +184,11 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 def _cmd_bmat(args) -> tuple[int, dict]:
     indices = tuple(int(tok) for tok in args.indices.split(",") if tok != "")
-    mat = dn_ring.build_B(args.n, indices, convention=args.convention)
+    mat = dn_ring.build_B(args.n, indices)
     return EXIT_OK, {
         "schema": SCHEMA,
         "n": args.n,
         "indices": list(indices),
-        "convention": args.convention,
         "matrix": mat.tolist(),
         "det": float(np.linalg.det(mat)),
         "singular": dn_ring.singular_selection(args.n, indices),
@@ -255,7 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bmat", help="reduced leading-weight matrix for odd rings")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--indices", required=True, help="comma-separated factor indices")
-    p.add_argument("--convention", type=float, default=4.0)
     p.add_argument("--output", default="-")
 
     p = sub.add_parser("spectrum", help="count and locate roots in a rectangle")

@@ -13,15 +13,15 @@ profile by 2*cos(2*pi*(k-1)*j/n) for paired neighbours and by (-1)^j for
 the opposite cell.  Factor 0 appears once, factor n/2 (even n) once, all
 others twice.
 
-A direct eigendecomposition of the circulant confirms those weights.  The
-printed reduced matrices that some sources carry use twice these values
-(4*cos instead of 2*cos); :func:`build_B` exposes both scalings because
-column scaling never changes singularity, which is the only thing the
-nonsingularity tests below depend on.
+A direct eigendecomposition of the circulant confirms those weights.  All
+of them come from one table of 2*cos(2*pi*m/n), exact where the cosine is
+rational.  The reduced matrices printed in the paper carry twice these
+values (4*cos instead of 2*cos) in their coupling columns; :func:`build_B`
+returns that printed matrix, and :func:`singular_selection` decides on it,
+since doubling a column changes no singularity.
 """
 from __future__ import annotations
 
-import math
 import numbers
 import operator
 import re
@@ -212,21 +212,17 @@ _EXACT_DOUBLE_COS = {0: 2.0, 2: 1.0, 3: 0.0, 4: -1.0, 6: -2.0, 8: -1.0, 9: 0.0, 
 
 
 @lru_cache(maxsize=256)
-def _cos_table(n: int) -> tuple[float, ...]:
-    """cos(2*pi*m/n) for m = 0 .. n-1, the angle reduced in integers first,
-    so equal angles give bitwise equal cosines."""
-    return tuple(np.cos(2.0 * np.pi * np.arange(n) / n).tolist())
+def _double_cos(n: int) -> tuple[float, ...]:
+    """2*cos(2*pi*m/n) for m = 0 .. n-1, the source of every ring weight.
 
-
-def _cos_weight(n: int, m: int) -> float:
-    # angles that are multiples of pi/6 with rational cosine come out
-    # exact (0, +-1, +-2)
-    m = m % n
-    if (12 * m) % n == 0:
-        t = (12 * m // n) % 12
-        if t in _EXACT_DOUBLE_COS:
-            return _EXACT_DOUBLE_COS[t]
-    return 2.0 * _cos_table(n)[m]
+    The angle is reduced in integers first, so equal angles give bitwise
+    equal weights, and the multiples of pi/6 whose cosine is rational come
+    out exact (0, +-1, +-2)."""
+    table = (2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)).tolist()
+    for t, weight in _EXACT_DOUBLE_COS.items():
+        if n * t % 12 == 0:
+            table[n * t // 12] = weight
+    return tuple(table)
 
 
 def factor_weights(n: int, j: int) -> np.ndarray:
@@ -240,10 +236,9 @@ def factor_weights(n: int, j: int) -> np.ndarray:
         raise ValueError("ring needs at least 3 cells")
     if not (0 <= j <= n - 1):
         raise ValueError(f"factor index {j} outside 0..{n - 1}")
-    if n % 2:
-        return np.array([_cos_weight(n, (k - 1) * j) for k in range(2, (n + 1) // 2 + 1)])
-    paired = [_cos_weight(n, (k - 1) * j) for k in range(2, n // 2 + 1)]
-    return np.array(paired + [(-1.0) ** j])
+    weights = _double_cos(n)
+    paired = [weights[d * j % n] for d in range(1, (n + 1) // 2)]
+    return np.array(paired if n % 2 else paired + [(-1.0) ** j])
 
 
 def characteristic_factorization(ring: RingSpec) -> CharProduct:
@@ -291,71 +286,69 @@ def _check_indices(n: int, indices: Sequence[int]) -> tuple[int, ...]:
     return idx
 
 
-def build_B(n: int, indices: Sequence[int], convention: float = 4.0) -> np.ndarray:
-    """Reduced leading-weight matrix for a factor selection, odd n.
+def build_B(n: int, indices: Sequence[int]) -> np.ndarray:
+    """Reduced leading-weight matrix for a factor selection, odd n, as the
+    paper prints it.
 
     Row p and column q hold the weight of factor indices[p] at the leading
     column of block q: 1 when indices[q] is 0 (the internal column),
-    convention * cos(2*pi*indices[p]*indices[q]/n) otherwise.  The printed
-    convention is 4; the eigen-consistent one is 2.  Singularity does not
-    depend on the choice (uniform column scaling), as long as the
-    convention is finite and nonzero; any other raises ValueError.
+    4*cos(2*pi*indices[p]*indices[q]/n) otherwise, twice the factor weight.
+    The entries with a rational cosine are exact: 4 where the index product
+    is 0 mod n and -2 where it is +-n/3.
     """
     _check_odd(n)
     idx = _check_indices(n, indices)
-    c = float(convention)
-    if not 0.0 < abs(c) < math.inf:
-        raise ValueError(f"convention must be finite and nonzero, got {c!r}")
-    cos = _cos_table(n)
-    flat = [1.0 if q == 0 else c * cos[p * q % n] for p in idx for q in idx]
+    weights = _double_cos(n)
+    flat = [1.0 if q == 0 else 2.0 * weights[p * q % n] for p in idx for q in idx]
     return np.array(flat).reshape(len(idx), len(idx))
 
 
 def det_B_two_factor(n: int, i1: int, i2: int) -> float:
-    """Closed-form determinant of the two-factor reduced matrix, printed
-    convention: 8*[cos(2pi(i1^2+i2^2)/n) + cos(2pi(i1^2-i2^2)/n)
-    - cos(4pi i1 i2/n) - 1].
+    """Closed-form determinant of the two-factor matrix of :func:`build_B`:
+    4*(w_a + w_b - w_c) - 8, where w_m = 2*cos(2*pi*m/n) at
+    a = i1^2 + i2^2, b = i1^2 - i2^2 and c = 2*i1*i2.
 
     Vanishes exactly on the singular selections.  For odd n up to 101
     these are the pairs whose two rows coincide, i1^2 = +-i1 i2 = +-i2^2
     (mod n), which can happen only when n has a square factor (first case
     n = 25, pair (5, 10)).  :func:`realize_ring` refuses them with
-    :class:`SingularB`."""
+    :class:`SingularB`.  Indices follow the integer rule of
+    :func:`build_B`; a fractional one raises :class:`BadIndex`."""
     _check_odd(n)
     if not (1 <= i1 < i2 <= (n - 1) // 2):
         raise BadIndex(f"need 1 <= i1 < i2 <= {(n - 1) // 2}, got ({i1}, {i2})")
-    cos = _cos_table(n)
-    return 8.0 * (cos[(i1 * i1 + i2 * i2) % n] + cos[(i1 * i1 - i2 * i2) % n]
-                  - cos[(2 * i1 * i2) % n] - 1.0)
+    if type(i1) is not int or type(i2) is not int:
+        i1, i2 = _check_indices(n, (i1, i2))
+    w = _double_cos(n)
+    return 4.0 * (w[(i1 * i1 + i2 * i2) % n] + w[(i1 * i1 - i2 * i2) % n]
+                  - w[(2 * i1 * i2) % n]) - 8.0
 
 
 def singular_selection(n: int, indices: Sequence[int]) -> bool:
     """Whether a factor selection of an odd ring is refused as singular:
     |det B| <= 1e-12 times the Hadamard bound (the product of its column
-    norms), for B from :func:`build_B` in the eigen-consistent convention
-    2.  :func:`realize_ring` refuses these selections with
-    :class:`SingularB`, and the CLI's bmat reports them as singular."""
-    return _singular_det(build_B(n, indices, convention=2.0)) is not None
+    norms), for B from :func:`build_B`.  The test reads the same on the
+    factor weights themselves, since halving the coupling columns is exact.
+    :func:`realize_ring` refuses these selections with :class:`SingularB`,
+    and the CLI's bmat reports them as singular."""
+    return _singular_det(build_B(n, indices)) is not None
 
 
 def detect_even_degeneracy(n: int) -> list[tuple[int, int]]:
     """Zero factor weights (coupling index k, factor index j) for even n.
 
-    Decided in integer arithmetic: 2*cos(2*pi*(k-1)*j/n) vanishes exactly
-    when 4*(k-1)*j is an odd multiple of n.  The opposite-cell weight
-    (-1)^j never vanishes.  Nonempty for n = 4.
+    2*cos(2*pi*(k-1)*j/n) vanishes exactly when 4*(k-1)*j is an odd
+    multiple of n, and the weight table holds those entries as exact
+    zeros.  The opposite-cell weight (-1)^j never vanishes.  Nonempty for
+    n = 4.
     """
     if n % 2:
         raise BadParity(f"cell count {n} must be even here")
     if n < 4:
         raise ValueError("even ring needs at least 4 cells")
-    out = []
-    for k in range(2, n // 2 + 1):
-        for j in range(n):
-            m = 4 * (k - 1) * j
-            if m % n == 0 and (m // n) % 2 == 1:
-                out.append((k, j))
-    return sorted(out)
+    weights = _double_cos(n)
+    return [(k, j) for k in range(2, n // 2 + 1) for j in range(n)
+            if weights[(k - 1) * j % n] == 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +402,8 @@ def ring_weight_table(
     if len(sizes) != len(idx):
         raise ValueError("need exactly one frequency group per selected factor")
     roles = _layout_roles(n, idx, sizes, layout)
-    rows = [[1.0 if d == 0 else _cos_weight(n, d * i) for d in roles] for i in idx]
+    weights = _double_cos(n)
+    rows = [[1.0 if d == 0 else weights[d * i % n] for d in roles] for i in idx]
     return WeightTable(np.array(rows)), roles
 
 

@@ -211,7 +211,7 @@ def test_criterion_07_two_factor_sweep(tmp_path):
         for i1 in range(1, (n - 1) // 2):
             for i2 in range(i1 + 1, (n - 1) // 2 + 1):
                 closed = det_B_two_factor(n, i1, i2)
-                mat = build_B(n, (i1, i2), convention=4.0)
+                mat = build_B(n, (i1, i2))
                 lu = float(np.linalg.det(mat))
                 worst_match = max(worst_match, abs(closed - lu) / max(1.0, abs(lu)))
                 norms = np.linalg.norm(mat, axis=1)
@@ -280,7 +280,7 @@ def test_criterion_07_squarefree_restriction_holds():
             continue
         for i1 in range(1, (n - 1) // 2):
             for i2 in range(i1 + 1, (n - 1) // 2 + 1):
-                mat = build_B(n, (i1, i2), convention=4.0)
+                mat = build_B(n, (i1, i2))
                 norms = np.linalg.norm(mat, axis=1)
                 min_norm_det = min(
                     min_norm_det, abs(float(np.linalg.det(mat))) / float(norms[0] * norms[1])

@@ -370,7 +370,7 @@ def test_bmat_singular_case(capsys):
 
 
 def test_bmat_five_ring_value(capsys):
-    code, doc = run(capsys, ["bmat", "--n", "5", "--indices", "1,2", "--convention", "4"])
+    code, doc = run(capsys, ["bmat", "--n", "5", "--indices", "1,2"])
     assert code == 0
     assert doc["det"] == pytest.approx(-8.944272, abs=1e-6)
     assert doc["singular"] is False
@@ -402,10 +402,10 @@ def test_bmat_even_cell_count_is_input_error(capsys):
     assert doc["error"]["type"] == "BadParity"
 
 
-@pytest.mark.parametrize("convention", ["nan", "inf", "0"])
+@pytest.mark.parametrize("convention", ["nan", "inf", "0", "4"])
 def test_bmat_bad_convention_is_input_error(capsys, convention):
-    # nan and inf wrote NaN tokens, which are not JSON, and 0 an all-zero
-    # matrix next to "singular": false
+    # bmat prints the one matrix the paper prints: --convention is no flag
+    # of it, whatever its value, and the error is strict JSON
     code = main(["bmat", "--n", "7", "--indices", "1,2", "--convention", convention])
     out = capsys.readouterr().out
 
@@ -415,7 +415,7 @@ def test_bmat_bad_convention_is_input_error(capsys, convention):
     doc = json.loads(out, parse_constant=not_json)
     assert code == 1
     assert doc["error"]["type"] == "ValueError"
-    assert "convention must be finite and nonzero" in doc["error"]["message"]
+    assert "unrecognized arguments: --convention" in doc["error"]["message"]
 
 
 def test_spectrum_subcommand(capsys, tmp_path):

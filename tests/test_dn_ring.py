@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from spectra_forge.dn_ring import (
 )
 from spectra_forge.errors import BadIndex, BadParity, SingularB
 from spectra_forge.quasipoly import evaluate_product, residual_on_targets
+from spectra_forge.realization import _singular_det
 from oracles import (
     circulant_eigenvalues,
     dense_ring_det,
@@ -253,7 +255,7 @@ def test_build_B_singular_nine_ring_case():
 
 
 def test_build_B_five_ring_pair():
-    mat = build_B(5, (1, 2), convention=4.0)
+    mat = build_B(5, (1, 2))
     det = float(np.linalg.det(mat))
     assert det == pytest.approx(-8.944271909999159, abs=1e-9)
 
@@ -261,17 +263,6 @@ def test_build_B_five_ring_pair():
 def test_build_B_seven_ring_full_selection_nonsingular():
     mat = build_B(7, (0, 1, 2, 3))
     assert abs(np.linalg.det(mat)) > 1e-9
-
-
-def test_build_B_convention_scaling_preserves_singularity():
-    rng = np.random.default_rng(10)
-    for _ in range(40):
-        n = int(rng.choice([5, 7, 9, 11, 13]))
-        size = int(rng.integers(1, min(4, (n - 1) // 2) + 1))
-        idx = tuple(sorted(rng.choice(np.arange(0, (n - 1) // 2 + 1), size=size, replace=False)))
-        d4 = float(np.linalg.det(build_B(n, idx, convention=4.0)))
-        d2 = float(np.linalg.det(build_B(n, idx, convention=2.0)))
-        assert (abs(d4) < 1e-9) == (abs(d2) < 1e-9)
 
 
 def test_build_B_bad_inputs():
@@ -283,22 +274,34 @@ def test_build_B_bad_inputs():
         build_B(9, (0, 7))
     with pytest.raises(BadIndex):
         build_B(9, ())
-    # a zero convention zeroes every coupling column, and nan or inf fills
-    # them with non-numbers: no such matrix says anything about singularity
-    for convention in (math.nan, math.inf, -math.inf, 0.0, -0.0):
-        with pytest.raises(ValueError, match="convention must be finite and nonzero"):
-            build_B(7, (1, 2), convention=convention)
-    assert build_B(7, (1, 2), convention=-2.0).tolist() == (-build_B(7, (1, 2), 2.0)).tolist()
 
 
 def test_det_B_two_factor_matches_build_B():
     assert det_B_two_factor(5, 1, 2) == pytest.approx(-8.944271909999159, abs=1e-12)
-    for n in (7, 11, 13):
+    # 9, 15 and 21 have index products at n/3, where 4 cos is exactly -2
+    for n in (7, 9, 11, 13, 15, 21):
         for i1 in range(1, (n - 1) // 2):
             for i2 in range(i1 + 1, (n - 1) // 2 + 1):
                 closed = det_B_two_factor(n, i1, i2)
-                lu = float(np.linalg.det(build_B(n, (i1, i2), convention=4.0)))
+                lu = float(np.linalg.det(build_B(n, (i1, i2))))
                 assert closed == pytest.approx(lu, abs=1e-12)
+    # 1 * 5 = 15 / 3 and 5 * 5 = 2 * 15 / 3 (mod 15): three entries are 4 cos(2 pi / 3)
+    mat = build_B(15, (1, 5))
+    assert mat[0, 0] == pytest.approx(4.0 * math.cos(2.0 * math.pi / 15), abs=1e-15)
+    assert [mat[0, 1], mat[1, 0], mat[1, 1]] == [-2.0, -2.0, -2.0]
+
+
+def test_singular_selection_decides_on_the_factor_weights():
+    # the leading-weight matrix built here from factor_weights carries half
+    # of build_B's coupling columns; both must give the same decision on
+    # every selection of one to three factors
+    for n in range(3, 42, 2):
+        half = (n - 1) // 2
+        for size in (1, 2, 3):
+            for idx in itertools.combinations(range(half + 1), size):
+                rows = [factor_weights(n, i) for i in idx]
+                mat = np.array([[1.0 if q == 0 else row[q - 1] for q in idx] for row in rows])
+                assert singular_selection(n, idx) == (_singular_det(mat) is not None), (n, idx)
 
 
 def test_det_B_two_factor_nonzero_thirteen():
@@ -341,6 +344,14 @@ def test_det_B_two_factor_bad_indices():
         det_B_two_factor(9, 2, 2)
     with pytest.raises(BadIndex):
         det_B_two_factor(9, 0, 2)
+    # the integer rule of build_B: whole floats are read as ints, others refused
+    assert det_B_two_factor(7, 1.0, 2.0) == det_B_two_factor(7, np.int64(1), 2) == det_B_two_factor(7, 1, 2)
+    for i1, i2 in ((1.5, 2), (1, 2.5)):
+        with pytest.raises(BadIndex, match="must be integers"):
+            det_B_two_factor(7, i1, i2)
+    for i1, i2 in ((math.nan, 2), (1, math.inf)):
+        with pytest.raises(BadIndex):
+            det_B_two_factor(7, i1, i2)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +372,13 @@ def test_even_degeneracy_eight_cells():
     for k, j in hits:
         assert abs(math.cos(2 * math.pi * (k - 1) * j / 8)) < 1e-15
     assert (2, 2) in hits and (2, 6) in hits
+
+
+def test_even_degeneracy_is_the_zero_factor_weights():
+    for n in range(4, 201, 2):
+        zeros = [(k, j) for j in range(n)
+                 for k, weight in enumerate(factor_weights(n, j), 2) if weight == 0.0]
+        assert detect_even_degeneracy(n) == sorted(zeros), n
 
 
 def test_even_degeneracy_rejects_odd():
