@@ -22,7 +22,6 @@ since doubling a column changes no singularity.
 """
 from __future__ import annotations
 
-import numbers
 import operator
 import re
 from collections import Counter
@@ -33,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import BadIndex, BadParity, SingularB
-from .quasipoly import CharProduct, ScalarFactor, _count, _needs
+from .quasipoly import CharProduct, ScalarFactor, _count, _needs, _whole
 from .realization import (
     FrequencyTarget,
     RealizationResult,
@@ -91,8 +90,8 @@ def _coupling_index(key, block: str) -> int:
     if isinstance(key, str):
         if re.fullmatch(r"\s*[+-]?[0-9]+\s*", key):
             return int(key)
-    elif isinstance(key, numbers.Real) and not isinstance(key, bool) and float(key).is_integer():
-        return int(key)
+    elif (whole := _whole(key)) is not None:
+        return whole
     raise ValueError(f"{block} coupling key {key!r} is not a whole number")
 
 
@@ -274,8 +273,8 @@ def _check_odd(n: int) -> None:
 
 
 def _check_indices(n: int, indices: Sequence[int]) -> tuple[int, ...]:
-    idx = tuple(map(int, indices))
-    if idx != tuple(indices):
+    idx = tuple(map(_whole, indices))
+    if None in idx:
         raise BadIndex(f"indices {list(indices)} must be integers")
     if not idx:
         raise BadIndex("need at least one factor index")
@@ -294,7 +293,10 @@ def build_B(n: int, indices: Sequence[int]) -> np.ndarray:
     column of block q: 1 when indices[q] is 0 (the internal column),
     4*cos(2*pi*indices[p]*indices[q]/n) otherwise, twice the factor weight.
     The entries with a rational cosine are exact: 4 where the index product
-    is 0 mod n and -2 where it is +-n/3.
+    is 0 mod n and -2 where it is +-n/3.  The indices follow the integer
+    rule of :func:`quasipoly._whole`: whole floats and numpy ints read as
+    ints, and a bool, NaN, an infinity or a fractional index raises
+    :class:`BadIndex`.
     """
     _check_odd(n)
     idx = _check_indices(n, indices)

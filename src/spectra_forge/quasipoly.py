@@ -195,13 +195,25 @@ def _needs(data, block: str, *keys: str) -> tuple:
     return tuple(data[key] for key in keys)
 
 
+def _whole(value) -> int | None:
+    """value as an int if it is a real number with an integer value and not
+    a bool (a JSON 1e7 reads as 10_000_000; NaN, inf and 2.5 do not), None
+    otherwise.  A plain int, the common case, skips the slower
+    abstract-class test."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+        return None
+    return int(value)
+
+
 def _count(value, name: str, least: int = 1) -> int:
     """value as an int, if it is an integral number >= least (so a JSON
     1e7 reads as 10_000_000); a ValueError that names it otherwise."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (float(value).is_integer() and value >= least)):
+    whole = _whole(value)
+    if whole is None or whole < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
+    return whole
 
 
 def factor_from_dict(data: dict) -> ScalarFactor:

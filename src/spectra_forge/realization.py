@@ -48,6 +48,7 @@ is used for determinants and solves.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
@@ -248,6 +249,13 @@ class RealizationResult:
                    np.array(window, dtype=float))
 
 
+def _check_tol(tol) -> None:
+    """A ValueError naming tol unless it is positive and finite: an
+    infinite tolerance would pass any residual, NaN none."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class RealizeConfig:
     """Solver knobs: the residual tolerance, the sweep radii tried in turn
@@ -262,8 +270,7 @@ class RealizeConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if not self.tol > 0.0:  # also refuses NaN
-            raise ValueError("tol must be positive")
+        _check_tol(self.tol)
         if not self.epsilon_schedule:
             raise ValueError("epsilon schedule must be nonempty")
         if not all(0.0 < eps < 0.5 * np.pi for eps in self.epsilon_schedule):
@@ -771,8 +778,10 @@ def newton_refine(
     takes the result to the rounding floor whatever tol is.  The result's
     ``search_window`` is zeros, as :meth:`RealizationResult.from_dict`
     reads files that lack it; :func:`realize` and
-    :func:`continue_realization` record their own.
+    :func:`continue_realization` record their own.  A tol that is not
+    positive and finite is a ValueError.
     """
+    _check_tol(tol)
     weights = _weights_for(target, weights)
     taus = np.array(taus0, dtype=float).copy()
     coeffs = np.array(coeffs0, dtype=float).copy()
@@ -866,6 +875,9 @@ def realize(
 
     scale = float(target.flat.max())
     scaled = target.scaled(1.0 / scale)
+    # the tolerance in the scaled units, kept positive and finite where the
+    # quotient would underflow or overflow, as newton_refine requires
+    landing = min(max(config.tol / scale, math.ulp(0.0)), np.finfo(float).max)
     try:
         base_point(scaled, weights)
     except SingularIB:
@@ -886,7 +898,7 @@ def realize(
                     d0 = _phase_offsets(scaled.flat, base.target_angles, taus0)
                     x, corrections = _trace_path(scaled, weights, taus0, base.amplitudes, d0)
                     partial = newton_refine(*np.split(x[:-1], 2), scaled, weights,
-                                            tol=config.tol / scale, max_iter=config.max_iter)
+                                            tol=landing, max_iter=config.max_iter)
                     taus, coeffs = partial.taus / scale, partial.coeffs * scale
                     if np.any(taus <= 0.0) or np.any(coeffs == 0.0):
                         raise LeftDomain("landed outside the admissible region")

@@ -3,27 +3,22 @@
 The count comes from the argument principle: the winding number of D along
 the boundary of a rectangle equals the number of enclosed zeros with
 multiplicity.  It is certified segment by segment (Ying and Katz 1988;
-Johnson and Tucker 2009).  Every term of D' and D'' is largest at the
-smaller real part of a segment [a, b] of length h, so |D'| <= M = 1 +
-sum_k |a_k b_k| tau_k exp(-x_min tau_k) and |D''| <= C = sum_k |a_k b_k|
-tau_k^2 exp(-x_min tau_k), and D stays within h min(M, P + C h / 2) of
-its value at either end, P being the larger |D'| at the ends.  When that
-radius is below |D| - f at one end, with f the rounding floor of the
-computed D (and P carrying the floor of D'), D stays in a disc that
-excludes 0 (the disc certificate).  A segment the disc refuses may still
-pass the chord certificate: linear interpolation misses a C^2 path by at
-most C h^2 / 8, complex values included, and the computed chord [D_a,
-D_b] lies within max(f_a, f_b) of the true one, so D stays within r = C
-h^2 / 8 + max(f_a, f_b) of the computed chord; when the chord keeps
-farther than r from 0 (less a rounding allowance of 4 eps (|D_a| +
-|D_b|)), that convex neighbourhood excludes 0.  The chord certifies the
-segments along which D turns fast while staying far from 0, which the
-disc refuses.  Either way the principal arg(D_b / D_a) is the true change
-of argument along the segment.  Each edge of a counted region starts with
-16 segments, and each grid line with 8 per cell it crosses; the
-uncertified ones of all paths are bisected together, one batch per level.
-The count, the sum of the increments over 2 pi, must lie within 1e-6 of
-an integer.
+Johnson and Tucker 2009), by one certificate, the chord.  Every term of
+D' and D'' is largest at the smaller real part of a segment [a, b] of
+length h, so |D'| <= M = 1 + sum_k |a_k b_k| tau_k exp(-x_min tau_k)
+and |D''| <= C = sum_k |a_k b_k| tau_k^2 exp(-x_min tau_k).  The chord
+through the true end values misses D by at most min(M h, C h^2 / 8)
+along the segment, and the computed chord [D_a, D_b] lies within
+max(f_a, f_b) of the true one, f being the rounding floor of the
+computed D; so D stays within r = min(M h, C h^2 / 8) + max(f_a, f_b)
+of the computed chord.  When the chord keeps farther than r from 0
+(less a rounding allowance of 4 eps (|D_a| + |D_b|)), that convex
+neighbourhood excludes 0, and the principal arg(D_b / D_a) is the true
+change of argument along the segment.  Each edge of a counted region
+starts with 16 segments, and each grid line with 8 per cell it crosses;
+the uncertified ones of all paths are bisected together, one batch per
+level.  The count, the sum of the increments over 2 pi, must lie within
+1e-6 of an integer.
 
 Root locations start from one certified grid.  :func:`locate_roots` cuts
 the region into kx x ky cells, about two per root expected from the root
@@ -60,19 +55,18 @@ the mirrored roots; its check is the upper one mirrored.
 
 Every node the certifier touches, the starting nodes of all lines and
 every bisection midpoint alike, goes through one kernel,
-:func:`_node_values`: one table exp(-z tau) over the batch, and D and D'
-from it in one call of :func:`quasipoly._term_sums`, the very floats that
-:func:`quasipoly.evaluate_many` and
-:func:`quasipoly.evaluate_derivative_many` give.  The lines of one batch
-may belong to several factors that share their delays, as the factors of
-a realization do (they differ only in their weights).  The certifier
-takes the one delay vector and one row of products a_k b_k per factor,
-the call sums every row, and each node reads its own factor's row, which
-is row 0 when there is one factor; the starting nodes and each bisection
-level pick those rows once, for D, D' and the bounds alike.  One factor
-and many take the same path, through :func:`_batch_counts` and
+:func:`_node_values`: one table exp(-z tau) over the batch, and D from
+it in one call of :func:`quasipoly._term_sums`, the very floats that
+:func:`quasipoly.evaluate_many` gives.  The lines of one batch may
+belong to several factors that share their delays, as the factors of a
+realization do (they differ only in their weights).  The certifier takes
+the one delay vector and one row of products a_k b_k per factor, the
+call sums every row, and each node reads its own factor's row, which is
+row 0 when there is one factor; the starting nodes and each bisection
+level pick those rows once, for D and the bounds alike.  One factor and
+many take the same path, through :func:`_batch_counts` and
 :func:`_certify`, every line naming its factor's row.  Every sum over
-the delay terms, of D, D' and the bounds alike, is one call of
+the delay terms, of D and the bounds alike, is one call of
 :func:`quasipoly._term_sums`, whose rounding depends neither on the batch
 of nodes nor on the other rows, so a node's values are the same bits
 whichever lines, regions or factors share its batch, and a batch of
@@ -91,7 +85,7 @@ from .errors import BoundaryRoot, NoConvergence, TooManyRoots
 from .quasipoly import ScalarFactor, _term_arrays, _term_sums, evaluate, evaluate_derivative
 # unused here, but the benchmark's tracer wraps them as attributes of this module
 from .quasipoly import evaluate_derivative_many, evaluate_many  # noqa: F401
-from .realization import FrequencyTarget, RealizationResult, WeightTable, result_factors
+from .realization import FrequencyTarget, RealizationResult, WeightTable, _check_tol, result_factors
 
 __all__ = [
     "Region",
@@ -158,37 +152,33 @@ class Region:
 
 
 def _node_values(taus, ab, z: np.ndarray, pick: np.ndarray):
-    """D and D' at the nodes z, from one table exp(-z tau) and one call of
-    :func:`quasipoly._term_sums` over the rows a_k b_k and a_k b_k tau_k,
-    one of each per row of ab: D = z - sum_k E_k a_k b_k and D' = 1 +
-    sum_k E_k a_k b_k tau_k.  The sums are laid out factor by factor, node
-    by node, and node z[i] reads entry pick[i] of them, its factor's row
-    times z.size plus i (pick has the shape of z; see :func:`_certify`).
-    Each is bit for bit what :func:`quasipoly.evaluate_many` and
-    :func:`quasipoly.evaluate_derivative_many` give for that factor,
-    whatever else is in the batch.  Overflow gives non-finite values, which
-    the callers report."""
+    """D at the nodes z, from one table exp(-z tau) and one call of
+    :func:`quasipoly._term_sums` over the rows a_k b_k of ab, D = z -
+    sum_k E_k a_k b_k.  The sums are laid out factor by factor, node by
+    node, and node z[i] reads entry pick[i] of them, its factor's row times
+    z.size plus i (pick has the shape of z; see :func:`_certify`).  Each
+    value is bit for bit what :func:`quasipoly.evaluate_many` gives for
+    that factor, whatever else is in the batch.  Overflow gives non-finite
+    values, which the callers report."""
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = _term_sums(np.exp(-np.multiply.outer(z, taus)), np.concatenate((ab, ab * taus)))
-        vals, ders = sums.reshape(2, -1).take(pick, axis=1)
-        return z - vals, 1.0 + ders
+        return z - _term_sums(np.exp(-np.multiply.outer(z, taus)), ab).reshape(-1).take(pick)
 
 
 class _Touch(BoundaryRoot):
     """A node of a path has |D| at or below the boundary threshold."""
 
 
-def _bounds(taus, weights, z, vals, ders, threshold, pick):
-    """Per node z, where D is vals and D' is ders, the rounding floor f of
-    D, and the rows |D| - f, |D'| plus its rounding floor, and the slope
-    and curvature sums sum_k |a_k b_k| tau_k^(1, 2) exp(-x tau_k); weights has
-    the rows |a_k b_k| tau_k^(0, 1, 2), each a block of one row per factor,
-    and node i reads its factor's row of each block through pick[i], as in
-    :func:`_node_values`.  Raises NoConvergence when D or the rounding
-    floor f overflowed (f can reach inf while |D| is finite, when some
-    |a_k b_k| is near the float maximum, and then no segment would ever be
-    certified) and _Touch when |D| <= threshold (broadcast against the
-    nodes) somewhere."""
+def _bounds(taus, weights, z, vals, threshold, pick):
+    """Per node z, where D is vals, the rows of :func:`_certified` as one
+    array: the rounding floor f of D, the slope bound 1 + sum_k |a_k b_k|
+    tau_k exp(-x tau_k), the curvature sum sum_k |a_k b_k| tau_k^2 exp(-x
+    tau_k), and |D|; weights has the rows |a_k b_k| tau_k^(0, 1, 2), each
+    a block of one row per factor, and node i reads its factor's row of
+    each block through pick[i], as in :func:`_node_values`.  Raises
+    NoConvergence when D or the rounding floor f overflowed (f can reach
+    inf while |D| is finite, when some |a_k b_k| is near the float
+    maximum, and then no segment would ever be certified) and _Touch when
+    |D| <= threshold (broadcast against the nodes) somewhere."""
     size = np.abs(vals)
     if not np.isfinite(size.max()):
         raise NoConvergence(float("nan"), "factor overflowed on the contour")
@@ -198,64 +188,49 @@ def _bounds(taus, weights, z, vals, ders, threshold, pick):
     with np.errstate(over="ignore", invalid="ignore"):
         decay = np.exp(-np.multiply.outer(z.real, taus))
         total, slope, curve = _term_sums(decay, weights).reshape(3, -1).take(pick, axis=1)
-        radius = np.abs(z)
-        floor = 4.0 * _EPS * (radius * (1.0 + slope) + len(taus) * total)
-        slope_floor = 4.0 * _EPS * (1.0 + len(taus) * slope + radius * curve)
+        slope += 1.0
+        floor = 4.0 * _EPS * (np.abs(z) * slope + len(taus) * total)
     if not np.isfinite(floor.max()):
         raise NoConvergence(float("nan"), "rounding floor of D overflowed on the contour")
-    return floor, np.array((size - floor, np.abs(ders) + slope_floor, slope, curve))
+    return np.array((floor, slope, curve, size))
 
 
-def _certified(a, b, inner=np.True_):
+def _certified(a, b):
     """Whether D provably stays off 0 along each segment [a, b] of length
-    h, whose ends a and b are given as (z, D, f, rows): the nodes, the
-    computed D there, its rounding floor f and the rows of
-    :func:`_bounds`, each row taken at the end where it is larger.
+    h, whose ends a and b are given as (z, D, rows): the nodes, the
+    computed D there and the rows of :func:`_bounds`; f, M and C are
+    taken at the end where each is larger.
 
-    The disc certificate: D stays in the disc of radius h * min(1 + slope,
-    |D'| + curvature * h / 2) around D at the end of larger margin |D| -
-    f, and that margin exceeds the radius.  The chord certificate, tried
-    only on the segments that the disc refuses: D stays within r =
-    curvature * h^2 / 8 + max(f_a, f_b) of the computed chord [D_a, D_b],
-    and the chord keeps farther than r from 0 (see
-    :func:`_chord_clear`).  Linear interpolation misses a C^2 path by at
-    most h^2 / 8 times the bound on its second derivative, complex values
-    included, since the error is an integral of the second derivative
-    against a kernel of one sign; and each point of the computed chord
-    lies within max(f_a, f_b) of the true one.  Either way D stays in a
-    convex set that excludes 0, so the principal arg(D_b / D_a) is its true
-    change of argument.  A segment not marked inner joins the last node of
-    one line to the first of the next, needs no certificate and comes back
-    certified."""
-    za, da, fa, bounds_a = a
-    zb, db, fb, bounds_b = b
+    The chord certificate: D stays within r = min(M h, C h^2 / 8) +
+    max(f_a, f_b) of the computed chord [D_a, D_b], with M the slope
+    bound, C the curvature sum and f the rounding floor, and the chord
+    keeps farther than r from 0, with an allowance of 4 eps (|D_a| + |D_b|)
+    for the rounding of the distance.  Let g be D less the chord through
+    the true end values: g vanishes at both ends and |g'| <= M + |D_b -
+    D_a| / h <= 2 M, so |g| <= M h; and linear interpolation misses a C^2
+    path by at most h^2 / 8 times the bound on its second derivative,
+    complex values included, since the error is an integral of the second
+    derivative against a kernel of one sign.  Each point of the computed
+    chord lies within max(f_a, f_b) of the true one.  So D stays in a
+    convex set that excludes 0, and the principal arg(D_b / D_a) is its
+    true change of argument.  The distance is that to the nearer end when
+    the foot of the perpendicular from 0 falls outside the chord, and
+    |Im(conj D_a D_b)| / |D_b - D_a| otherwise, the cross product taken
+    with D_b - D_a.  When some |D_a| or |D_b| passes 2^500, the products
+    could overflow to a wrong distance, so each segment and its reach are
+    first scaled by the power of two that brings the larger of |D_a| and
+    |D_b| into [1/2, 1): that is exact and changes no comparison."""
+    za, da, rows_a = a
+    zb, db, rows_b = b
     h = np.abs(zb - za)
-    margin, ders, slope, curve = np.maximum(bounds_a, bounds_b)
-    with np.errstate(over="ignore"):  # an overflowed bound certifies nothing
-        certified = (h * np.minimum(1.0 + slope, ders + 0.5 * h * curve) < margin) | ~inner
-        refused = ~certified
-        if np.count_nonzero(refused):
-            reach = 0.125 * curve[refused] * h[refused] ** 2 + np.maximum(fa[refused], fb[refused])
-            certified[refused] = _chord_clear(da[refused], db[refused], reach)
-    return certified
-
-
-def _chord_clear(da, db, reach):
-    """Whether the segment [da, db] of the complex plane keeps farther than
-    reach from 0, with an allowance of 4 eps (|da| + |db|) for the rounding
-    of the distance.  The distance is that to the nearer end when the foot
-    of the perpendicular from 0 falls outside the segment, and |Im(conj da
-    db)| / |db - da| otherwise, the cross product taken with db - da.  When
-    some |da| or |db| passes 2^500, the products could overflow to a wrong
-    distance, so each segment and its reach are first scaled by the power
-    of two that brings the larger of |da| and |db| into [1/2, 1): that is
-    exact and changes no comparison."""
-    size_a, size_b = np.abs(da), np.abs(db)
-    top = np.maximum(size_a, size_b)
-    if top.max() > _CHORD_TOP:
-        scale = np.ldexp(1.0, -np.frexp(top)[1])
-        da, db, reach, size_a, size_b = da * scale, db * scale, reach * scale, size_a * scale, size_b * scale
-    with np.errstate(divide="ignore", invalid="ignore"):
+    floor, slope, curve, top = np.maximum(rows_a, rows_b)
+    size_a, size_b = rows_a[3], rows_b[3]
+    # an overflowed bound certifies nothing
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        reach = np.minimum(slope * h, 0.125 * curve * h**2) + floor
+        if top.max() > _CHORD_TOP:
+            scale = np.ldexp(1.0, -np.frexp(top)[1])
+            da, db, reach, size_a, size_b = da * scale, db * scale, reach * scale, size_a * scale, size_b * scale
         chord = db - da
         tail, head = da.conj() * chord, db.conj() * chord
         outside = (tail.real >= 0.0) | (head.real <= 0.0)
@@ -289,15 +264,13 @@ def _certify(taus, ab, owner: np.ndarray, z, place, lengths: tuple[int, ...], th
     threshold of :func:`_bounds` and the resolution are given per line.
     Besides the errors of :func:`_bounds`, raises BoundaryRoot when a
     segment shorter than its line's resolution stays uncertified.
-    Segments that neither certificate of :func:`_certified` covers are
-    bisected, those of all lines in one batch per level; each level carries
-    D and its rounding floor f at the ends of the open segments, beside
-    the rows of :func:`_bounds`, for the chord certificate.  Each level,
-    the starting nodes first, picks every node's factor
-    row once and evaluates its nodes with :func:`_node_values` and
-    :func:`_bounds`, whose values have the same bits whatever else is in
-    the batch, so each line's path is bit for bit the one a batch of that
-    line alone gives.
+    Segments that :func:`_certified` refuses are bisected, those of all
+    lines in one batch per level; each level carries (z, D, rows) at the
+    ends of the open segments, rows those of :func:`_bounds`.  Each level,
+    the starting nodes first, picks every node's factor row once and
+    evaluates its nodes with :func:`_node_values` and :func:`_bounds`,
+    whose values have the same bits whatever else is in the batch, so each
+    line's path is bit for bit the one a batch of that line alone gives.
     """
     line, inner, ends = _line_layout(lengths)
     threshold = np.asarray(threshold, dtype=float)
@@ -306,17 +279,19 @@ def _certify(taus, ab, owner: np.ndarray, z, place, lengths: tuple[int, ...], th
         weights = np.concatenate((size, size * taus, size * taus**2))
 
     def level(nodes, rows):
-        """D, its rounding floor f and the rows of :func:`_bounds` at the
-        nodes, on the lines rows."""
+        """D and the rows of :func:`_bounds` at the nodes, on the lines
+        rows."""
         pick = owner[rows] * rows.size + np.arange(rows.size)
-        vals, ders = _node_values(taus, ab, nodes, pick)
-        return (vals, *_bounds(taus, weights, nodes, vals, ders, threshold[rows], pick))
+        vals = _node_values(taus, ab, nodes, pick)
+        return vals, _bounds(taus, weights, nodes, vals, threshold[rows], pick)
 
-    vals, floor, bounds = level(z, line)
+    vals, bounds = level(z, line)
     # each segment's ends a and b, as _certified takes them
-    a = (z[:-1], vals[:-1], floor[:-1], bounds[:, :-1])
-    b = (z[1:], vals[1:], floor[1:], bounds[:, 1:])
-    bad = ~_certified(a, b, inner)  # the segments left uncertified
+    a = (z[:-1], vals[:-1], bounds[:, :-1])
+    b = (z[1:], vals[1:], bounds[:, 1:])
+    # the segments left uncertified; one that joins the last node of a
+    # line to the first of the next needs no certificate
+    bad = ~_certified(a, b) & inner
     if np.count_nonzero(bad):
         # every node made, as (line, position along it, D); the certified
         # segments of a line join its nodes in order
@@ -447,16 +422,14 @@ def _counted_alone(taus, ab, region):
 def count_roots(factor: ScalarFactor, region: Region) -> int:
     """Number of zeros of the factor inside the region, with multiplicity.
 
-    The count is certified by the argument principle with a disc or a
-    chord certificate per boundary segment (see the module docstring).  It
+    The count is certified by the argument principle with the chord
+    certificate of each boundary segment (see the module docstring).  It
     requires a root-free boundary: if |D| dips below 1e-8 * scale at a node
     the region is dilated once by 1e-6 and retried, then BoundaryRoot is
     raised; a boundary segment shorter than 1e-6 times the longer side that
     still has no certificate is BoundaryRoot at once.  Only uncertified
-    segments are bisected, so a boundary that passes close to a root may
-    count where the disc alone would have bisected down to one of these
-    BoundaryRoot errors.  NoConvergence is raised when D
-    overflows on the contour (far left of the axis at large delays), when
+    segments are bisected.  NoConvergence is raised when D overflows on
+    the contour (far left of the axis at large delays), when
     the rounding floor of D does (a product |a_k b_k| near the float
     maximum), or when the certified sum is not within 1e-6 of an integer.
     Factor multiplicity is not applied.
@@ -959,8 +932,10 @@ def verify_realization(
     polish from 1j * -omega leaves it.  A failed count of the +omega box
     fails the -omega check with the same note.  Targets too close for a
     box of positive height raise ValueError (see
-    :func:`_isolation_halfwidth`).
+    :func:`_isolation_halfwidth`), and so does a tol that is not positive
+    and finite.
     """
+    _check_tol(tol)
     if weights is None:
         weights = WeightTable.ones(target.n, target.r)
     taus, coeffs = result.taus, result.coeffs

@@ -49,16 +49,6 @@ def eval_factor_mp(terms, lam, dps: int = 50) -> complex:
         return complex(acc)
 
 
-def eval_derivative_mp(terms, lam, dps: int = 50) -> complex:
-    """High-precision D'(lam) = 1 + sum a b tau exp(-lam tau) via mpmath."""
-    with mp.workdps(dps):
-        z = mp.mpc(lam.real, lam.imag)
-        acc = mp.mpc(1)
-        for a, b, tau in terms:
-            acc += mp.mpf(a) * mp.mpf(b) * mp.mpf(tau) * mp.e ** (-z * mp.mpf(tau))
-        return complex(acc)
-
-
 def arg_change_mp(terms, za: complex, zb: complex, samples: int = 64, dps: int = 50) -> float:
     """The change of arg D along the segment [za, zb], from 50-digit values
     at samples + 1 equally spaced points, the principal arg of each ratio
@@ -79,13 +69,17 @@ def chord_distance_exact(da: complex, db: complex) -> float:
     """Distance from 0 to the segment [da, db] of the complex plane, exact
     in rationals on the two floating-point ends, rounded at the end: the
     nearest point is da + t (db - da), t = -Re(conj da (db - da)) / |db -
-    da|^2 clipped to [0, 1]."""
+    da|^2 clipped to [0, 1].  The squared distance is scaled by 4^-k
+    before it is rounded, so that it stays a finite float whatever its size
+    (ends near 1e300 included), and its root by 2^k after: both exact."""
     xa, ya, xb, yb = (Fraction(v) for v in (da.real, da.imag, db.real, db.imag))
     dx, dy = xb - xa, yb - ya
     length = dx * dx + dy * dy
     t = min(max(-(xa * dx + ya * dy) / length, Fraction(0)), Fraction(1)) if length else Fraction(0)
     x, y = xa + t * dx, ya + t * dy
-    return math.sqrt(x * x + y * y)
+    square = x * x + y * y
+    k = (square.numerator.bit_length() - square.denominator.bit_length()) // 2
+    return math.ldexp(math.sqrt(square / Fraction(4) ** k), k)
 
 
 def eval_factor_fsum(terms, lam) -> complex:
@@ -407,23 +401,21 @@ def certifier_terms(*factors):
 
 
 def node_values_reference(taus, ab, z, pick):
-    """(D, D') at the nodes z, in place of the spectrum kernel's one table
-    for both and for every factor: each factor lam - sum_k ab[j, k]
-    exp(-lam taus[k]) on its own, one complex exponential table each for D
-    and D' and for every factor.  Node z[i] takes the factor pick[i] //
-    z.size at its own position i (pick has the shape of z and holds the
-    factor row times z.size plus i, as the kernel reads it)."""
+    """D at the nodes z, in place of the spectrum kernel's one table for
+    every factor: each factor lam - sum_k ab[j, k] exp(-lam taus[k]) on its
+    own, one complex exponential table for every factor.  Node z[i] takes
+    the factor pick[i] // z.size at its own position i (pick has the shape
+    of z and holds the factor row times z.size plus i, as the kernel reads
+    it)."""
     taus = taus.tolist()
     factors = [ScalarFactor(tuple(zip(products, [1.0] * len(taus), taus)))
                for products in ab.tolist()]
     vals = np.array([evaluate_many(f, z) for f in factors])
-    ders = np.array([evaluate_derivative_many(f, z) for f in factors])
-    row = (pick // z.size)[None]
-    return np.take_along_axis(vals, row, 0)[0], np.take_along_axis(ders, row, 0)[0]
+    return np.take_along_axis(vals, (pick // z.size)[None], 0)[0]
 
 
 def line_values_reference(factor, h_levels=(), h_nodes=(), v_levels=(), v_nodes=()):
-    """(z, D, D') with one row per line, the horizontal lines h_nodes[i] +
+    """(z, D) with one row per line, the horizontal lines h_nodes[i] +
     i*h_levels[i] first, then the vertical lines v_levels[i] + i*v_nodes[i],
     each evaluated pointwise like :func:`contour_values_reference`; a single
     row of nodes is shared by all lines of its kind."""
@@ -433,7 +425,7 @@ def line_values_reference(factor, h_levels=(), h_nodes=(), v_levels=(), v_nodes=
     )
     z = np.array([xs + 1j * y for y, xs in zip(h_levels, h_nodes)]
                  + [x + 1j * ys for x, ys in zip(v_levels, v_nodes)])
-    return z, evaluate_many(factor, z), evaluate_derivative_many(factor, z)
+    return z, evaluate_many(factor, z)
 
 
 def count_roots_trapezoid(factor, region, per_edge: int = 256, max_per_edge: int = 1 << 20) -> int:

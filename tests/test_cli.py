@@ -27,6 +27,16 @@ def run(capsys, argv):
     return code, (json.loads(out) if out.strip() else None)
 
 
+def run_strict(capsys, argv):
+    """run, with NaN and Infinity in the output refused: strict JSON."""
+    code = main(argv)
+
+    def not_json(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    return code, json.loads(capsys.readouterr().out, parse_constant=not_json)
+
+
 @pytest.fixture
 def scalar_problem(tmp_path):
     return write_json(
@@ -510,6 +520,19 @@ def test_fractional_ring_counts_are_input_errors(capsys, tmp_path, change, messa
         assert doc["error"]["message"] == message
 
 
+@pytest.mark.parametrize("index, shown", [
+    (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (True, "True"),
+])
+def test_ring_indices_that_are_not_integers_are_bad_index(capsys, tmp_path, index, shown):
+    # json writes NaN, Infinity and -Infinity, which json.load reads back;
+    # Infinity made the ring command print a traceback and no JSON
+    path = write_json(tmp_path / "ring.json", {"mode": "ring", "payload": {**RING7, "indices": [index, 2]}})
+    for command in ("ring", "realize"):
+        code, doc = run_strict(capsys, [command, "--input", path])
+        assert code == 1
+        assert doc["error"] == {"type": "BadIndex", "message": f"indices [{shown}, 2] must be integers"}
+
+
 @pytest.mark.parametrize("key", ["3.0", "two"])
 def test_ring_coupling_keys_are_named_input_errors(capsys, tmp_path, key):
     # int() reported these as a bare "invalid literal for int()"
@@ -703,6 +726,24 @@ def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["realize", "--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0"])
+def test_tolerance_that_is_not_positive_and_finite_is_input_error(capsys, tmp_path, scalar_problem, tol):
+    # with --tol inf, realize skipped the landing Newton and exited 0, and
+    # verify passed a result with a moved delay; both wrote "tol": Infinity
+    result = tmp_path / "result.json"
+    assert main(["realize", "--input", scalar_problem, "--output", str(result)]) == 0
+    capsys.readouterr()
+    flat = write_json(tmp_path / "flat.json", {"mode": "scalar", "payload": {"omegas": [1.0], "tol": float(tol)}})
+    for argv in (["realize", "--input", scalar_problem, f"--tol={tol}"],
+                 ["verify", "--result", str(result), "--input", scalar_problem, f"--tol={tol}"],
+                 ["realize", "--input", flat],
+                 ["verify", "--result", str(result), "--input", flat]):
+        code, doc = run_strict(capsys, argv)
+        assert code == 1
+        assert doc["error"]["type"] == "ValueError"
+        assert doc["error"]["message"].startswith("tol must be positive and finite")
 
 
 def test_verify_reads_payload_tol(capsys, tmp_path):

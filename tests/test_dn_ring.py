@@ -457,6 +457,21 @@ def test_fractional_indices_are_refused():
     assert build_B(7, (0.0, 2.0)).tolist() == build_B(7, (0, 2)).tolist()
 
 
+@pytest.mark.parametrize("index", [math.nan, math.inf, -math.inf, True, False, 2.5])
+def test_indices_follow_the_integer_rule_of_counts(index):
+    # int() raised a bare ValueError for NaN and OverflowError for inf, and
+    # read True as the index 1; a count refuses all of them
+    layout = {"internal": 1, "couplings": {"3": 1}}
+    for call in (lambda idx: build_B(7, idx),
+                 lambda idx: ring_weight_table(7, idx, (1, 1), layout),
+                 lambda idx: realize_ring(7, idx, ((1.0,), (SQRT2,)), layout)):
+        with pytest.raises(BadIndex) as info:
+            call([index, 3])
+        assert str(info.value) == f"indices [{index!r}, 3] must be integers"
+    with pytest.raises(BadIndex):
+        det_B_two_factor(7, index, 3)
+
+
 @pytest.mark.parametrize("layout, name, value", [
     ({"internal": 1.5, "couplings": {"3": 0.5}}, "layout internal count", 1.5),
     ({"internal": 1, "couplings": {"3": 1.5}}, "layout coupling 3 count", 1.5),

@@ -476,9 +476,24 @@ def test_config_budget_is_a_whole_number_of_grid_points():
 
 
 def test_config_tol_is_positive():
-    for tol in (0.0, -1e-10, float("nan")):
+    # an infinite tolerance would pass any residual, the landing Newton
+    # included, and is no JSON number
+    target = FrequencyTarget(((1.0,),))
+    for tol in (0.0, -1e-10, float("nan"), math.inf, -math.inf):
         with pytest.raises(ValueError, match="tol"):
             RealizeConfig(tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            newton_refine([1.5 * math.pi], [1.0], target, tol=tol)
+
+
+def test_landing_tolerance_stays_positive_and_finite_at_extreme_scales():
+    # the landing Newton asks for tol / max(omega), which underflows to 0
+    # or overflows to inf here: the search still ends as at a reachable
+    # tolerance's scale, not with newton_refine's ValueError on its tol
+    with pytest.raises(NoConvergence, match="every epsilon rung failed"):
+        realize(FrequencyTarget(((1e10,),)), config=RealizeConfig(tol=1e-320))
+    result = realize(FrequencyTarget(((1e-300, math.sqrt(2.0) * 1e-300),)), config=RealizeConfig(tol=1e10))
+    assert result.residual < 1e10
 
 
 def test_config_max_iter_is_a_positive_integer():

@@ -212,50 +212,51 @@ def _pick(row):
 
 
 def _kernel_on_lines(factor, *lines, **named):
-    """(z, D, D') from the node kernel on the nodes that
+    """(z, D) from the node kernel on the nodes that
     oracles.line_values_reference lays out for the same lines."""
     z = oracles.line_values_reference(factor, *lines, **named)[0]
-    return (z, *spectrum._node_values(*oracles.certifier_terms(factor), z, _pick(np.zeros(z.shape, int))))
+    return z, spectrum._node_values(*oracles.certifier_terms(factor), z, _pick(np.zeros(z.shape, int)))
 
 
 def _assert_matches_reference(got, ref, factor):
-    z, vals, ders = got
-    zr, vr, dr = ref
+    z, vals = got
+    zr, vr = ref
     np.testing.assert_array_equal(z, zr)
     size, taus = _term_sizes(factor, z)
     assert np.all(np.abs(vals - vr) <= 4 * EPS * (np.abs(z) + size.sum(-1)))
-    assert np.all(np.abs(ders - dr) <= 4 * EPS * (1.0 + (size * taus).sum(-1)))
-    # one table for D and D' holds the very floats of the reference's two
+    # the kernel's one table holds the very floats of the reference's
     np.testing.assert_array_equal(vals, vr)
-    np.testing.assert_array_equal(ders, dr)
 
 
-def _rounding_floors(factor, z):
-    """Bounds on the errors of a computed D(z) and D'(z), phase rounding
-    included: 4 eps (|z| + sum_k |a_k b_k| e^{-x tau_k} (m + |z| tau_k)),
-    and the same with tau_k in the sum and 1 in place of |z|."""
+def _rounding_floor(factor, z):
+    """A bound on the error of a computed D(z), phase rounding included:
+    4 eps (|z| + sum_k |a_k b_k| e^{-x tau_k} (m + |z| tau_k)), plus 4 m
+    times the least subnormal for products that underflow."""
     size, taus = _term_sizes(factor, z)
     spread = size * (len(taus) + np.multiply.outer(np.abs(z), taus))
-    return 4 * EPS * (np.abs(z) + spread.sum(-1)), 4 * EPS * (1.0 + (spread * taus).sum(-1))
+    return 4 * EPS * (np.abs(z) + spread.sum(-1)) + 4 * len(taus) * math.ulp(0.0)
 
 
 @given(kernel_cases())
+# subnormal products a_k b_k: D at 0 is off by one subnormal spacing, which
+# a floor relative to eps alone misses
+@example((ScalarFactor(((1.5, 2.225073858507e-311, 0.0), (1.75, 2.225073858507e-311, 0.0))),
+          Region(0.0, 1.0, 0.0, 1.0), 1))
 @settings(max_examples=60, deadline=None)
 def test_contour_kernel_matches_reference_and_mp(case):
     factor, region, per_edge = case
     xs = np.linspace(region.re_min, region.re_max, per_edge + 1)
     ys = np.linspace(region.im_min, region.im_max, per_edge + 1)
     edges = ((region.im_min, region.im_max), (xs, xs), (region.re_min, region.re_max), (ys, ys))
-    z, vals, ders = _kernel_on_lines(factor, *edges)
+    z, vals = _kernel_on_lines(factor, *edges)
     ref = oracles.line_values_reference(factor, *edges)
-    _assert_matches_reference((z, vals, ders), ref, factor)
+    _assert_matches_reference((z, vals), ref, factor)
     # against 50 digits the rounding of the phase y*tau itself adds
     # eps * |z tau| per term, which can reach 1e6 * eps
-    tol_d, tol_p = _rounding_floors(factor, z)
+    tol_d = _rounding_floor(factor, z)
     terms = [(t.a, t.b, t.tau) for t in factor.terms]
     for k in np.ndindex(z.shape):
         assert abs(vals[k] - oracles.eval_factor_mp(terms, complex(z[k]))) <= tol_d[k]
-        assert abs(ders[k] - oracles.eval_derivative_mp(terms, complex(z[k]))) <= tol_p[k]
     # a cut line alone
     centre = region.center
     for line in ({"h_levels": (centre.imag,), "h_nodes": (xs,)},
@@ -291,17 +292,14 @@ def test_node_values_match_evaluate_many_in_any_batch():
     for factor in factors:
         terms = oracles.certifier_terms(factor)
         first = np.zeros(z.shape, int)  # one factor: every node reads row 0
-        vals, ders = spectrum._node_values(*terms, z, _pick(first))
+        vals = spectrum._node_values(*terms, z, _pick(first))
         np.testing.assert_array_equal(vals, evaluate_many(factor, z))
-        np.testing.assert_array_equal(ders, evaluate_derivative_many(factor, z))
         for part in (slice(0, 1), slice(7, 8), slice(3, 40), slice(None, None, 7),
                      rng.permutation(240)[:31]):
             got = spectrum._node_values(*terms, z[part], _pick(first[part]))
-            np.testing.assert_array_equal(got[0], vals[part])
-            np.testing.assert_array_equal(got[1], ders[part])
+            np.testing.assert_array_equal(got, vals[part])
         got = spectrum._node_values(*terms, z.reshape(12, 4, 5), _pick(first.reshape(12, 4, 5)))
-        np.testing.assert_array_equal(got[0], vals.reshape(12, 4, 5))
-        np.testing.assert_array_equal(got[1], ders.reshape(12, 4, 5))
+        np.testing.assert_array_equal(got, vals.reshape(12, 4, 5))
         # the same delays and coefficients under 2 to 4 rows of weights, a
         # zero weight among them, as the factors of a ring share them: each
         # node, whichever factor it belongs to, has the bits of that factor
@@ -312,19 +310,16 @@ def test_node_values_match_evaluate_many_in_any_batch():
         rows = _weight_rows(factor, weights)
         terms = oracles.certifier_terms(*rows)
         owner = rng.integers(0, len(rows), z.size)
-        alone = [(evaluate_many(f, z), evaluate_derivative_many(f, z)) for f in rows]
-        vals, ders = spectrum._node_values(*terms, z, _pick(owner))
-        for j, (want_vals, want_ders) in enumerate(alone):
+        alone = [evaluate_many(f, z) for f in rows]
+        vals = spectrum._node_values(*terms, z, _pick(owner))
+        for j, want in enumerate(alone):
             mine = owner == j
-            np.testing.assert_array_equal(vals[mine], want_vals[mine])
-            np.testing.assert_array_equal(ders[mine], want_ders[mine])
+            np.testing.assert_array_equal(vals[mine], want[mine])
         for part in (slice(0, 1), slice(3, 40), rng.permutation(240)[:31]):
             got = spectrum._node_values(*terms, z[part], _pick(owner[part]))
-            np.testing.assert_array_equal(got[0], vals[part])
-            np.testing.assert_array_equal(got[1], ders[part])
+            np.testing.assert_array_equal(got, vals[part])
         got = spectrum._node_values(*terms, z.reshape(12, 4, 5), _pick(owner.reshape(12, 4, 5)))
-        np.testing.assert_array_equal(got[0], vals.reshape(12, 4, 5))
-        np.testing.assert_array_equal(got[1], ders.reshape(12, 4, 5))
+        np.testing.assert_array_equal(got, vals.reshape(12, 4, 5))
 
 
 def _census_like_cases(seed, count):
@@ -425,24 +420,25 @@ CHORD_BOX = Region(-0.05, 0.1, 0.95, 1.1)
 
 def _segment_certificates(factor, z, vals):
     """Per segment of a certified path through the nodes z, where the
-    computed D is vals, both certificates recomputed from the test's own
-    sums: (disc, e, R, f_e) with the disc test's end e, the radius R = h
-    min(M, P + C h / 2) and the rounding floor at e, and (chord, r) with r = C h^2 / 8 + max(f_a,
-    f_b), the chord counted only when its exact distance from 0 exceeds
-    r.  M, P and C as in test_certified_segments_are_honest."""
+    computed D is vals, the chord certificate recomputed from the test's
+    own sums: (chord, r, bent) with r = min(M h, C h^2 / 8) + max(f_a,
+    f_b), the chord counted only when its exact distance from 0 exceeds r,
+    and bent when it does so only by the curvature term, its distance
+    being at most M h + max(f_a, f_b).  M and C as in
+    test_certified_segments_are_honest."""
     size, taus = _term_sizes(factor, z)
-    slope, curve = size @ taus, size @ taus**2
-    floor, slope_floor = _rounding_floors(factor, z)
-    ders = np.abs(evaluate_derivative_many(factor, z)) + slope_floor
+    with np.errstate(over="ignore"):  # an infinite C leaves M h
+        slope, curve = size @ taus, size @ taus**2
+    floor = _rounding_floor(factor, z)
     for k in range(len(z) - 1):
         h = abs(z[k + 1] - z[k])
         # the sums at the end with the smaller real part
-        bound, bend = 1.0 + max(slope[k], slope[k + 1]), max(curve[k], curve[k + 1])
-        reach = h * min(bound, max(ders[k], ders[k + 1]) + 0.5 * h * bend)
-        e = k if abs(vals[k]) - floor[k] >= abs(vals[k + 1]) - floor[k + 1] else k + 1
-        r = bend * h * h / 8 + max(floor[k], floor[k + 1])
-        chord = oracles.chord_distance_exact(complex(vals[k]), complex(vals[k + 1])) > r
-        yield (reach + floor[e] < abs(vals[e]), e, reach, floor[e]), (chord, r)
+        first = h * (1.0 + max(slope[k], slope[k + 1]))
+        second = max(curve[k], curve[k + 1]) * h * h / 8
+        f = max(floor[k], floor[k + 1])
+        r = min(first, second) + f
+        distance = oracles.chord_distance_exact(complex(vals[k]), complex(vals[k + 1]))
+        yield distance > r, r, distance <= first + f
 
 
 @given(certify_cases())
@@ -453,19 +449,19 @@ def _segment_certificates(factor, z, vals):
 @example((ScalarFactor(((-1.215, 1.985, 9.729), (-0.973, -1.707, 10.312), (1.053, 0.792, 5.147))),
           Region(-0.161, 0.521, -0.474, 0.465)))
 @example((DENSE_THREE, CHORD_BOX))
+# |a b| tau^2 = 1e312 overflows while |a b| tau = 1e306 does not: only the
+# first-order term M h bounds the reach
+@example((ScalarFactor(((1e300, 1.0, 1e6),)), Region(-1.5e-6, 1.5e-6, 0.9999985, 1.0000015)))
 @settings(max_examples=40, deadline=None)
 def test_certified_segments_are_honest(case):
-    """Every certified edge segment [a, b] holds one of two certificates.
-    The disc: at one end e, R + f_e < |D_e| for the computed D_e and its
-    rounding floor f_e, where R = h min(M, P + C h / 2), M = 1 + sum_k
-    |a_k b_k| tau_k exp(-x_min tau_k) bounds |D'|, P is the larger |D'|
-    plus its rounding floor at the two ends, and C = sum_k |a_k b_k|
-    tau_k^2 exp(-x_min tau_k) bounds |D''|.  The chord: the computed chord
-    [D_a, D_b] keeps farther than r = C h^2 / 8 + max(f_a, f_b) from 0.
-    And dense 50-digit samples show that D really stays where each
-    certificate that holds puts it: in the disc |D - D_e| <= R + f_e, or
-    within r of the chord point at the same fraction of the segment; so
-    the segment's image stays away from 0."""
+    """Every certified edge segment [a, b] holds the chord certificate:
+    the computed chord [D_a, D_b] keeps farther than r = min(M h, C h^2 /
+    8) + max(f_a, f_b) from 0, for the rounding floors f of the computed
+    D, where M = 1 + sum_k |a_k b_k| tau_k exp(-x_min tau_k) bounds |D'|
+    and C = sum_k |a_k b_k| tau_k^2 exp(-x_min tau_k) bounds |D''|.  And
+    dense 50-digit samples show that D really stays within r of the chord
+    point at the same fraction of the segment; so the segment's image
+    stays away from 0."""
     factor, region = case
     try:
         _, region, edges = _alone(factor, region)
@@ -476,27 +472,23 @@ def test_certified_segments_are_honest(case):
     for row, (t, vals, turn) in enumerate(edges):
         z = t + 1j * fixed[row] if row < 2 else fixed[row] + 1j * t
         assert len(turn) == len(z) - 1
-        certificates = _segment_certificates(factor, z, vals)
-        for k, ((disc, e, reach, floor), (chord, r)) in enumerate(certificates):
-            assert disc or chord
+        for k, (chord, r, _) in enumerate(_segment_certificates(factor, z, vals)):
+            assert chord
             for frac in np.linspace(0.0, 1.0, 9):
                 zs = z[k] + frac * (z[k + 1] - z[k])
                 exact = oracles.eval_factor_mp(terms, complex(zs))
-                if disc:
-                    assert abs(exact - vals[e]) <= reach * (1 + 1e-12) + floor
-                if chord:
-                    assert abs(exact - (vals[k] + frac * (vals[k + 1] - vals[k]))) <= r * (1 + 1e-12)
+                assert abs(exact - (vals[k] + frac * (vals[k + 1] - vals[k]))) <= r * (1 + 1e-12)
 
 
 def test_chord_certified_segment_turns_as_at_50_digits():
-    # a segment of CHORD_BOX's left edge that the disc refuses and only the
-    # chord certifies, D turning by almost 1 rad along it: the certified
-    # turn is the change of arg D that 50-digit values show
+    # a segment of CHORD_BOX's left edge that only the curvature term of
+    # the reach certifies, D turning by almost 1 rad along it: the
+    # certified turn is the change of arg D that 50-digit values show
     _, region, edges = _alone(DENSE_THREE, CHORD_BOX)
     t, vals, turn = edges[2]
     z = region.re_min + 1j * t
-    only = [k for k, ((disc, *_), (chord, _)) in enumerate(_segment_certificates(DENSE_THREE, z, vals))
-            if chord and not disc]
+    only = [k for k, (chord, _, bent) in enumerate(_segment_certificates(DENSE_THREE, z, vals))
+            if chord and bent]
     assert only
     k = max(only, key=lambda k: abs(turn[k]))
     assert abs(turn[k]) > 0.9
@@ -520,21 +512,28 @@ def test_certified_count_matches_trapezoid_oracle():
 
 
 def test_chord_test_is_the_same_at_every_scale():
-    # scaling a chord and its reach by a power of two changes no answer,
-    # also past 2^500, where the test scales them back before its products
+    # scaling the ends of a chord and the rows of its reach by a power of
+    # two changes no answer, also past 2^500, where the test scales them
+    # back before its products; the segments have length 1, and either
+    # term of the reach may be the smaller
     rng = np.random.default_rng(3)
     da, db = rng.normal(size=(2, 400)) + 1j * rng.normal(size=(2, 400))
-    reach = rng.uniform(0.0, 1.0, 400) * np.abs(da)
-    clear = spectrum._chord_clear(da, db, reach)
+    za, zb = np.zeros(400, complex), np.ones(400, complex)
+    rows = rng.uniform(0.0, 1.0, (2, 3, 400)) * np.abs(da) * np.array([0.2, 1.0, 8.0])[:, None]
+    # the last row of each end is its |D|
+    rows = np.concatenate((rows, np.abs([da, db])[:, None]), axis=1)
+    clear = spectrum._certified((za, da, rows[0]), (zb, db, rows[1]))
     assert 0 < np.count_nonzero(clear) < clear.size
     for k in (-20, 300, 500, 600, 1000):
         s = math.ldexp(1.0, k)
-        assert np.array_equal(spectrum._chord_clear(da * s, db * s, reach * s), clear)
+        got = spectrum._certified((za, da * s, rows[0] * s), (zb, db * s, rows[1] * s))
+        assert np.array_equal(got, clear)
 
 
 def test_chord_certificate_cuts_the_bisection_levels(monkeypatch):
-    # a segment along which D turns fast while staying far from 0 fails the
-    # disc and once cost a bisection level: DENSE_THREE's band took 12
+    # a segment along which D turns fast while staying far from 0 fails a
+    # first-order bound such as M h and once cost a bisection level:
+    # DENSE_THREE's band took 12
     # certify levels to locate and 6 more to count, and these census-like
     # boxes 17 levels to locate and 22 to count.  The chord certifies most
     # such segments at once: each census-like box is located in one level
@@ -868,6 +867,19 @@ def test_verify_three_frequencies_all_targets(realized_three):
         assert check.local_count == 1
         assert check.residual < 1e-8
         assert check.polish_offset < 1e-8
+
+
+def test_verify_refuses_a_tolerance_that_is_not_positive_and_finite(realized_three):
+    # with tol = inf, a result with one delay moved by 0.01 (residuals
+    # 2.1e-2, polish drift 9e-3) would pass
+    target, result = realized_three
+    bumped = result.taus.copy()
+    bumped[0] += 0.01
+    bad = dataclasses.replace(result, taus=bumped)
+    assert not verify_realization(bad, target, tol=1e-8).passed
+    for tol in (math.inf, -math.inf, math.nan, 0.0, -1e-8):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            verify_realization(bad, target, tol=tol)
 
 
 def test_verify_tampered_delay_fails(realized_three):
