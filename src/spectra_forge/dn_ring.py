@@ -224,15 +224,30 @@ def _double_cos(n: int) -> tuple[float, ...]:
     return tuple(table)
 
 
+def _cell_count(n) -> int:
+    """n as an int under the integer rule of :func:`quasipoly._whole`; a
+    ValueError that names it otherwise."""
+    if (whole := _whole(n)) is None:
+        raise ValueError(f"cell count n must be an integer, got {n!r}")
+    return whole
+
+
 def factor_weights(n: int, j: int) -> np.ndarray:
     """Weight of each coupling profile inside factor j.
 
     Entry k - 2 belongs to coupling index k.  Paired neighbours carry
     2*cos(2*pi*(k-1)*j/n); for even n the last entry is the opposite-cell
     weight (-1)^j.  Symmetric in j: factor j equals factor n - j.
+    n and j follow the integer rule of :func:`quasipoly._whole`: a whole
+    float or a numpy int reads as an int; any other n is a ValueError, and
+    any other j a :class:`BadIndex`.
     """
+    n = _cell_count(n)
     if n < 3:
         raise ValueError("ring needs at least 3 cells")
+    if (whole := _whole(j)) is None:
+        raise BadIndex(f"factor index {j!r} must be an integer")
+    j = whole
     if not (0 <= j <= n - 1):
         raise ValueError(f"factor index {j} outside 0..{n - 1}")
     weights = _double_cos(n)
@@ -273,7 +288,25 @@ def _check_odd(n: int) -> None:
 
 
 def _check_indices(n: int, indices: Sequence[int]) -> tuple[int, ...]:
-    idx = tuple(map(_whole, indices))
+    """A factor selection of an n-cell ring as a tuple of ints.
+
+    The rule: at least one index, each a whole number (read with
+    :func:`quasipoly._whole`, so whole floats and numpy ints read as ints
+    and a bool, NaN, an infinity or a fraction is refused), strictly
+    increasing, within 0 .. (n - 1) // 2; a :class:`BadIndex` otherwise.
+    A selection of plain ints that keeps the rule, the common case, is
+    accepted after one loop over it; any other input goes through the
+    full rule, the only code that converts an index or raises."""
+    idx = tuple(indices)
+    last = -1
+    for i in idx:
+        if type(i) is not int or i <= last:
+            break
+        last = i
+    else:
+        if idx and last <= (n - 1) // 2:
+            return idx
+    idx = tuple(map(_whole, idx))
     if None in idx:
         raise BadIndex(f"indices {list(indices)} must be integers")
     if not idx:
@@ -298,7 +331,8 @@ def build_B(n: int, indices: Sequence[int]) -> np.ndarray:
     ints, and a bool, NaN, an infinity or a fractional index raises
     :class:`BadIndex`.
     """
-    _check_odd(n)
+    if n % 2 == 0 or n < 3:
+        _check_odd(n)
     idx = _check_indices(n, indices)
     weights = _double_cos(n)
     flat = [1.0 if q == 0 else 2.0 * weights[p * q % n] for p in idx for q in idx]
@@ -316,7 +350,8 @@ def det_B_two_factor(n: int, i1: int, i2: int) -> float:
     n = 25, pair (5, 10)).  :func:`realize_ring` refuses them with
     :class:`SingularB`.  Indices follow the integer rule of
     :func:`build_B`; a fractional one raises :class:`BadIndex`."""
-    _check_odd(n)
+    if n % 2 == 0 or n < 3:
+        _check_odd(n)
     if not (1 <= i1 < i2 <= (n - 1) // 2):
         raise BadIndex(f"need 1 <= i1 < i2 <= {(n - 1) // 2}, got ({i1}, {i2})")
     if type(i1) is not int or type(i2) is not int:
@@ -342,8 +377,9 @@ def detect_even_degeneracy(n: int) -> list[tuple[int, int]]:
     2*cos(2*pi*(k-1)*j/n) vanishes exactly when 4*(k-1)*j is an odd
     multiple of n, and the weight table holds those entries as exact
     zeros.  The opposite-cell weight (-1)^j never vanishes.  Nonempty for
-    n = 4.
+    n = 4.  n follows the integer rule of :func:`factor_weights`.
     """
+    n = _cell_count(n)
     if n % 2:
         raise BadParity(f"cell count {n} must be even here")
     if n < 4:
@@ -422,7 +458,13 @@ def realize_ring(
     and to each coupling profile, e.g. {"internal": 1, "couplings": {"2": 1}};
     the total must equal the number of prescribed frequencies.  The reduced
     leading-weight matrix is checked for singularity
-    (:func:`singular_selection`) before any solving.
+    (:func:`singular_selection`) before any solving, and a singular one is
+    refused with :class:`SingularB`.  That is the paper's precondition,
+    not an obstruction: :func:`realization.realize` on the same
+    :func:`ring_weight_table` realizes, and ``verify_realization``
+    certifies, the refused selections (9, (0, 3)), (25, (5, 10)) and
+    (9, (1, 2, 4)); the refusal keeps every returned ring within the
+    theorem.
     Realized coefficients map back one-to-one: weight-1 columns become
     internal atoms, the others coupling atoms.
     """

@@ -107,4 +107,13 @@ class BadParity(InputError):
 
 
 class SingularB(NumericFailure):
-    """The reduced leading-weight matrix is singular; realization refused."""
+    """The reduced leading-weight matrix is singular; realization refused.
+
+    A nonsingular matrix is the precondition of the paper's ring result,
+    not a condition without which no ring exists: with the weight table of
+    ``dn_ring.ring_weight_table``, ``realization.realize`` realizes and
+    ``spectrum.verify_realization`` certifies each of the refused
+    selections (9, (0, 3)), (25, (5, 10)) and (9, (1, 2, 4)).  The ring
+    layer refuses them so that every ring it returns is one the theorem
+    covers.
+    """

@@ -21,22 +21,38 @@ estimates from power sums on a fine uniform contour, read off Hankel
 matrices, in place of the moment starts from a grid's certified edges,
 and, for the certificate of a contour segment, the distance from 0 to a
 chord in exact rationals and the change of arg D along the segment at 50
-digits.
+digits, and the ring layer's index rule checked step by step, as it was
+before plain-int selections were accepted in one loop.
 """
 from __future__ import annotations
 
 import cmath
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 
 from spectra_forge import spectrum
-from spectra_forge.errors import BoundaryRoot, NoConvergence, SearchExhausted, TooManyRoots
-from spectra_forge.quasipoly import ScalarFactor, evaluate_derivative_many, evaluate_many
-from spectra_forge.realization import FrequencyTarget, WeightTable, base_point, index_vectors
+from spectra_forge.dn_ring import _double_cos
+from spectra_forge.errors import (
+    BadIndex,
+    BadParity,
+    BoundaryRoot,
+    NoConvergence,
+    SearchExhausted,
+    TooManyRoots,
+)
+from spectra_forge.quasipoly import ScalarFactor, _whole, evaluate_derivative_many, evaluate_many
+from spectra_forge.realization import (
+    FrequencyTarget,
+    WeightTable,
+    _singular_det,
+    base_point,
+    index_vectors,
+)
 
 
 def eval_factor_mp(terms, lam, dps: int = 50) -> complex:
@@ -142,6 +158,54 @@ def two_factor_singular_by_congruence(n: int, i1: int, i2: int) -> bool:
 
 def is_squarefree(n: int) -> bool:
     return all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
+
+
+def _check_odd_reference(n: int) -> None:
+    if n % 2 == 0:
+        raise BadParity(f"cell count {n} must be odd here")
+    if n < 3:
+        raise BadIndex("cell count must be >= 3")
+
+
+def check_indices_reference(n: int, indices) -> tuple[int, ...]:
+    """The ring layer's index rule, one check after another: convert every
+    index, then refuse a non-integer, an empty, a non-increasing and an
+    out-of-range selection, in that order."""
+    idx = tuple(map(_whole, indices))
+    if None in idx:
+        raise BadIndex(f"indices {list(indices)} must be integers")
+    if not idx:
+        raise BadIndex("need at least one factor index")
+    if not all(map(operator.lt, idx, idx[1:])):
+        raise BadIndex(f"indices {idx} must be strictly increasing")
+    if idx[0] < 0 or idx[-1] > (n - 1) // 2:
+        raise BadIndex(f"indices {idx} outside 0..{(n - 1) // 2}")
+    return idx
+
+
+def build_B_reference(n: int, indices) -> np.ndarray:
+    """dn_ring.build_B with its checks taken from the reference rule."""
+    _check_odd_reference(n)
+    idx = check_indices_reference(n, indices)
+    weights = _double_cos(n)
+    flat = [1.0 if q == 0 else 2.0 * weights[p * q % n] for p in idx for q in idx]
+    return np.array(flat).reshape(len(idx), len(idx))
+
+
+def det_B_two_factor_reference(n: int, i1: int, i2: int) -> float:
+    """dn_ring.det_B_two_factor with its checks taken from the reference rule."""
+    _check_odd_reference(n)
+    if not (1 <= i1 < i2 <= (n - 1) // 2):
+        raise BadIndex(f"need 1 <= i1 < i2 <= {(n - 1) // 2}, got ({i1}, {i2})")
+    if type(i1) is not int or type(i2) is not int:
+        i1, i2 = check_indices_reference(n, (i1, i2))
+    w = _double_cos(n)
+    return 4.0 * (w[(i1 * i1 + i2 * i2) % n] + w[(i1 * i1 - i2 * i2) % n]
+                  - w[(2 * i1 * i2) % n]) - 8.0
+
+
+def singular_selection_reference(n: int, indices) -> bool:
+    return _singular_det(build_B_reference(n, indices)) is not None
 
 
 def circulant_eigenvalues(n: int, diag: float, by_distance: dict[int, float]) -> np.ndarray:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,13 +24,19 @@ from spectra_forge.dn_ring import (
     ring_to_dict,
     ring_weight_table,
     validate_equivariance,
+    _check_indices,
 )
 from spectra_forge.errors import BadIndex, BadParity, SingularB
 from spectra_forge.quasipoly import evaluate_product, residual_on_targets
-from spectra_forge.realization import _singular_det
+from spectra_forge.realization import FrequencyTarget, _singular_det, realize
+from spectra_forge.spectrum import verify_realization
 from oracles import (
+    build_B_reference,
+    check_indices_reference,
     circulant_eigenvalues,
     dense_ring_det,
+    det_B_two_factor_reference,
+    singular_selection_reference,
     two_factor_det_mp,
     two_factor_singular_by_congruence,
 )
@@ -436,6 +444,23 @@ def test_realize_ring_singular_selection_refused_before_solving():
         )
 
 
+@pytest.mark.parametrize("n, idx, groups, layout", [
+    (9, (0, 3), ((1.0,), (SQRT2,)), {"internal": 1, "couplings": {"4": 1}}),
+    (25, (5, 10), ((1.0,), (SQRT2,)), {"couplings": {"6": 1, "11": 1}}),
+    (9, (1, 2, 4), ((1.0,), (SQRT2,), (math.sqrt(3.0),)), {"couplings": {"2": 1, "3": 1, "5": 1}}),
+])
+def test_singular_selection_is_a_precondition_not_an_obstruction(n, idx, groups, layout):
+    # realize_ring refuses the selection, yet the general solver realizes
+    # the same weight table and the result verifies
+    with pytest.raises(SingularB):
+        realize_ring(n, idx, groups, layout)
+    target = FrequencyTarget(groups)
+    weights, _ = ring_weight_table(n, idx, target.sizes, layout)
+    result = realize(target, weights)
+    assert result.residual < 1e-12
+    assert verify_realization(result, target, weights).passed
+
+
 def test_realize_ring_layout_validation():
     with pytest.raises(ValueError):
         realize_ring(3, (0, 1), ((1.0,), (SQRT2,)), {"internal": 2})
@@ -470,6 +495,46 @@ def test_indices_follow_the_integer_rule_of_counts(index):
         assert str(info.value) == f"indices [{index!r}, 3] must be integers"
     with pytest.raises(BadIndex):
         det_B_two_factor(7, index, 3)
+
+
+@pytest.mark.parametrize("j", [2.0, np.int64(2), Fraction(2)])
+def test_factor_weights_reads_whole_indices_as_ints(j):
+    assert factor_weights(7, j).tobytes() == factor_weights(7, 2).tobytes()
+    assert factor_weights(7.0, j).tobytes() == factor_weights(np.int64(7), 2).tobytes()
+    assert factor_weights(8, j).tolist() == factor_weights(8, 2).tolist()
+    assert detect_even_degeneracy(8.0) == detect_even_degeneracy(np.int64(8)) == detect_even_degeneracy(8)
+
+
+@pytest.mark.parametrize("j", [math.nan, math.inf, -math.inf, True, False, 1.5, "1", None])
+def test_factor_weights_refuses_an_index_that_is_not_whole(j):
+    # a fractional j raised a bare TypeError from indexing, and True read as factor 1
+    with pytest.raises(BadIndex) as info:
+        factor_weights(7, j)
+    assert str(info.value) == f"factor index {j!r} must be an integer"
+
+
+@pytest.mark.parametrize("n", [7.5, math.nan, math.inf, True, "7"])
+def test_ring_cell_count_of_the_weights_is_whole(n):
+    with pytest.raises(ValueError) as info:
+        factor_weights(n, 1)
+    assert str(info.value) == f"cell count n must be an integer, got {n!r}"
+    with pytest.raises(ValueError) as info:
+        detect_even_degeneracy(n)
+    assert str(info.value) == f"cell count n must be an integer, got {n!r}"
+
+
+def test_weight_range_messages_stay():
+    for n, j, message in ((2, 1, "ring needs at least 3 cells"),
+                          (2.0, 1, "ring needs at least 3 cells"),
+                          (7, 7, "factor index 7 outside 0..6"),
+                          (7, -1.0, "factor index -1 outside 0..6")):
+        with pytest.raises(ValueError) as info:
+            factor_weights(n, j)
+        assert str(info.value) == message
+    with pytest.raises(ValueError, match="even ring needs at least 4 cells"):
+        detect_even_degeneracy(2.0)
+    with pytest.raises(BadParity):
+        detect_even_degeneracy(5.0)
 
 
 @pytest.mark.parametrize("layout, name, value", [
@@ -526,3 +591,132 @@ def test_realize_ring_three_factor_selection():
     for idx, w in ((0, 1.0), (1, SQRT2), (2, math.sqrt(3.0))):
         assert residual_on_targets(product.factors[idx], [w]) < 1e-9
         assert abs(dense_ring_det(ring, 1j * w)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the index rule against its step-by-step reference
+
+
+_NOT_WHOLE = (True, False, math.nan, math.inf, -math.inf, 0.5, 2.5, "1", None)
+
+
+def _index_form(rng, i):
+    """The index i in one of the forms a selection may carry, or an entry
+    that is no index at all."""
+    kind = rng.integers(12)
+    if kind < 6:
+        return i
+    if kind == 6:
+        return float(i)
+    if kind == 7:
+        return np.int64(i) if rng.random() < 0.5 else np.int32(i)
+    if kind == 8:
+        return Fraction(i)
+    if kind == 9:
+        return i + 0.5
+    return _NOT_WHOLE[rng.integers(len(_NOT_WHOLE))]
+
+
+def _cell_count_form(rng):
+    kind = rng.integers(10)
+    if kind < 7:
+        return int(rng.integers(1, 51)) * 2 + 1
+    if kind == 7:
+        return int(rng.integers(2, 16)) * 2
+    if kind == 8:
+        return int(rng.integers(-3, 3))
+    return np.int64(rng.integers(1, 51) * 2 + 1)
+
+
+def _selection(rng, n):
+    """A sorted in-range selection, often broken on purpose: emptied,
+    reversed, with a repeat, a negative or an out-of-range index; in about
+    a third of them every entry also takes a random form."""
+    top = max((int(n) - 1) // 2, 0)
+    size = min(int(rng.integers(1, 5)), top + 1)
+    idx = sorted(rng.choice(top + 1, size=size, replace=False).tolist())
+    flaw = rng.integers(12)
+    if flaw == 0:
+        idx = []
+    elif flaw == 1 and len(idx) > 1:
+        idx = idx[::-1]
+    elif flaw == 2:
+        idx.insert(int(rng.integers(len(idx) + 1)), idx[int(rng.integers(len(idx)))])
+    elif flaw == 3:
+        idx[0] = -int(rng.integers(1, 4))
+    elif flaw == 4:
+        idx[-1] = top + int(rng.integers(1, 4))
+    if rng.random() < 0.3:
+        idx = [_index_form(rng, i) for i in idx]
+    return idx
+
+
+def _container(rng, entries):
+    """A zero-argument maker of the selection as a list, a tuple, a numpy
+    array or a fresh generator."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return lambda: list(entries)
+    if kind == 1:
+        return lambda: tuple(entries)
+    if kind == 2:
+        numeric = all(isinstance(e, (int, float, np.integer)) for e in entries)
+        return lambda: np.array(entries, dtype=None if numeric else object)
+    return lambda: (e for e in entries)
+
+
+def _outcome(call, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        value = call(*args)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    if isinstance(value, tuple):
+        return ("tuple", tuple(map(type, value)), value)
+    return ("value", type(value), value)
+
+
+def test_index_rule_matches_the_reference_on_a_seeded_corpus():
+    rng = np.random.default_rng(20251022)
+    pairs = checked = 0
+    for _ in range(20_000):
+        n = _cell_count_form(rng)
+        entries = _selection(rng, n)
+        make = _container(rng, entries)
+        for call, reference in ((_check_indices, check_indices_reference),
+                                (build_B, build_B_reference),
+                                (singular_selection, singular_selection_reference)):
+            assert _outcome(call, n, make()) == _outcome(reference, n, make()), (call, n, entries)
+            checked += 1
+        if len(entries) == 2:
+            pairs += 1
+            assert (_outcome(det_B_two_factor, n, *entries)
+                    == _outcome(det_B_two_factor_reference, n, *entries)), (n, entries)
+            checked += 1
+    assert pairs > 4000 and checked > 64_000
+
+
+def test_consumed_generator_is_reported_as_the_reference_reports_it():
+    for entries in ([1, 2.5], [2, 1], [], [0, 9]):
+        got = _outcome(_check_indices, 7, (e for e in entries))
+        assert got == _outcome(check_indices_reference, 7, (e for e in entries))
+        assert got[0] == "raised" and got[1] is BadIndex
+    assert str(pytest.raises(BadIndex, _check_indices, 7, (e for e in [1, 2.5])).value) == \
+        "indices [] must be integers"
+
+
+def test_two_factor_sweep_is_bitwise_the_reference():
+    # acceptance criterion 7's full range: every odd n in [5, 101], 20825 pairs
+    count = 0
+    for n in range(5, 102, 2):
+        for i1 in range(1, (n - 1) // 2):
+            for i2 in range(i1 + 1, (n - 1) // 2 + 1):
+                assert build_B(n, (i1, i2)).tobytes() == build_B_reference(n, (i1, i2)).tobytes()
+                det = det_B_two_factor(n, i1, i2)
+                assert struct.pack("<d", det) == struct.pack("<d", det_B_two_factor_reference(n, i1, i2))
+                count += 1
+    assert count == 20825
